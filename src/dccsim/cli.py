@@ -367,15 +367,15 @@ def main(argv: list[str] | None = None) -> int:
             "sweep": cmd_sweep,
         }[args.command]
         return handler(args)
+    except CapacityError as exc:  # a ValueError, so caught before the usage branch
+        print(f"capacity: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY
     except (UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except VerificationFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except CapacityError as exc:
-        print(f"capacity: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
 
 
 if __name__ == "__main__":

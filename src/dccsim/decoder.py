@@ -20,14 +20,18 @@ the Z-error part above (see csscode.CosetMap). Six update kinds drive it:
 
 Weights are renormalized to max = 1 after every update (the overall scale
 carries no information and would otherwise underflow over long runs). The
-dense engine is exact; the sparse engine tracks an explicit support and is
-the path past label widths where 2^c arrays are infeasible.
+dense engine is exact; each of its updates touches all 2^c entries.
+The sparse engine tracks an explicit support of sorted, unique labels. It
+shares the 2^c lookup tables of the syndrome and deformation maps with the
+dense engine, so each of its updates is a few whole-array operations over
+the support; its advantage is a support far smaller than 2^c (tens of
+labels at p <= 0.01).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -134,7 +138,20 @@ class SyndromeMap:
         return _syndrome_of(labels, self.rows)
 
     def syndrome_of(self, labels: np.ndarray) -> np.ndarray:
-        return _syndrome_of(labels, self.rows)
+        return self.table[labels]
+
+
+@lru_cache(maxsize=16)
+def _mismatch_factors(width: int, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """q**m and (1 - q)**(width - m) for every mismatch count m.
+
+    Kept as two factors, applied in that order: their product would round
+    differently from the two successive multiplications.
+    """
+    m = np.arange(width + 1, dtype=np.uint8)
+    hit, miss = np.power(q, m), np.power(1.0 - q, width - m)
+    hit.flags.writeable = miss.flags.writeable = False
+    return hit, miss
 
 
 @dataclass(frozen=True)
@@ -168,8 +185,10 @@ class DeformationMap:
         return _syndrome_of(labels, self.rows)
 
     @cached_property
-    def _split_solution(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """For splits: per-old-bit particular rows and the preimage kernel."""
+    def split_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """For splits: one preimage of every old label (2^c_old entries) and
+        the 2^k kernel patterns; the preimage of old label l is
+        base[l] ^ patterns."""
         c_new = self.new_layout.c
         particular_rows = []
         for i in range(self.old_layout.c):
@@ -177,19 +196,9 @@ class DeformationMap:
             if x is None:
                 raise ValueError("split map is not surjective")
             particular_rows.append(x)
-        kernel = f2.nullspace(self.rows, c_new)
-        return 0, tuple(particular_rows), kernel
-
-    def split_preimage(self, old_label: int) -> list[int]:
-        _, particular_rows, kernel = self._split_solution
-        base = 0
-        for i, row in enumerate(particular_rows):
-            if (old_label >> i) & 1:
-                base ^= row
-        out = [base]
-        for k in kernel:
-            out += [v ^ k for v in out]
-        return out
+        base = f2.enumerate_span(particular_rows, c_new).astype(np.uint32)
+        patterns = f2.enumerate_span(f2.nullspace(self.rows, c_new), c_new).astype(np.uint32)
+        return base, patterns
 
 
 @dataclass(frozen=True)
@@ -388,7 +397,12 @@ class DenseLikelihood:
 # ---------------------------------------------------------------------------
 
 class SparseLikelihood:
-    """Likelihood vector with explicit support (label and weight arrays)."""
+    """Likelihood vector with explicit support (label and weight arrays).
+
+    Every update leaves the labels sorted and unique. Only memory and merge
+    can map two labels onto one, so only they merge duplicates; updates that
+    permute labels sort them, and the syndrome update only filters.
+    """
 
     def __init__(
         self,
@@ -403,12 +417,28 @@ class SparseLikelihood:
     def copy(self) -> "SparseLikelihood":
         return SparseLikelihood(self.layout, self.labels.copy(), self.weights.copy())
 
-    def _compact(self) -> None:
-        labels, inv = np.unique(self.labels, return_inverse=True)
-        weights = np.zeros(len(labels), dtype=np.float64)
-        np.add.at(weights, inv, self.weights)
-        keep = weights > 0.0
-        self.labels, self.weights = labels[keep], weights[keep]
+    def _order(self) -> np.ndarray:
+        # A stable argsort of 16-bit keys is a radix sort in numpy.
+        assert self.layout.c <= 16, "sparse labels are sorted as 16-bit keys"
+        return np.argsort(self.labels.astype(np.uint16), kind="stable")
+
+    def _sort(self) -> None:
+        order = self._order()
+        self.labels, self.weights = self.labels[order], self.weights[order]
+
+    def _merge_duplicates(self) -> None:
+        """Sort and sum the weights of equal labels, in input order."""
+        order = self._order()
+        labels = self.labels[order]
+        first = np.ones(len(labels), dtype=bool)
+        first[1:] = labels[1:] != labels[:-1]
+        self.weights = np.bincount(np.cumsum(first) - 1, weights=self.weights[order])
+        self.labels = labels[first]
+
+    def _renormalize(self) -> None:
+        """Drop zero weights and rescale to max = 1."""
+        keep = self.weights > 0.0
+        self.labels, self.weights = self.labels[keep], self.weights[keep]
         if len(self.labels) == 0:
             raise DegeneratePosteriorError("all coset weights vanished")
         self.weights /= self.weights.max()
@@ -416,30 +446,28 @@ class SparseLikelihood:
     def apply_memory(self, shifts: np.ndarray, shift_weights: np.ndarray) -> None:
         self.labels = (self.labels[:, None] ^ shifts[None, :]).reshape(-1)
         self.weights = (self.weights[:, None] * shift_weights[None, :]).reshape(-1)
-        self._compact()
+        self._merge_duplicates()
+        self._renormalize()
 
     def apply_syndrome(self, smap: SyndromeMap, observed: int, q: float) -> None:
         mismatch = np.bitwise_count(smap.syndrome_of(self.labels) ^ np.uint32(observed))
-        if q == 0.0:
-            self.weights = self.weights * (mismatch == 0)
-        else:
-            self.weights = self.weights * np.power(q, mismatch) * np.power(1.0 - q, smap.width - mismatch)
-        self._compact()
+        hit, miss = _mismatch_factors(smap.width, q)
+        self.weights = self.weights * hit[mismatch] * miss[mismatch]
+        self._renormalize()
 
     def deform(self, dmap: DeformationMap) -> None:
         if dmap.direction == "merge":
-            self.labels = _syndrome_of(self.labels, dmap.rows)
+            self.labels = dmap.dense_index[self.labels]
+            self.layout = dmap.new_layout
+            self._merge_duplicates()
         else:
-            expansion = 1 << (dmap.new_layout.c - dmap.old_layout.c)
-            new_labels = np.empty(len(self.labels) * expansion, dtype=np.uint32)
-            new_weights = np.empty(len(self.labels) * expansion, dtype=np.float64)
-            for i, (lab, w) in enumerate(zip(self.labels, self.weights)):
-                pre = dmap.split_preimage(int(lab))
-                new_labels[i * expansion : (i + 1) * expansion] = pre
-                new_weights[i * expansion : (i + 1) * expansion] = w / expansion
-            self.labels, self.weights = new_labels, new_weights
-        self.layout = dmap.new_layout
-        self._compact()
+            base, patterns = dmap.split_tables
+            expansion = len(patterns)
+            self.labels = (base[self.labels][:, None] ^ patterns).reshape(-1)
+            self.weights = np.repeat(self.weights / expansion, expansion)
+            self.layout = dmap.new_layout
+            self._sort()
+        self._renormalize()
 
     def apply_clifford(self, action: CliffordAction) -> None:
         lay = self.layout
@@ -451,7 +479,7 @@ class SparseLikelihood:
         new_alpha = (alpha * p) ^ (beta * r)
         new_beta = (alpha * q) ^ (beta * s)
         self.labels = new_alpha | (new_beta << np.uint32(lay.alpha_bits))
-        self._compact()
+        self._sort()
 
     def choose_recovery(self) -> int:
         lay = self.layout
@@ -460,6 +488,7 @@ class SparseLikelihood:
         alpha_star = _argmax_smallest(np.arange(1 << lay.alpha_bits, dtype=np.uint32), mass)
         if alpha_star:
             self.labels = self.labels ^ np.uint32(alpha_star)
+            self._sort()
         return alpha_star
 
     def apply_t_gate(self, update: TGateUpdate) -> None:
@@ -467,29 +496,24 @@ class SparseLikelihood:
         if update.layout != lay:
             raise ValueError("T-gate table was built for a different label layout")
         alpha = self.labels & np.uint32((1 << lay.alpha_bits) - 1)
-        beta = self.labels >> np.uint32(lay.alpha_bits)
         keep = update.cleanable_mask[alpha]
         if not keep.any():
             raise DegeneratePosteriorError("no weight on cleanable cosets")
-        alpha, beta, weights = alpha[keep], beta[keep], self.weights[keep]
-        n_beta = 1 << lay.beta_bits
-        out_labels: list[np.ndarray] = []
-        out_weights: list[np.ndarray] = []
-        for a in np.unique(alpha):
-            sel = alpha == a
-            vec = np.zeros(n_beta, dtype=np.float64)
-            np.add.at(vec, beta[sel], weights[sel])
-            fwht(vec)
-            vec *= update.gamma_hat[:, a]
-            fwht(vec)
-            vec /= n_beta
-            np.maximum(vec, 0.0, out=vec)
-            nz = np.flatnonzero(vec)
-            out_labels.append(np.uint32(a) | (nz.astype(np.uint32) << np.uint32(lay.alpha_bits)))
-            out_weights.append(vec[nz])
-        self.labels = np.concatenate(out_labels)
-        self.weights = np.concatenate(out_weights)
-        self._compact()
+        # One column per occupied cleanable alpha; fwht acts on each column
+        # independently, exactly as on a single 2^beta_bits vector.
+        alphas, column = np.unique(alpha[keep], return_inverse=True)
+        block = np.zeros((1 << lay.beta_bits, len(alphas)), dtype=np.float64)
+        block[self.labels[keep] >> np.uint32(lay.alpha_bits), column] = self.weights[keep]
+        fwht(block)
+        block *= update.gamma_hat[:, alphas]
+        fwht(block)
+        block /= 1 << lay.beta_bits
+        np.maximum(block, 0.0, out=block)
+        # Row-major readout over (beta, ascending alpha) yields sorted labels.
+        beta, column = np.nonzero(block)
+        self.labels = alphas[column] | (beta.astype(np.uint32) << np.uint32(lay.alpha_bits))
+        self.weights = block[beta, column]
+        self._renormalize()
 
     def truncate(self, eps: float) -> None:
         total = self.weights.sum()

@@ -230,8 +230,11 @@ def _popcounts(values: np.ndarray) -> np.ndarray:
     return np.bitwise_count(values)
 
 
-def _enumerate_span(rows: Sequence[int], n: int) -> np.ndarray:
-    """All 2^k elements of the span as a uint64 array (requires n <= 63)."""
+def enumerate_span(rows: Sequence[int], n: int) -> np.ndarray:
+    """All 2^k elements of the span as a uint64 array (requires n <= 63).
+
+    Bit i of an element's index selects rows[i].
+    """
     arr = np.zeros(1, dtype=np.uint64)
     for r in rows:
         arr = np.concatenate([arr, arr ^ np.uint64(r)])
@@ -330,7 +333,7 @@ class Subspace:
             raise ValueError("element_array requires n <= 63")
         if self.dim > FULL_ENUM_DIM_LIMIT:
             raise ValueError(f"refusing to enumerate 2^{self.dim} elements")
-        return _enumerate_span(self.basis, self.n)
+        return enumerate_span(self.basis, self.n)
 
 
 def span(vectors: Sequence[BitVector], n: int | None = None) -> Subspace:
@@ -367,7 +370,7 @@ def min_odd_weight(s: Subspace, max_weight: int | None = None) -> int | None:
         raise NoOddVectorsError("S-perp contains no odd-weight vectors")
     if perp_dim <= FULL_ENUM_DIM_LIMIT and n <= 63:
         perp = s.orthogonal_complement()
-        arr = _enumerate_span(perp.basis, n)
+        arr = enumerate_span(perp.basis, n)
         w = _popcounts(arr)
         odd = w[(w & 1) == 1]
         if odd.size == 0:

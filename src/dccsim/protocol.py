@@ -269,7 +269,10 @@ class ProtocolConfig:
         }
 
     def hash(self) -> str:
-        text = json.dumps(self.to_json(), sort_keys=True)
+        """Hash of the settings that fix the results; the worker count does not."""
+        fields = self.to_json()
+        del fields["threads"]
+        text = json.dumps(fields, sort_keys=True)
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
@@ -458,11 +461,19 @@ CSV_COLUMNS = [
 
 
 def jackknife_inverse_mean(values: list[int]) -> float:
-    """Jackknife standard error of 1/mean over the given samples."""
+    """Jackknife standard error of 1/mean over the given samples.
+
+    A leave-one-out mean of 0 makes that estimate of 1/mean infinite: the
+    error is then inf, or nan when every sample is 0 and 1/mean itself is inf.
+    """
     n = len(values)
     if n < 2:
         return float("nan")
     total = sum(values)
+    if total == 0:
+        return float("nan")
+    if any(total == v for v in values):
+        return float("inf")
     leave_out = [(n - 1) / (total - v) for v in values]
     mean_theta = sum(leave_out) / n
     var = (n - 1) / n * sum((t - mean_theta) ** 2 for t in leave_out)

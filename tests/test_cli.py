@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from dccsim.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from dccsim.cli import EXIT_CAPACITY, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
 
 def run(argv):
@@ -52,6 +52,14 @@ class TestBuildVerify:
 
     def test_unsupported_t(self, tmp_path):
         assert run(["build", "--t", "9", "--out", str(tmp_path / "x.json")]) == EXIT_USAGE
+
+    def test_capacity_limit_exits_3(self, tmp_path, monkeypatch, capsys):
+        # CapacityError is a ValueError; it must not fall into the usage branch.
+        out = tmp_path / "code.json"
+        assert run(["build", "--t", "1", "--stage", "final", "--out", str(out)]) == EXIT_OK
+        monkeypatch.setattr("dccsim.csscode.CLEANABILITY_QUBIT_LIMIT", 14)
+        assert run(["verify", str(out)]) == EXIT_CAPACITY
+        assert "capacity:" in capsys.readouterr().err
 
     def test_t2_gadget_roundtrip(self, tmp_path):
         out = tmp_path / "t2g.json"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dccsim import f2
 from dccsim.decoder import (
@@ -605,3 +607,72 @@ class TestEnginesAgree:
             diff = np.max(np.abs(dense.normalized() - _as_dense_normalized(sparse)))
             assert diff <= 1e-9, f"step {step} ({choice}): {diff}"
             assert dense.final_coset() == sparse.final_coset()
+
+
+class TestSparseAgainstDenseStreams:
+    """Random update streams through both engines. Memory is left out: its
+    kernels differ between the engines (weight <= 1 shifts against the full
+    depolarizing transform), so every other update must agree closely."""
+
+    CYCLE = ("t", "base", "c", "base")
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_random_streams(self, fam, data):
+        maps = (fam.t_to_base, fam.base_to_c, fam.c_to_base, fam.base_to_t)
+        layout = fam.t_stage.layout
+        support = data.draw(
+            st.lists(st.integers(0, layout.size - 1), min_size=1, max_size=40, unique=True),
+            label="support",
+        )
+        labels = np.array(sorted(support), dtype=np.uint32)
+        weights = np.array(
+            data.draw(st.lists(st.floats(0.01, 1.0), min_size=len(labels), max_size=len(labels)),
+                      label="weights")
+        )
+        weights /= weights.max()
+        arr = np.zeros(layout.size)
+        arr[labels] = weights
+        dense = DenseLikelihood(layout, arr)
+        sparse = SparseLikelihood(layout, labels, weights.copy())
+        pos = 0
+        for _ in range(data.draw(st.integers(1, 24), label="steps")):
+            stage = self.CYCLE[pos]
+            kinds = ["deform", "truncate"]
+            kinds += {"t": ["syndrome", "recovery", "T"], "c": ["syndrome", "clifford"]}.get(stage, [])
+            kind = data.draw(st.sampled_from(kinds), label="kind")
+            if kind == "deform":
+                dense.deform(maps[pos])
+                sparse.deform(maps[pos])
+                pos = (pos + 1) % len(self.CYCLE)
+            elif kind == "syndrome":
+                smap = fam.m_t if stage == "t" else fam.m_c
+                bits = data.draw(st.integers(0, (1 << smap.width) - 1), label="bits")
+                q = data.draw(st.one_of(st.just(0.0), st.floats(1e-3, 0.5)), label="q")
+                try:
+                    dense.apply_syndrome(smap, bits, q)
+                except DegeneratePosteriorError:
+                    with pytest.raises(DegeneratePosteriorError):
+                        sparse.apply_syndrome(smap, bits, q)
+                    return
+                sparse.apply_syndrome(smap, bits, q)
+            elif kind == "clifford":
+                action = CLIFFORD_CLASSES[data.draw(st.integers(0, 5), label="action")]
+                dense.apply_clifford(action)
+                sparse.apply_clifford(action)
+            elif kind == "recovery":
+                assert dense.choose_recovery() == sparse.choose_recovery()
+            elif kind == "T":
+                try:
+                    dense.apply_t_gate(fam.t_update)
+                except DegeneratePosteriorError:
+                    with pytest.raises(DegeneratePosteriorError):
+                        sparse.apply_t_gate(fam.t_update)
+                    return
+                sparse.apply_t_gate(fam.t_update)
+            else:
+                sparse.truncate(0.0)
+            # Every sparse update leaves its labels sorted and unique.
+            assert np.all(sparse.labels[1:] > sparse.labels[:-1]), kind
+            assert sparse.layout == dense.layout
+            np.testing.assert_allclose(sparse.dense_weights(), dense.weights, rtol=1e-12, atol=0)

@@ -1,3 +1,7 @@
+import dataclasses
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -178,12 +182,24 @@ class TestDeterminism:
         assert first == second
 
     def test_parallel_equals_serial(self):
-        import dataclasses
-
         cfg = ProtocolConfig(p=0.02, trials=6, max_gates=100, decoder="sparse", seed=21)
         serial = run_trials(cfg)
         parallel = run_trials(dataclasses.replace(cfg, threads=2))
         assert serial == parallel
+
+    # sha256 of "gates,termination,retries,rounds\n" over the first 30
+    # trials at seed 0. A speedup of the sparse engine must leave it unchanged.
+    @pytest.mark.parametrize("p, max_gates, digest", [
+        (0.005, 20, "858bc65be1e6c6a8b47b7ea695853fb96c93d79e46a48b6b944d286cf8667b92"),
+        (0.02, 2, "bba9db31b3d543adafd0aa3399345e95cf985010b66ed026fffdce48d0b9095e"),
+    ])
+    def test_sparse_results_pinned(self, p, max_gates, digest):
+        cfg = ProtocolConfig(p=p, trials=30, max_gates=max_gates, decoder="sparse", seed=0)
+        text = "".join(
+            f"{r.gates_implemented},{r.termination},{r.retries},{r.rounds}\n"
+            for r in run_trials(cfg)
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_trials_independent_of_batching(self):
         cfg = ProtocolConfig(p=0.02, trials=4, max_gates=200, decoder="sparse", seed=12)
@@ -243,6 +259,22 @@ class TestEstimator:
         values = [40, 50, 60]
         se = jackknife_inverse_mean(values)
         assert 0 < se < 0.01
+
+    def test_jackknife_zero_leave_one_out_sum(self):
+        # Dropping the 4 leaves a mean of 0, so that estimate of 1/mean is inf.
+        assert jackknife_inverse_mean([0, 4]) == float("inf")
+        assert math.isnan(jackknife_inverse_mean([0, 0, 0]))
+
+    def test_failures_before_the_first_gate(self):
+        results = [TrialResult(0, "logical_error", 0, 1) for _ in range(3)]
+        est = estimate_pl(ProtocolConfig(p=0.5, trials=3), results)
+        assert est.p_l == float("inf")
+        assert math.isnan(est.stderr)
+
+    def test_config_hash_ignores_worker_count(self):
+        cfg = ProtocolConfig(p=0.01, trials=10, threads=1)
+        assert cfg.hash() == dataclasses.replace(cfg, threads=2).hash()
+        assert cfg.hash() != dataclasses.replace(cfg, p=0.02).hash()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
