@@ -2,18 +2,19 @@
 run Monte Carlo simulations.
 
 Exit codes: 0 success, 2 verification failure, 3 capacity or feasibility
-limit, 4 usage error.
+limit (including a decoder posterior that vanished), 4 usage error
+(including unreadable, unwritable or malformed files and events).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
 import os
 import sys
-import time
 
 from . import __version__, f2
 from .csscode import (
@@ -21,19 +22,17 @@ from .csscode import (
     EvennessWitness,
     build_cleanability_table,
     check_evenness,
+    code_to_json,
+    dump_json,
     make_code,
+    spaces_from_json,
     verify_transversality,
 )
 from .codefamily import build_gadget_codes, cached_doubled, qubit_counts
-from .decoder import init_likelihood
+from .decoder import ENGINES, DegeneratePosteriorError, NumericError, init_likelihood
 from .f2 import Subspace, min_odd_weight
 from .noise import CLIFFORD_CLASSES
-from .protocol import (
-    CSV_COLUMNS,
-    ProtocolConfig,
-    estimate_pl,
-    family15,
-)
+from .protocol import ProtocolConfig, estimate_pl, family15
 
 EXIT_OK = 0
 EXIT_VERIFY = 2
@@ -75,7 +74,7 @@ def build_parser() -> _Parser:
     d = sub.add_parser("decode-trace", help="drive a decoder from a JSON-lines event stream")
     d.add_argument("--events", default="-", help="path or - for stdin")
     d.add_argument("--p", type=float, default=0.01)
-    d.add_argument("--decoder", choices=["exact", "sparse"], default="exact")
+    d.add_argument("--decoder", choices=list(ENGINES), default="exact")
     d.add_argument("--out", default="-")
 
     s = sub.add_parser("simulate", help="Monte Carlo estimate of the logical error rate")
@@ -92,7 +91,7 @@ def _simulate_flags(parser: argparse.ArgumentParser, with_p: bool = True) -> Non
     if with_p:
         parser.add_argument("--p", type=float, required=True)
     parser.add_argument("--trials", type=int, default=400)
-    parser.add_argument("--decoder", choices=["exact", "sparse"], default="sparse")
+    parser.add_argument("--decoder", choices=list(ENGINES), default="sparse")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--max-gates", type=int, default=100_000)
     parser.add_argument("--eps", type=float, default=1e-6)
@@ -104,70 +103,51 @@ def _simulate_flags(parser: argparse.ArgumentParser, with_p: bool = True) -> Non
 # build / verify
 # ---------------------------------------------------------------------------
 
-def _stage_codes(t: int, stage: str):
-    if stage == "doubled":
-        d = cached_doubled(t)
-        obj = d
-    else:
-        obj = build_gadget_codes(t, stage)
+def cmd_build(args) -> int:
+    t, stage = args.t, args.stage
+    if not 1 <= t <= 4:
+        raise UsageError("t must be between 1 and 4")
+    codes = cached_doubled(t) if stage == "doubled" else build_gadget_codes(t, stage)
+    n = codes.n
     # Minimum-weight odd dual vector: a boundary side of the top-level
     # lattice on its A block (weight 2t+1, disjoint from every gadget).
-    side = obj.lattices[t].boundary_bits(1) << obj.layout.offset(f"A{t}")
-    if stage == "doubled":
-        return d.t_space, d.dot_t_space, d.c_space, d.witness_t, d.witness_c, d.generators, d.layout.n, side
-    return (
-        obj.t_space,
-        obj.dot_t_space,
-        obj.c_space,
-        obj.witness_t,
-        obj.witness_c,
-        obj.generators,
-        obj.n,
-        side,
+    side = codes.lattices[t].boundary_bits(1) << codes.layout.offset(f"A{t}")
+    obj = code_to_json(
+        f"doubled-color-code-t{t}-{stage}", n, codes.t_space, codes.dot_t_space, codes.witness_t
     )
-
-
-def cmd_build(args) -> int:
-    if not 1 <= args.t <= 4:
-        raise UsageError("t must be between 1 and 4")
-    t_space, dot_t, c_space, w_t, w_c, gens, n, dist_witness = _stage_codes(args.t, args.stage)
-    config_hash = hashlib.sha256(f"t={args.t} stage={args.stage}".encode()).hexdigest()[:12]
-    obj = {
-        "version": __version__,
-        "config_hash": config_hash,
-        "name": f"doubled-color-code-t{args.t}-{args.stage}",
-        "t": args.t,
-        "stage": args.stage,
-        "n": n,
-        "A": [f2.row_to_hex(row, n) for row in t_space.basis],
-        "B": [f2.row_to_hex(row, n) for row in dot_t.basis],
-        "C": [f2.row_to_hex(row, n) for row in c_space.basis],
-        "witness": w_t.to_json(),
-        "c_witness": w_c.to_json(),
-        "distance_witness": f2.row_to_hex(dist_witness, n),
-        "qubit_counts": qubit_counts(args.t),
-        "generators": [
+    obj.update(
+        version=__version__,
+        config_hash=hashlib.sha256(f"t={t} stage={stage}".encode()).hexdigest()[:12],
+        t=t,
+        stage=stage,
+        C=[f2.row_to_hex(row, n) for row in codes.c_space.basis],
+        c_witness=codes.witness_c.to_json(),
+        distance_witness=f2.row_to_hex(side, n),
+        qubit_counts=qubit_counts(t),
+        generators=[
             {"kind": g.kind, "level": g.level, "support": list(g.support())}
-            for g in gens
+            for g in codes.generators
         ],
-    }
-    with open(args.out, "w") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
-    print(f"wrote {args.out}: n={n} stage={args.stage}")
+    )
+    dump_json(obj, args.out)
+    print(f"wrote {args.out}: n={n} stage={stage}")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     with open(args.code_json) as fh:
         obj = json.load(fh)
-    n = obj["n"]
-    t_space = Subspace(n, [f2.hex_to_row(r, n) for r in obj["A"]])
-    dot_t = Subspace(n, [f2.hex_to_row(r, n) for r in obj["B"]])
-    c_space = Subspace(n, [f2.hex_to_row(r, n) for r in obj["C"]])
-    w_t = EvennessWitness.from_json(obj["witness"])
-    w_c = EvennessWitness.from_json(obj["c_witness"])
-    gen_rows = [f2.vector_from_support(g["support"]) for g in obj["generators"]]
+    try:
+        n, t_space, dot_t, _ = spaces_from_json(obj)
+        w_t = EvennessWitness.from_json(obj["witness"])
+        c_space = Subspace(n, [f2.hex_to_row(r, n) for r in obj["C"]])
+        w_c = EvennessWitness.from_json(obj["c_witness"])
+        gen_rows = [f2.vector_from_support(g["support"]) for g in obj["generators"]]
+        t, stage = obj["t"], obj["stage"]
+        stage_n = qubit_counts(t)[stage]
+        witness = f2.hex_to_row(obj["distance_witness"], n)
+    except (KeyError, TypeError) as exc:
+        raise UsageError(f"{args.code_json} is not a code JSON: {type(exc).__name__} {exc}") from exc
     budget = args.distance_budget
 
     checks: list[tuple[str, bool]] = []
@@ -175,7 +155,7 @@ def cmd_verify(args) -> int:
     checks.append(("triply-even side inside doubly-even side", c_space.contains_subspace(t_space)))
     checks.append(("doubly-even side inside its own dot space", c_space.dot_space().contains_subspace(c_space)))
     checks.append(("doubly-even side inside the dot space", dot_t.contains_subspace(c_space)))
-    if obj.get("stage") == "doubled":
+    if stage == "doubled":
         checks.append(("doubly-even side is dot-self-dual", c_space.dot_space() == c_space))
     checks.append(("generator list spans the dot space", Subspace(n, gen_rows) == dot_t))
     checks.append(("order-8 witness", check_evenness(t_space, w_t)))
@@ -188,10 +168,8 @@ def cmd_verify(args) -> int:
     checks.append(("transversal H conditions", verify_transversality(c_code, "H")))
     checks.append(("transversal S conditions", verify_transversality(c_code, "S", w_c)))
 
-    expected = 2 * obj["t"] + 1
-    checks.append(("qubit count matches the stage formula",
-                   n == qubit_counts(obj["t"])[obj["stage"]]))
-    witness = f2.hex_to_row(obj["distance_witness"], n)
+    expected = 2 * t + 1
+    checks.append(("qubit count matches the stage formula", n == stage_n))
     witness_ok = (
         witness.bit_count() == expected
         and witness.bit_count() % 2 == 1
@@ -220,54 +198,68 @@ def cmd_verify(args) -> int:
 # decode-trace
 # ---------------------------------------------------------------------------
 
+def _probability(value, what: str) -> float:
+    if not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
+        raise UsageError(f"{what} must be a number in [0, 1], got {value!r}")
+    return float(value)
+
+
 def cmd_decode_trace(args) -> int:
     fam = family15()
-    stages = {"t": fam.t_stage, "base": fam.base_stage, "c": fam.c_stage}
+    stages = {"t": fam.t_stage, "c": fam.c_stage}
+    syndromes = {"t": fam.m_t, "c": fam.m_c}
     deforms = {
         ("t", "base"): fam.t_to_base,
         ("base", "c"): fam.base_to_c,
         ("c", "base"): fam.c_to_base,
         ("base", "t"): fam.base_to_t,
     }
+    p = _probability(args.p, "--p")
     stage = "t"
     rho = init_likelihood(fam.t_stage.layout, args.decoder)
-    sparse = args.decoder == "sparse"
-    source = sys.stdin if args.events == "-" else open(args.events)
-    sink = sys.stdout if args.out == "-" else open(args.out, "w")
     step = 0
-    try:
-        for line in source:
+    with contextlib.ExitStack() as files:
+        source = sys.stdin if args.events == "-" else files.enter_context(open(args.events))
+        sink = sys.stdout if args.out == "-" else files.enter_context(open(args.out, "w"))
+        for lineno, line in enumerate(source, 1):
             line = line.strip()
             if not line:
                 continue
             event = json.loads(line)
+            if not isinstance(event, dict) or "type" not in event:
+                raise UsageError(f"line {lineno}: an event is a JSON object with a \"type\"")
             kind = event["type"]
+            if kind in ("memory", "syndrome") and stage not in stages:
+                raise UsageError(f"line {lineno}: {kind} events are undefined at the {stage} stage")
             if kind == "memory":
-                if stage == "base":
-                    raise UsageError("memory events are undefined at the base stage")
-                if sparse:
-                    rho.apply_memory(*fam.sparse_memory(stage, args.p))
-                else:
-                    rho.apply_memory(fam.dense_memory(stage, args.p))
+                rho.apply_memory(*rho.memory_input(stages[stage].code.coset_map, p))
             elif kind == "syndrome":
-                smap = fam.m_c if stage == "c" else fam.m_t
-                bits = 0
-                for i, b in enumerate(event["bits"]):
-                    bits |= (b & 1) << i
-                rho.apply_syndrome(smap, bits, event.get("q", args.p))
+                smap, bits = syndromes[stage], event.get("bits")
+                if not (isinstance(bits, list) and len(bits) == smap.width
+                        and all(b in (0, 1) for b in bits)):
+                    raise UsageError(f"line {lineno}: syndrome bits must be a list of "
+                                     f"{smap.width} zeros and ones at the {stage} stage")
+                observed = sum(int(b) << i for i, b in enumerate(bits))
+                rho.apply_syndrome(smap, observed, _probability(event.get("q", p), f"line {lineno}: q"))
             elif kind == "deform":
-                rho.deform(deforms[(stage, event["to"])])
-                stage = event["to"]
+                target = event.get("to")
+                if not isinstance(target, str) or (stage, target) not in deforms:
+                    raise UsageError(f"line {lineno}: no deformation from {stage!r} to {target!r}")
+                rho.deform(deforms[(stage, target)])
+                stage = target
             elif kind == "clifford":
-                rho.apply_clifford(CLIFFORD_CLASSES[event["action"]])
+                index = event.get("action")
+                if not isinstance(index, int) or index not in range(len(CLIFFORD_CLASSES)):
+                    raise UsageError(f"line {lineno}: clifford action must be an index 0..5, got {index!r}")
+                rho.apply_clifford(CLIFFORD_CLASSES[index])
             elif kind == "recovery":
                 rho.choose_recovery()
             elif kind == "T":
                 rho.apply_t_gate(fam.t_update)
             elif kind == "truncate":
-                rho.truncate(event.get("eps", 1e-6))
+                rho.truncate(_probability(event.get("eps", 1e-6), f"line {lineno}: eps"))
             else:
-                raise UsageError(f"unknown event type {kind!r}")
+                raise UsageError(f"line {lineno}: unknown event type {kind!r}")
             step += 1
             record = {
                 "step": step,
@@ -278,11 +270,6 @@ def cmd_decode_trace(args) -> int:
                 "support": rho.support_size(),
             }
             sink.write(json.dumps(record) + "\n")
-    finally:
-        if source is not sys.stdin:
-            source.close()
-        if sink is not sys.stdout:
-            sink.close()
     return EXIT_OK
 
 
@@ -311,10 +298,10 @@ def _write_rows(path: str, configs, estimates) -> None:
         sink.write(
             f"# dccsim {__version__} seed={header.seed} config_hash={header.hash()}\n"
         )
-        writer = csv.DictWriter(sink, fieldnames=CSV_COLUMNS)
+        rows = [est.csv_row() for est in estimates]
+        writer = csv.DictWriter(sink, fieldnames=list(rows[0]))
         writer.writeheader()
-        for est in estimates:
-            writer.writerow(est.csv_row())
+        writer.writerows(rows)
     finally:
         if sink is not sys.stdout:
             sink.close()
@@ -323,9 +310,7 @@ def _write_rows(path: str, configs, estimates) -> None:
 def cmd_simulate(args) -> int:
     config = _resolve_config(args, args.p)
     print(f"config: {json.dumps(config.to_json(), sort_keys=True)} hash={config.hash()}")
-    start = time.monotonic()
     est = estimate_pl(config)
-    est = _with_wall(est, time.monotonic() - start)
     _write_rows(args.out, [config], [est])
     return EXIT_OK
 
@@ -338,21 +323,13 @@ def cmd_sweep(args) -> int:
     for text in values:
         config = _resolve_config(args, float(text))
         print(f"config: {json.dumps(config.to_json(), sort_keys=True)} hash={config.hash()}")
-        start = time.monotonic()
-        est = estimate_pl(config)
-        estimates.append(_with_wall(est, time.monotonic() - start))
+        estimates.append(estimate_pl(config))
         configs.append(config)
     _write_rows(args.out, configs, estimates)
     for est in estimates:
         if est.p_l is not None:
             print(f"p={est.p:g} p_L={est.p_l:.4g}")
     return EXIT_OK
-
-
-def _with_wall(est, seconds):
-    from dataclasses import replace
-
-    return replace(est, wall_seconds=seconds)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -370,7 +347,10 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:  # a ValueError, so caught before the usage branch
         print(f"capacity: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (UsageError, ValueError) as exc:
+    except (DegeneratePosteriorError, NumericError) as exc:
+        print(f"capacity: the {args.decoder} decoder cannot follow this run: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY
+    except (UsageError, ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except VerificationFailure as exc:

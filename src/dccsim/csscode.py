@@ -148,12 +148,6 @@ class CosetMap:
     def label(self, a: int, b: int) -> int:
         return self.label_x(a) | (self.label_z(b) << self.alpha_bits)
 
-    def split(self, label: int) -> tuple[int, int]:
-        return label & ((1 << self.alpha_bits) - 1), label >> self.alpha_bits
-
-    def join(self, alpha: int, beta: int) -> int:
-        return alpha | (beta << self.alpha_bits)
-
 
 class SubsystemCode:
     """CSS code defined by (A, B); see the module docstring for conventions."""

@@ -7,7 +7,8 @@ the Z-error part above (see csscode.CosetMap). Six update kinds drive it:
   memory     rho <- P rho, with P(f, g) = P(f + g) a coset-shift mixture.
              The dense engine conjugates by the Walsh-Hadamard transform so
              the cost is O(c 2^c); the sparse engine convolves with an
-             explicit short list of shifts.
+             explicit short list of shifts. Each engine builds its own input
+             with memory_input(coset_map, p).
   syndrome   per-label reweighting by the bit-flip likelihood of the
              observed syndrome against the label's ideal syndrome.
   deform     merge (gauge group grows: labels project) or split (gauge group
@@ -36,7 +37,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import f2
-from .csscode import CleanabilityTable, SubsystemCode
+from .csscode import CleanabilityTable, CosetMap, SubsystemCode
 from .f2 import fwht
 from .noise import CliffordAction, TPropagator
 
@@ -62,29 +63,6 @@ def _argmax_smallest(labels: np.ndarray, weights: np.ndarray) -> int:
     return int(tied.min())
 
 
-_CLIFFORD_INDEX_CACHE: dict[tuple, np.ndarray] = {}
-
-
-def _clifford_gather_index(layout: "LabelLayout", action: CliffordAction) -> np.ndarray:
-    """Gather index realizing rho'(v f) = rho(f) for the label relabeling v."""
-    if layout.alpha_bits != layout.beta_bits:
-        raise ValueError("clifford relabeling needs matching alpha/beta widths")
-    key = (layout, action.img_x, action.img_z)
-    cached = _CLIFFORD_INDEX_CACHE.get(key)
-    if cached is not None:
-        return cached
-    labels = np.arange(layout.size, dtype=np.uint32)
-    alpha = labels & np.uint32((1 << layout.alpha_bits) - 1)
-    beta = labels >> np.uint32(layout.alpha_bits)
-    p, q, r, s = action.p, action.q, action.r, action.s
-    # Inverse action: the adjugate of [[p, r], [q, s]] over GF(2).
-    old_alpha = (alpha * s) ^ (beta * r)
-    old_beta = (alpha * q) ^ (beta * p)
-    src = old_alpha | (old_beta << np.uint32(layout.alpha_bits))
-    _CLIFFORD_INDEX_CACHE[key] = src
-    return src
-
-
 @dataclass(frozen=True)
 class LabelLayout:
     alpha_bits: int
@@ -103,6 +81,20 @@ class LabelLayout:
 
     def join(self, alpha: int, beta: int) -> int:
         return alpha | (beta << self.alpha_bits)
+
+
+@lru_cache(maxsize=64)
+def _clifford_image(layout: LabelLayout, action: CliffordAction) -> np.ndarray:
+    """Image v f of every label f under the Clifford relabeling v."""
+    if layout.alpha_bits != layout.beta_bits:
+        raise ValueError("clifford relabeling needs matching alpha/beta widths")
+    labels = np.arange(layout.size, dtype=np.uint32)
+    alpha = labels & np.uint32((1 << layout.alpha_bits) - 1)
+    beta = labels >> np.uint32(layout.alpha_bits)
+    p, q, r, s = action.p, action.q, action.r, action.s
+    image = ((alpha * p) ^ (beta * r)) | (((alpha * q) ^ (beta * s)) << np.uint32(layout.alpha_bits))
+    image.flags.writeable = False
+    return image
 
 
 def _parity_fold(values: np.ndarray) -> np.ndarray:
@@ -145,8 +137,8 @@ class SyndromeMap:
 def _mismatch_factors(width: int, q: float) -> tuple[np.ndarray, np.ndarray]:
     """q**m and (1 - q)**(width - m) for every mismatch count m.
 
-    Kept as two factors, applied in that order: their product would round
-    differently from the two successive multiplications.
+    Kept as two factors: the sparse engine multiplies by them in turn, the
+    dense engine by their product, and the two orders round differently.
     """
     m = np.arange(width + 1, dtype=np.uint8)
     hit, miss = np.power(q, m), np.power(1.0 - q, width - m)
@@ -156,49 +148,58 @@ def _mismatch_factors(width: int, q: float) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class DeformationMap:
-    """Label map across a gauge-group change.
+    """Label map across a gauge-group change between nested label bases.
 
-    merge (the gauge group grows): new label bit i is the parity of
-    rows[i] & old_label; every old label determines one new label.
-    split (the gauge group shrinks): old label bit i is the parity of
-    rows[i] & new_label; each old label expands uniformly over its preimage.
+    The narrow labels are the bits of the wide labels selected by `kept`,
+    packed in order. merge (the gauge group grows, wide to narrow) drops the
+    other bits; split (the gauge group shrinks, narrow to wide) inserts them,
+    expanding each old label uniformly over their 2^k values.
     """
 
     direction: str              # "merge" | "split"
-    rows: tuple[int, ...]
+    kept: int
     old_layout: LabelLayout
     new_layout: LabelLayout
 
     def __post_init__(self) -> None:
         if self.direction not in ("merge", "split"):
             raise ValueError("direction must be 'merge' or 'split'")
-        expected = self.new_layout.c if self.direction == "merge" else self.old_layout.c
-        if len(self.rows) != expected:
-            raise ValueError("row count does not match the target label width")
+        if self.kept.bit_count() != self.narrow.c or self.kept >> self.wide.c:
+            raise ValueError("kept mask does not match the label widths")
+
+    @property
+    def wide(self) -> LabelLayout:
+        return self.old_layout if self.direction == "merge" else self.new_layout
+
+    @property
+    def narrow(self) -> LabelLayout:
+        return self.new_layout if self.direction == "merge" else self.old_layout
 
     @cached_property
     def dense_index(self) -> np.ndarray:
-        if self.direction == "merge":
-            labels = np.arange(self.old_layout.size, dtype=np.uint32)
-        else:
-            labels = np.arange(self.new_layout.size, dtype=np.uint32)
-        return _syndrome_of(labels, self.rows)
+        """Narrow label of every wide label: its kept bits, packed."""
+        labels = np.arange(self.wide.size, dtype=np.uint32)
+        out = np.zeros_like(labels)
+        for i, k in enumerate(_bit_positions(self.kept)):
+            out |= ((labels >> np.uint32(k)) & np.uint32(1)) << np.uint32(i)
+        return out
 
     @cached_property
     def split_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """For splits: one preimage of every old label (2^c_old entries) and
-        the 2^k kernel patterns; the preimage of old label l is
+        """The wide label with zero dropped bits for every narrow label, and
+        the 2^k dropped-bit patterns: narrow label l splits into
         base[l] ^ patterns."""
-        c_new = self.new_layout.c
-        particular_rows = []
-        for i in range(self.old_layout.c):
-            x, _ = f2.solve_linear(list(self.rows), [1 if j == i else 0 for j in range(len(self.rows))], c_new)
-            if x is None:
-                raise ValueError("split map is not surjective")
-            particular_rows.append(x)
-        base = f2.enumerate_span(particular_rows, c_new).astype(np.uint32)
-        patterns = f2.enumerate_span(f2.nullspace(self.rows, c_new), c_new).astype(np.uint32)
-        return base, patterns
+        return _bit_span(self.kept), _bit_span((self.wide.size - 1) & ~self.kept)
+
+
+def _bit_positions(mask: int) -> list[int]:
+    return [k for k in range(mask.bit_length()) if (mask >> k) & 1]
+
+
+def _bit_span(mask: int) -> np.ndarray:
+    """Every value whose set bits lie in mask; bit i of the index sets the
+    i-th set bit of mask."""
+    return f2.enumerate_span([1 << k for k in _bit_positions(mask)], 32).astype(np.uint32)
 
 
 @dataclass(frozen=True)
@@ -227,13 +228,7 @@ def build_t_gate_update(
     mask = np.zeros(n_alpha, dtype=bool)
     gamma = np.zeros((n_beta, n_alpha), dtype=np.float64)
     # A^T beta for every beta, as packed qubit-line vectors.
-    at_beta = [0] * n_beta
-    for beta in range(n_beta):
-        v = 0
-        for i, row in enumerate(cm.mat_a):
-            if (beta >> i) & 1:
-                v ^= row
-        at_beta[beta] = v
+    at_beta = f2.enumerate_span(cm.mat_a, code.n).tolist()
     for alpha in table.cleanable:
         mask[alpha] = True
         cp = prop.coset(alpha)
@@ -270,20 +265,8 @@ def transformed_depolarizing(coset_map, p: float) -> np.ndarray:
     label f is (1 - 4p/3)^k(f), where k(f) counts the qubits touched by the
     transposed label map applied to f.
     """
-    u = np.zeros(1 << coset_map.alpha_bits, dtype=np.uint64)
-    for alpha in range(1 << coset_map.alpha_bits):
-        v = 0
-        for i, row in enumerate(coset_map.mat_b):
-            if (alpha >> i) & 1:
-                v ^= row
-        u[alpha] = v
-    w = np.zeros(1 << coset_map.beta_bits, dtype=np.uint64)
-    for beta in range(1 << coset_map.beta_bits):
-        v = 0
-        for i, row in enumerate(coset_map.mat_a):
-            if (beta >> i) & 1:
-                v ^= row
-        w[beta] = v
+    u = f2.enumerate_span(coset_map.mat_b, coset_map.n)
+    w = f2.enumerate_span(coset_map.mat_a, coset_map.n)
     touched = np.bitwise_count(u[np.newaxis, :] | w[:, np.newaxis])
     return np.power(1.0 - 4.0 * p / 3.0, touched).reshape(-1)
 
@@ -314,6 +297,14 @@ class DenseLikelihood:
     def normalized(self) -> np.ndarray:
         return self.weights / self.weights.sum()
 
+    @staticmethod
+    @lru_cache(maxsize=8)
+    def memory_input(coset_map: CosetMap, p: float) -> tuple[np.ndarray]:
+        """Arguments of apply_memory for depolarizing noise of strength p."""
+        p_hat = transformed_depolarizing(coset_map, p)
+        p_hat.flags.writeable = False
+        return (p_hat,)
+
     def apply_memory(self, p_hat: np.ndarray) -> None:
         if p_hat.shape != self.weights.shape:
             raise ValueError("transformed coset distribution has wrong length")
@@ -328,10 +319,8 @@ class DenseLikelihood:
 
     def apply_syndrome(self, smap: SyndromeMap, observed: int, q: float) -> None:
         mismatch = np.bitwise_count(smap.table ^ np.uint32(observed))
-        if q == 0.0:
-            self.weights *= mismatch == 0
-        else:
-            self.weights *= np.power(q, mismatch) * np.power(1.0 - q, smap.width - mismatch)
+        hit, miss = _mismatch_factors(smap.width, q)
+        self.weights *= (hit * miss)[mismatch]
         self._renormalize()
 
     def deform(self, dmap: DeformationMap) -> None:
@@ -347,7 +336,9 @@ class DenseLikelihood:
         self._renormalize()
 
     def apply_clifford(self, action: CliffordAction) -> None:
-        self.weights = self.weights[_clifford_gather_index(self.layout, action)]
+        new = np.empty_like(self.weights)
+        new[_clifford_image(self.layout, action)] = self.weights
+        self.weights = new
 
     def choose_recovery(self) -> int:
         lay = self.layout
@@ -443,6 +434,21 @@ class SparseLikelihood:
             raise DegeneratePosteriorError("all coset weights vanished")
         self.weights /= self.weights.max()
 
+    @staticmethod
+    @lru_cache(maxsize=8)
+    def memory_input(coset_map: CosetMap, p: float) -> tuple[np.ndarray, np.ndarray]:
+        """Arguments of apply_memory: the coset shifts and weights of the
+        weight <= 1 restriction of depolarizing noise of strength p
+        (unnormalized; the engine renormalizes)."""
+        labels, weights = [0], [1.0 - p]
+        for j in range(coset_map.n):
+            for a, b in ((1 << j, 0), (1 << j, 1 << j), (0, 1 << j)):
+                labels.append(coset_map.label(a, b))
+                weights.append(p / 3.0)
+        shifts, shift_weights = np.array(labels, dtype=np.uint32), np.array(weights)
+        shifts.flags.writeable = shift_weights.flags.writeable = False
+        return shifts, shift_weights
+
     def apply_memory(self, shifts: np.ndarray, shift_weights: np.ndarray) -> None:
         self.labels = (self.labels[:, None] ^ shifts[None, :]).reshape(-1)
         self.weights = (self.weights[:, None] * shift_weights[None, :]).reshape(-1)
@@ -470,15 +476,7 @@ class SparseLikelihood:
         self._renormalize()
 
     def apply_clifford(self, action: CliffordAction) -> None:
-        lay = self.layout
-        if lay.alpha_bits != lay.beta_bits:
-            raise ValueError("clifford relabeling needs matching alpha/beta widths")
-        alpha = self.labels & np.uint32((1 << lay.alpha_bits) - 1)
-        beta = self.labels >> np.uint32(lay.alpha_bits)
-        p, q, r, s = action.p, action.q, action.r, action.s
-        new_alpha = (alpha * p) ^ (beta * r)
-        new_beta = (alpha * q) ^ (beta * s)
-        self.labels = new_alpha | (new_beta << np.uint32(lay.alpha_bits))
+        self.labels = _clifford_image(self.layout, action)[self.labels]
         self._sort()
 
     def choose_recovery(self) -> int:
@@ -539,9 +537,10 @@ class SparseLikelihood:
         return out
 
 
+ENGINES = {"exact": DenseLikelihood, "sparse": SparseLikelihood}
+
+
 def init_likelihood(layout: LabelLayout, engine: str):
-    if engine == "exact":
-        return DenseLikelihood(layout)
-    if engine == "sparse":
-        return SparseLikelihood(layout)
-    raise ValueError(f"unknown engine {engine!r}")
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}")
+    return ENGINES[engine](layout)

@@ -19,10 +19,6 @@ import numpy as np
 # weight-limited search over odd-weight candidates is required.
 FULL_ENUM_DIM_LIMIT = 25
 
-# check_evenness switches from exhaustive enumeration to the basis/overlap
-# criterion above this dimension (see csscode).
-EXHAUSTIVE_DIM_LIMIT = 20
-
 
 class DimensionMismatchError(ValueError):
     """Operands live in binary spaces of different lengths."""

@@ -33,13 +33,13 @@ from . import f2
 from .codefamily import cached_doubled
 from .csscode import CleanabilityTable, SubsystemCode, build_cleanability_table, make_code
 from .decoder import (
+    ENGINES,
     DeformationMap,
     LabelLayout,
     SyndromeMap,
     TGateUpdate,
     build_t_gate_update,
     init_likelihood,
-    transformed_depolarizing,
 )
 from .noise import (
     CLIFFORD_CLASSES,
@@ -134,8 +134,9 @@ class Family15:
         self.c_stage = stage("c", c_code)
 
         lay_t, lay_b, lay_c = self.t_stage.layout, self.base_stage.layout, self.c_stage.layout
-        base_bits_in_t = tuple(1 << k for k in range(8)) + tuple(1 << k for k in range(11, 16))
-        base_bits_in_c = tuple(1 << k for k in range(13))
+        # Base labels are T-label bits 0-7 and 11-15, and C-label bits 0-12.
+        base_bits_in_t = 0b1111100011111111
+        base_bits_in_c = (1 << 13) - 1
         self.t_to_base = DeformationMap("merge", base_bits_in_t, lay_t, lay_b)
         self.base_to_c = DeformationMap("split", base_bits_in_c, lay_b, lay_c)
         self.c_to_base = DeformationMap("merge", base_bits_in_c, lay_c, lay_b)
@@ -167,45 +168,19 @@ class Family15:
         self.prop = TPropagator(t_code, self.table)
         self.t_update: TGateUpdate = build_t_gate_update(t_code, self.table, self.prop, lay_t)
 
-        # Linear section for recoveries: vectors r_k with label_x(r_k) = e_k.
+        # Recovery vector of every X label, spanned by a linear section:
+        # vectors r_k with label_x(r_k) = e_k.
         section = []
-        mat_b_rows = rows_dot_t
         for k in range(lay_t.alpha_bits):
-            rhs = [1 if i == k else 0 for i in range(len(mat_b_rows))]
-            x, _ = f2.solve_linear(list(mat_b_rows), rhs, N_QUBITS)
+            rhs = [1 if i == k else 0 for i in range(len(rows_dot_t))]
+            x, _ = f2.solve_linear(list(rows_dot_t), rhs, N_QUBITS)
             if x is None:
                 raise AssertionError("label map is not surjective")
             section.append(x)
-        self.recovery_section = tuple(section)
+        self._recovery = f2.enumerate_span(section, N_QUBITS).tolist()
 
     def recovery_vector(self, alpha: int) -> int:
-        v = 0
-        for k, r in enumerate(self.recovery_section):
-            if (alpha >> k) & 1:
-                v ^= r
-        return v
-
-    # -- memory-update inputs ------------------------------------------------
-
-    @lru_cache(maxsize=8)
-    def dense_memory(self, stage_name: str, p: float) -> np.ndarray:
-        """Transformed depolarizing coset distribution for a protocol stage."""
-        ctx = {"t": self.t_stage, "c": self.c_stage}[stage_name]
-        return transformed_depolarizing(ctx.code.coset_map, p)
-
-    @lru_cache(maxsize=8)
-    def sparse_memory(self, stage_name: str, p: float) -> tuple[np.ndarray, np.ndarray]:
-        """Coset shifts and weights of the weight <= 1 restriction of the
-        depolarizing channel (unnormalized; the engine renormalizes)."""
-        ctx = {"t": self.t_stage, "c": self.c_stage}[stage_name]
-        cm = ctx.code.coset_map
-        labels = [0]
-        weights = [1.0 - p]
-        for j in range(N_QUBITS):
-            for a, b in ((1 << j, 0), (1 << j, 1 << j), (0, 1 << j)):
-                labels.append(cm.label(a, b))
-                weights.append(p / 3.0)
-        return np.array(labels, dtype=np.uint32), np.array(weights, dtype=np.float64)
+        return self._recovery[alpha]
 
     # -- frame-side measurements ----------------------------------------------
 
@@ -252,8 +227,8 @@ class ProtocolConfig:
             raise ValueError("p must lie in [0, 1]")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.decoder not in ("exact", "sparse"):
-            raise ValueError("decoder must be 'exact' or 'sparse'")
+        if self.decoder not in ENGINES:
+            raise ValueError(f"decoder must be one of {', '.join(map(repr, ENGINES))}")
 
     def to_json(self) -> dict:
         return {
@@ -322,13 +297,8 @@ def run_trial(config: ProtocolConfig, trial_index: int, observer=None) -> TrialR
     model = ErrorModel(config.p, config.p)
     frame = PauliFrame(N_QUBITS)
     rho = init_likelihood(fam.t_stage.layout, config.decoder)
-    sparse = config.decoder == "sparse"
-    if sparse:
-        mem_c = fam.sparse_memory("c", config.p)
-        mem_t = fam.sparse_memory("t", config.p)
-    else:
-        mem_c = fam.dense_memory("c", config.p)
-        mem_t = fam.dense_memory("t", config.p)
+    mem_c = rho.memory_input(fam.c_stage.code.coset_map, config.p)
+    mem_t = rho.memory_input(fam.t_stage.code.coset_map, config.p)
 
     gates = retries = rounds = 0
     consecutive_fails = 0
@@ -342,14 +312,10 @@ def run_trial(config: ProtocolConfig, trial_index: int, observer=None) -> TrialR
         rho.deform(fam.base_to_c)
         a, b = sample_memory_error(model, N_QUBITS, rng)
         frame.apply(a, b)
-        if sparse:
-            rho.apply_memory(*mem_c)
-        else:
-            rho.apply_memory(mem_c)
+        rho.apply_memory(*mem_c)
         observed_c = flip_syndrome(model, fam.ideal_c_syndromes(frame), fam.m_c.width, rng)
         rho.apply_syndrome(fam.m_c, observed_c, config.p)
-        if sparse:
-            rho.truncate(config.eps)
+        rho.truncate(config.eps)
         if observer is not None:
             observer("C", fam.c_stage, rho, frame)
         if not logical_error_test(rho.final_coset(), fam.c_stage.frame_label(frame), fam.c_stage):
@@ -370,14 +336,10 @@ def run_trial(config: ProtocolConfig, trial_index: int, observer=None) -> TrialR
         rho.deform(fam.base_to_t)
         a, b = sample_memory_error(model, N_QUBITS, rng)
         frame.apply(a, b)
-        if sparse:
-            rho.apply_memory(*mem_t)
-        else:
-            rho.apply_memory(mem_t)
+        rho.apply_memory(*mem_t)
         observed_t = flip_syndrome(model, fam.ideal_t_syndromes(frame), fam.m_t.width, rng)
         rho.apply_syndrome(fam.m_t, observed_t, config.p)
-        if sparse:
-            rho.truncate(config.eps)
+        rho.truncate(config.eps)
         if observer is not None:
             observer("T", fam.t_stage, rho, frame)
         if not logical_error_test(rho.final_coset(), fam.t_stage.frame_label(frame), fam.t_stage):
@@ -437,6 +399,7 @@ class Estimate:
     n_censored: int
     n_retry_limit: int
     mean_retries: float
+    p_l_geometric: float | None
     wall_seconds: float
 
     def csv_row(self) -> dict:
@@ -450,14 +413,10 @@ class Estimate:
             "n_cleanability_failures": self.n_cleanability,
             "n_censored": self.n_censored,
             "mean_retries": f"{self.mean_retries:.6g}",
+            "n_retry_limit": self.n_retry_limit,
+            "p_L_geometric": "" if self.p_l_geometric is None else f"{self.p_l_geometric:.6g}",
             "wall_seconds": f"{self.wall_seconds:.3f}",
         }
-
-
-CSV_COLUMNS = [
-    "p", "trials", "mean_gates", "p_L", "stderr", "n_logical_failures",
-    "n_cleanability_failures", "n_censored", "mean_retries", "wall_seconds",
-]
 
 
 def jackknife_inverse_mean(values: list[int]) -> float:
@@ -492,6 +451,12 @@ def estimate_pl(config: ProtocolConfig, results: list[TrialResult] | None = None
     all_gates = [r.gates_implemented for r in results]
     counts = {t: sum(1 for r in results if r.termination == t) for t in TERMINATIONS}
     mean_gates = sum(all_gates) / len(all_gates)
+    # Geometric MLE over every trial: censored and retry-limit trials add
+    # gates but no failure.
+    if sum(all_gates):
+        p_l_geometric = len(failing) / sum(all_gates)
+    else:
+        p_l_geometric = float("inf") if failing else None
     if failing:
         mean_fail = sum(failing) / len(failing)
         p_l = float("inf") if mean_fail == 0 else 1.0 / mean_fail
@@ -512,5 +477,6 @@ def estimate_pl(config: ProtocolConfig, results: list[TrialResult] | None = None
         n_censored=counts["max_gates_reached"],
         n_retry_limit=counts["retry_limit"],
         mean_retries=sum(r.retries for r in results) / len(results),
+        p_l_geometric=p_l_geometric,
         wall_seconds=wall,
     )

@@ -13,7 +13,7 @@ import pytest
 from dccsim import f2
 from dccsim.codefamily import build_doubled, build_gadget_codes, double, qubit_counts, subdivide_link
 from dccsim.csscode import EvennessWitness, check_evenness
-from dccsim.decoder import DenseLikelihood, LabelLayout, gamma_hat_direct
+from dccsim.decoder import DenseLikelihood, LabelLayout, SparseLikelihood, gamma_hat_direct
 from dccsim.f2 import Subspace, min_odd_weight
 from dccsim.lattice import build_lattice, face_space
 from dccsim.noise import PauliFrame, p_f_given_e, p_f_given_e_charsum
@@ -191,7 +191,7 @@ def test_c10_propagation_distribution(fam):
 def test_c11_bayes_posterior(fam):
     rng = np.random.default_rng(4)
     layout = fam.t_stage.layout
-    shifts, raw_w = fam.sparse_memory("t", 0.01)
+    shifts, raw_w = SparseLikelihood.memory_input(fam.t_stage.code.coset_map, 0.01)
     probs = raw_w / raw_w.sum()
     q = 0.02
     smap = fam.m_t

@@ -114,6 +114,24 @@ class TestSimulate:
     def test_rejects_bad_p(self):
         assert run(["simulate", "--p", "1.5", "--trials", "1"]) == EXIT_USAGE
 
+    def test_csv_counts_every_trial(self, tmp_path):
+        out = tmp_path / "run.csv"
+        run(["simulate", "--p", "0", "--trials", "2", "--max-gates", "5",
+             "--seed", "1", "--threads", "1", "--out", str(out)])
+        header, row = out.read_text().splitlines()[1:]
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert header.endswith(",n_retry_limit,p_L_geometric,wall_seconds")
+        assert fields["n_retry_limit"] == "0"
+        assert fields["p_L_geometric"] == "0"
+
+    def test_degenerate_posterior_exits_3(self, capsys):
+        # Weight-15 errors at p = 1 lie outside the sparse engine's
+        # weight <= 1 memory kernel, so its posterior vanishes.
+        code = run(["simulate", "--p", "1", "--decoder", "sparse", "--trials", "2",
+                    "--max-gates", "3", "--threads", "1"])
+        assert code == EXIT_CAPACITY
+        assert "sparse decoder" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_two_points(self, tmp_path):
@@ -166,3 +184,42 @@ class TestDecodeTrace:
 
     def test_usage_error_on_unknown_flag(self):
         assert run(["simulate", "--p", "0.1", "--bogus"]) == EXIT_USAGE
+
+    TO_C = [{"type": "deform", "to": "base"}, {"type": "deform", "to": "c"}]
+
+    @pytest.mark.parametrize("events, flags", [
+        pytest.param(["[1, 2]"], [], id="not-an-object"),
+        pytest.param([{"to": "base"}], [], id="no-type"),
+        pytest.param([{"type": "deform", "to": "x"}], [], id="unknown-target"),
+        pytest.param([{"type": "deform", "to": "t"}], [], id="deform-to-current-stage"),
+        pytest.param(TO_C + [{"type": "clifford", "action": 6}], [], id="clifford-index-6"),
+        pytest.param(TO_C + [{"type": "clifford", "action": -1}], [], id="clifford-index-negative"),
+        pytest.param([{"type": "syndrome", "bits": [0] * 40}], [], id="bits-overflow"),
+        pytest.param([{"type": "syndrome", "bits": [0] * 10}], [], id="bits-above-width"),
+        pytest.param([{"type": "syndrome", "bits": [0] * 8}], [], id="bits-below-width"),
+        pytest.param([{"type": "syndrome", "bits": [0] * 9, "q": 1.5}], [], id="q-above-one"),
+        pytest.param([{"type": "memory"}], ["--p", "2"], id="p-above-one"),
+        pytest.param(TO_C[:1] + [{"type": "syndrome", "bits": [0] * 9}], ["--decoder", "sparse"],
+                     id="syndrome-at-base"),
+    ])
+    def test_malformed_input_is_a_usage_error(self, tmp_path, capsys, events, flags):
+        path = tmp_path / "events.jsonl"
+        path.write_text("\n".join(e if isinstance(e, str) else json.dumps(e) for e in events) + "\n")
+        code = run(["decode-trace", "--events", str(path), "--out", str(tmp_path / "out.jsonl")] + flags)
+        assert code == EXIT_USAGE
+        assert "usage error:" in capsys.readouterr().err
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["decode-trace", "--events", "{dir}/missing.jsonl"], id="missing-events"),
+        pytest.param(["verify", "{dir}/missing.json"], id="missing-code"),
+        pytest.param(["build", "--t", "1", "--out", "{dir}/no/such/dir.json"], id="unwritable-out"),
+        pytest.param(["verify", "{dir}/empty.json"], id="code-json-without-keys"),
+        pytest.param(["verify", "{dir}/list.json"], id="code-json-not-an-object"),
+    ])
+    def test_exit_4(self, tmp_path, capsys, argv):
+        (tmp_path / "empty.json").write_text("{}\n")
+        (tmp_path / "list.json").write_text("[]\n")
+        assert run([a.format(dir=tmp_path) for a in argv]) == EXIT_USAGE
+        assert "usage error:" in capsys.readouterr().err

@@ -14,7 +14,7 @@ from dccsim.decoder import (
     gamma_hat_direct,
     init_likelihood,
 )
-from dccsim.noise import CLIFFORD_CLASSES
+from dccsim.noise import CLIFFORD_CLASSES, PauliFrame
 from dccsim.protocol import family15
 
 
@@ -88,7 +88,7 @@ class TestMemory:
 
     def test_sparse_matches_dense(self, fam):
         rng = np.random.default_rng(1)
-        shifts, weights = fam.sparse_memory("t", 0.01)
+        shifts, weights = SparseLikelihood.memory_input(fam.t_stage.code.coset_map, 0.01)
         dense_input = np.zeros(fam.t_stage.layout.size)
         w = weights / weights.sum()
         for lab, wt in zip(shifts, w):
@@ -233,7 +233,7 @@ class TestCompleteSyndrome:
 class TestDeform:
     def test_identity_merge(self):
         layout = LabelLayout(2, 1)
-        dmap = DeformationMap("merge", tuple(1 << k for k in range(3)), layout, layout)
+        dmap = DeformationMap("merge", 0b111, layout, layout)
         rng = np.random.default_rng(4)
         start = rng.random(8)
         rho = DenseLikelihood(layout, start.copy())
@@ -271,10 +271,28 @@ class TestDeform:
         expect = np.zeros(fam.base_stage.layout.size)
         for lab in range(fam.t_stage.layout.size):
             new = 0
-            for i, row in enumerate(fam.t_to_base.rows):
-                new |= ((lab & row).bit_count() & 1) << i
+            kept = [k for k in range(16) if (fam.t_to_base.kept >> k) & 1]
+            for i, k in enumerate(kept):
+                new |= ((lab >> k) & 1) << i
             expect[new] += start[lab]
         assert np.max(np.abs(rho.normalized() - expect / expect.sum())) <= 1e-12
+
+    def test_masks_nest_the_label_bases(self, fam):
+        # Each kept mask must pick out the base label from the T and C labels
+        # of the same frame.
+        rng = np.random.default_rng(24)
+        base = fam.base_stage
+        for _ in range(200):
+            frame = PauliFrame(15, int(rng.integers(0, 1 << 15)), int(rng.integers(0, 1 << 15)))
+            base_label = base.frame_label(frame)
+            assert fam.t_to_base.dense_index[fam.t_stage.frame_label(frame)] == base_label
+            assert fam.c_to_base.dense_index[fam.c_stage.frame_label(frame)] == base_label
+
+    def test_kept_mask_must_match_the_narrow_width(self, fam):
+        with pytest.raises(ValueError, match="kept mask"):
+            DeformationMap("merge", 0b111, LabelLayout(2, 2), LabelLayout(2, 0))
+        with pytest.raises(ValueError, match="kept mask"):
+            DeformationMap("split", (1 << 12) - 1, fam.base_stage.layout, fam.c_stage.layout)
 
     def test_sparse_split_uniform(self, fam):
         sparse = SparseLikelihood(fam.base_stage.layout)
@@ -528,7 +546,7 @@ class TestBayesOracle:
         # all error histories.
         rng = np.random.default_rng(15)
         layout = fam.t_stage.layout
-        shifts, raw_w = fam.sparse_memory("t", 0.01)
+        shifts, raw_w = SparseLikelihood.memory_input(fam.t_stage.code.coset_map, 0.01)
         probs = raw_w / raw_w.sum()
         q = 0.02
         smap = fam.m_t
@@ -573,7 +591,8 @@ class TestEnginesAgree:
         for step in range(100):
             choice = rng.integers(0, 4)
             if choice == 0:
-                shifts, w = fam.sparse_memory(stage, 0.01)
+                ctx = fam.t_stage if stage == "t" else fam.c_stage
+                shifts, w = SparseLikelihood.memory_input(ctx.code.coset_map, 0.01)
                 dense_input = np.zeros(dense.layout.size)
                 np.add.at(dense_input, shifts, w / w.sum())
                 p_hat = dense_input

@@ -248,6 +248,18 @@ class TestEstimator:
         assert est.p_l == pytest.approx(1 / 20)
         assert est.n_censored == 3
 
+    def test_geometric_rate_counts_censored_gates(self):
+        # Same sample: 3 failures over 3 * 100 + 3 * 20 gates, plus a
+        # retry-limit trial that adds gates but no failure.
+        results = [TrialResult(100, "max_gates_reached", 0, 200) for _ in range(3)]
+        results += [TrialResult(20, "logical_error", 1, 40) for _ in range(3)]
+        assert estimate_pl(ProtocolConfig(p=0.01, trials=6), results).p_l_geometric == 3 / 360
+        est = estimate_pl(ProtocolConfig(p=0.01, trials=7),
+                          results + [TrialResult(40, "retry_limit", 101, 90)])
+        assert est.p_l_geometric == 3 / 400
+        assert est.n_retry_limit == 1
+        assert est.csv_row()["n_retry_limit"] == 1
+
     def test_no_failures_upper_bound(self):
         results = [TrialResult(100, "max_gates_reached", 0, 200) for _ in range(4)]
         cfg = ProtocolConfig(p=0.0, trials=4)
