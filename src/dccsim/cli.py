@@ -291,27 +291,37 @@ def _resolve_config(args, p: float) -> ProtocolConfig:
     )
 
 
-def _write_rows(path: str, configs, estimates) -> None:
-    sink = sys.stdout if path == "-" else open(path, "w", newline="")
-    try:
-        header = configs[0]
-        sink.write(
-            f"# dccsim {__version__} seed={header.seed} config_hash={header.hash()}\n"
-        )
-        rows = [est.csv_row() for est in estimates]
-        writer = csv.DictWriter(sink, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
+def _csv_sink(path: str):
+    return contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w", newline="")
+
+
+def _write_rows(sink, configs, estimates) -> None:
+    """Write a comment line that suffices to rerun the rows, then the CSV.
+
+    The comment holds the settings the rows share as JSON, without p (a
+    column) and threads (which changes no result), and each row's config
+    hash in row order.
+    """
+    shared = configs[0].to_json()
+    del shared["p"], shared["threads"]
+    text = json.dumps(shared, sort_keys=True, separators=(",", ":"))
+    hashes = ",".join(config.hash() for config in configs)
+    sink.write(f"# dccsim {__version__} config={text} config_hash={hashes}\n")
+    rows = [est.csv_row() for est in estimates]
+    writer = csv.DictWriter(sink, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
+
+
+def _estimate(config: ProtocolConfig):
+    print(f"config: {json.dumps(config.to_json(), sort_keys=True)} hash={config.hash()}")
+    return estimate_pl(config)
 
 
 def cmd_simulate(args) -> int:
     config = _resolve_config(args, args.p)
-    print(f"config: {json.dumps(config.to_json(), sort_keys=True)} hash={config.hash()}")
-    est = estimate_pl(config)
-    _write_rows(args.out, [config], [est])
+    with _csv_sink(args.out) as sink:
+        _write_rows(sink, [config], [_estimate(config)])
     return EXIT_OK
 
 
@@ -319,13 +329,10 @@ def cmd_sweep(args) -> int:
     values = [v for v in args.p_list.split(",") if v.strip()]
     if not values:
         raise UsageError("empty p list")
-    configs, estimates = [], []
-    for text in values:
-        config = _resolve_config(args, float(text))
-        print(f"config: {json.dumps(config.to_json(), sort_keys=True)} hash={config.hash()}")
-        estimates.append(estimate_pl(config))
-        configs.append(config)
-    _write_rows(args.out, configs, estimates)
+    configs = [_resolve_config(args, float(text)) for text in values]
+    with _csv_sink(args.out) as sink:
+        estimates = [_estimate(config) for config in configs]
+        _write_rows(sink, configs, estimates)
     for est in estimates:
         if est.p_l is not None:
             print(f"p={est.p:g} p_L={est.p_l:.4g}")

@@ -124,10 +124,6 @@ class DoubledCodes:
         return self.c_space
 
 
-def _face_side_sites(lat: ColorLattice, face_idx: int, side_bits: int) -> int:
-    return lat.faces[face_idx].bits & side_bits
-
-
 def link_row(layout: BlockLayout, lattices: dict[int, ColorLattice], r: int) -> int:
     """Boundary link omega_{r,r-1}: side 1 of level r on B_r joined to side 2
     of level r-1 on A_{r-1} (the level-0 block is the single final qubit)."""

@@ -24,7 +24,6 @@ import numpy as np
 from . import f2
 from .f2 import Subspace
 
-EXHAUSTIVE_DIM_LIMIT = 20
 CLEANABILITY_QUBIT_LIMIT = 25
 
 
@@ -85,15 +84,13 @@ class EvennessWitness:
 def check_evenness(s: Subspace, witness: EvennessWitness) -> bool:
     """Whether |f & M+| - |f & M-| vanishes mod `order` for every f in S.
 
-    Up to EXHAUSTIVE_DIM_LIMIT generators the whole space is enumerated.
-    Beyond that the check uses the inclusion-exclusion expansion of weights:
-    basis conditions mod `order`, pairwise intersection conditions mod
-    order/2, and (for order 8) triple intersection conditions mod 2. Those
-    conditions are sufficient for the whole space, not just the basis.
+    The weight of an XOR expands as sum w(x_i) - 2 sum w(x_i & x_j)
+    + 4 sum w(x_i & x_j & x_k) - ..., so the basis conditions mod `order`,
+    the pairwise intersection conditions mod order/2 and, for order 8, the
+    triple intersection conditions mod 2 are necessary and sufficient for
+    the whole space.
     """
     w = witness
-    if s.dim <= EXHAUSTIVE_DIM_LIMIT:
-        return all(w.signed_overlap(v) % w.order == 0 for v in s.elements())
     basis = s.basis
     if any(w.signed_overlap(b) % w.order for b in basis):
         return False

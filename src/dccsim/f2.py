@@ -9,14 +9,13 @@ two subspaces are equal iff their canonical bases compare equal.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-# Full-space enumeration of S-perp is used below this dimension; above it a
-# weight-limited search over odd-weight candidates is required.
+# Largest dim(S-perp) for which min_odd_weight searches without a weight
+# bound, and largest subspace element_array enumerates.
 FULL_ENUM_DIM_LIMIT = 25
 
 
@@ -26,10 +25,6 @@ class DimensionMismatchError(ValueError):
 
 class NoOddVectorsError(ValueError):
     """S-perp contains no odd-weight vectors, so d(S) is undefined."""
-
-
-def parity(x: int) -> int:
-    return x.bit_count() & 1
 
 
 def dot(x: int, y: int) -> int:
@@ -77,59 +72,6 @@ def restrict(x: int, positions: Sequence[int]) -> int:
         if (x >> j) & 1:
             out |= 1 << i
     return out
-
-
-@dataclass(frozen=True)
-class BitVector:
-    """Immutable vector in F2^length, packed into an int."""
-
-    length: int
-    bits: int
-
-    def __post_init__(self) -> None:
-        if self.length < 0 or self.bits < 0 or self.bits >> self.length:
-            raise ValueError(f"bits do not fit in length {self.length}")
-
-    @classmethod
-    def zeros(cls, n: int) -> "BitVector":
-        return cls(n, 0)
-
-    @classmethod
-    def ones(cls, n: int) -> "BitVector":
-        return cls(n, (1 << n) - 1)
-
-    @classmethod
-    def from_support(cls, n: int, sites: Iterable[int]) -> "BitVector":
-        return cls(n, vector_from_support(sites))
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if self.length != other.length:
-            raise DimensionMismatchError("vector lengths differ")
-        return BitVector(self.length, self.bits ^ other.bits)
-
-    def __and__(self, other: "BitVector") -> "BitVector":
-        if self.length != other.length:
-            raise DimensionMismatchError("vector lengths differ")
-        return BitVector(self.length, self.bits & other.bits)
-
-    @property
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return support(self.bits)
-
-    def bit(self, j: int) -> int:
-        return (self.bits >> j) & 1
-
-    def dot(self, other: "BitVector") -> int:
-        if self.length != other.length:
-            raise DimensionMismatchError("vector lengths differ")
-        return dot(self.bits, other.bits)
-
-    def __str__(self) -> str:
-        return "".join(str(self.bit(j)) for j in range(self.length))
 
 
 def rref(rows: Iterable[int], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -220,10 +162,6 @@ def solve_linear(rows: Sequence[int], rhs: Sequence[int], n: int) -> tuple[int |
         if (b >> n) & 1:
             x |= 1 << p
     return x, nullspace(rows, n)
-
-
-def _popcounts(values: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(values)
 
 
 def enumerate_span(rows: Sequence[int], n: int) -> np.ndarray:
@@ -332,56 +270,51 @@ class Subspace:
         return enumerate_span(self.basis, self.n)
 
 
-def span(vectors: Sequence[BitVector], n: int | None = None) -> Subspace:
-    """Subspace spanned by the given vectors (must share one length).
-
-    An empty sequence needs an explicit ambient length n.
-    """
-    if not vectors:
-        if n is None:
-            raise ValueError("span of an empty sequence needs an explicit length")
-        return Subspace(n)
-    length = vectors[0].length
-    if n is not None and n != length:
-        raise DimensionMismatchError("explicit length disagrees with vectors")
-    for v in vectors:
-        if v.length != length:
-            raise DimensionMismatchError("vector lengths differ")
-    return Subspace(length, [v.bits for v in vectors])
-
-
 def min_odd_weight(s: Subspace, max_weight: int | None = None) -> int | None:
-    """Minimum weight of odd-weight vectors in S-perp.
+    """Minimum weight of the odd-weight vectors of S-perp, or None when every
+    one is heavier than max_weight.
 
-    For dim(S-perp) <= FULL_ENUM_DIM_LIMIT the perp space is enumerated in
-    full; otherwise odd-weight candidates of weight <= max_weight are tested
-    for membership in S-perp, and None is returned when none is found within
-    the bound. Raises NoOddVectorsError when S-perp is purely even.
+    A vector of S-perp is a set of sites whose columns under S's basis XOR to
+    zero. For odd w = 1, 3, ... the column sums of all floor(w/2)-subsets go
+    into a set, and w is returned at the first ceil(w/2)-subset whose sum is
+    in it. Two overlapping subsets never match first: their symmetric
+    difference would be an odd vector lighter than w, found at a smaller w.
+    Without max_weight the search runs up to n, which needs dim(S-perp) <=
+    FULL_ENUM_DIM_LIMIT. Raises NoOddVectorsError when S-perp is purely even.
     """
     n = s.n
-    perp_dim = n - s.dim
-    ones = (1 << n) - 1
-    if ones in s:
-        # 1-bar in S forces S-perp inside the even subspace.
+    if (1 << n) - 1 in s:
+        # 1-bar in S forces S-perp inside the even subspace, and only then.
         raise NoOddVectorsError("S-perp contains no odd-weight vectors")
-    if perp_dim <= FULL_ENUM_DIM_LIMIT and n <= 63:
-        perp = s.orthogonal_complement()
-        arr = enumerate_span(perp.basis, n)
-        w = _popcounts(arr)
-        odd = w[(w & 1) == 1]
-        if odd.size == 0:
-            raise NoOddVectorsError("S-perp contains no odd-weight vectors")
-        best = int(odd.min())
-        return best if max_weight is None or best <= max_weight else None
     if max_weight is None:
-        raise ValueError("max_weight is required when dim(S-perp) exceeds the enumeration limit")
-    checks = s.basis
+        if n - s.dim > FULL_ENUM_DIM_LIMIT:
+            raise ValueError("max_weight is required when dim(S-perp) exceeds the enumeration limit")
+        max_weight = n
+    cols = [0] * n
+    for i, row in enumerate(s.basis):
+        for j in support(row):
+            cols[j] |= 1 << i
+    half: set[int] = {0}
+    level: Iterable[list[int]] = [[c] for c in cols]
     for w in range(1, max_weight + 1, 2):
-        for sites in itertools.combinations(range(n), w):
-            v = vector_from_support(sites)
-            if all(not dot(v, row) for row in checks):
+        kept = []  # ceil(w/2)-subset sums by largest site, for the next w
+        for group in level:
+            if not half.isdisjoint(group):
                 return w
+            if w + 2 <= max_weight:
+                kept.append(group)
+        half = set(itertools.chain.from_iterable(kept))
+        level = _grow(kept, cols)
     return None
+
+
+def _grow(groups: list[list[int]], cols: list[int]) -> Iterator[list[int]]:
+    """Column sums of the (k+1)-subsets, one list per largest site, from
+    those of the k-subsets."""
+    below: list[int] = []
+    for c, group in zip(cols, groups):
+        yield [x ^ c for x in below]
+        below += group
 
 
 def fwht(values: np.ndarray, axis: int = 0) -> np.ndarray:

