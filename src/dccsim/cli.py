@@ -206,7 +206,7 @@ def _probability(value, what: str) -> float:
 
 def cmd_decode_trace(args) -> int:
     fam = family15()
-    stages = {"t": fam.t_stage, "c": fam.c_stage}
+    stages = {"t": fam.t_stage, "base": fam.base_stage, "c": fam.c_stage}
     syndromes = {"t": fam.m_t, "c": fam.m_c}
     deforms = {
         ("t", "base"): fam.t_to_base,
@@ -229,8 +229,8 @@ def cmd_decode_trace(args) -> int:
             if not isinstance(event, dict) or "type" not in event:
                 raise UsageError(f"line {lineno}: an event is a JSON object with a \"type\"")
             kind = event["type"]
-            if kind in ("memory", "syndrome") and stage not in stages:
-                raise UsageError(f"line {lineno}: {kind} events are undefined at the {stage} stage")
+            if kind == "syndrome" and stage not in syndromes:
+                raise UsageError(f"line {lineno}: syndrome events are undefined at the {stage} stage")
             if kind == "memory":
                 rho.apply_memory(*rho.memory_input(stages[stage].code.coset_map, p))
             elif kind == "syndrome":

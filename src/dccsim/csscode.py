@@ -197,11 +197,9 @@ def make_code(
         raise CodeConstructionError("A and B have different qubit counts")
     if n % 2 == 0:
         raise CodeConstructionError("qubit count must be odd")
-    even = Subspace.even(n)
-    if not even.contains_subspace(a_space):
-        raise CodeConstructionError("A is not contained in the even subspace")
-    if not even.contains_subspace(b_space):
-        raise CodeConstructionError("B is not contained in the even subspace")
+    for space, name in ((a_space, "A"), (b_space, "B")):
+        if any(v.bit_count() & 1 for v in space.basis):
+            raise CodeConstructionError(f"{name} is not contained in the even subspace")
     for x in a_space.basis:
         for z in b_space.basis:
             if f2.dot(x, z):

@@ -12,7 +12,11 @@ the Z-error part above (see csscode.CosetMap). Six update kinds drive it:
   syndrome   per-label reweighting by the bit-flip likelihood of the
              observed syndrome against the label's ideal syndrome.
   deform     merge (gauge group grows: labels project) or split (gauge group
-             shrinks: labels expand uniformly over the new bits).
+             shrinks: labels expand uniformly over the new bits). Memory
+             commutes with split, exactly: split spreads each label evenly
+             over the new bits, a convolution keeps that evenness, and the
+             narrow code's coset distribution is the merge of the wide one's.
+             So memory before a split touches 1/2^k of the labels it would after.
   clifford   an invertible linear relabeling.
   recovery   shift of the X part by the most likely X coset.
   t_gate     projection onto cleanable X cosets followed by the per-coset
@@ -97,17 +101,6 @@ def _clifford_image(layout: LabelLayout, action: CliffordAction) -> np.ndarray:
     return image
 
 
-def _parity_fold(values: np.ndarray) -> np.ndarray:
-    return (np.bitwise_count(values.astype(np.uint64)) & np.uint64(1)).astype(np.uint8)
-
-
-def _syndrome_of(labels: np.ndarray, rows: tuple[int, ...]) -> np.ndarray:
-    out = np.zeros(labels.shape, dtype=np.uint32)
-    for i, row in enumerate(rows):
-        out |= _parity_fold(labels & np.uint32(row)).astype(np.uint32) << np.uint32(i)
-    return out
-
-
 @dataclass(frozen=True)
 class SyndromeMap:
     """Linear map from coset labels to ideal syndrome bits.
@@ -127,7 +120,10 @@ class SyndromeMap:
     @cached_property
     def table(self) -> np.ndarray:
         labels = np.arange(self.layout.size, dtype=np.uint32)
-        return _syndrome_of(labels, self.rows)
+        out = np.zeros_like(labels)
+        for i, row in enumerate(self.rows):
+            out |= (np.bitwise_count(labels & np.uint32(row)) & np.uint32(1)) << np.uint32(i)
+        return out
 
     def syndrome_of(self, labels: np.ndarray) -> np.ndarray:
         return self.table[labels]

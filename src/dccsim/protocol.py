@@ -1,16 +1,21 @@
 """Fault-tolerant Clifford+T Monte Carlo on the 15-qubit code family.
 
-A trial alternates C-rounds and T-rounds. Each C-round deforms the gauge
-group from the T-code through the base code to the C-code, applies memory
-noise, measures the 14 face generators (X and Z type) with noisy outcomes,
+A trial alternates C-rounds and T-rounds. Each C-round merges the T-code's
+labels into the base code, applies memory noise there, splits them to the
+C-code, measures the 14 face generators (X and Z type) with noisy outcomes,
 updates the decoder, runs the logical-error test, and applies a random
 transversal Clifford when the previous syndrome test passed. Each T-round
-deforms back, measures the 9 double-edge Z generators, updates the decoder,
-runs the logical-error test, and runs the syndrome test over the completed
-C,T pair: on success the decoder's recovery is applied to the frame, the
-frame's X coset must be cleanable, and the transversal T gate is applied
-(decoder Gamma update, frame propagation, stabilizer twirl); on failure the
-pair implements no gate and another pair is requested.
+deforms back the same way, measures the 9 double-edge Z generators, updates
+the decoder, runs the logical-error test, and runs the syndrome test over
+the completed C,T pair: on success the decoder's recovery is applied to the
+frame, the frame's X coset must be cleanable, and the transversal T gate is
+applied (decoder Gamma update, frame propagation, stabilizer twirl); on
+failure the pair implements no gate and another pair is requested.
+
+Memory before the split gives exactly the posterior of memory after it
+(memory commutes with split; see decoder) on 1/8 of the labels, and
+deformations draw no random numbers, so each trial's RNG stream is drawn
+in the same order either way.
 
 Label bases of the three codes are nested so that deformations are pure bit
 projections/insertions: the base-code rows are a shared prefix of both the
@@ -297,8 +302,7 @@ def run_trial(config: ProtocolConfig, trial_index: int, observer=None) -> TrialR
     model = ErrorModel(config.p, config.p)
     frame = PauliFrame(N_QUBITS)
     rho = init_likelihood(fam.t_stage.layout, config.decoder)
-    mem_c = rho.memory_input(fam.c_stage.code.coset_map, config.p)
-    mem_t = rho.memory_input(fam.t_stage.code.coset_map, config.p)
+    mem = rho.memory_input(fam.base_stage.code.coset_map, config.p)
 
     gates = retries = rounds = 0
     consecutive_fails = 0
@@ -309,10 +313,10 @@ def run_trial(config: ProtocolConfig, trial_index: int, observer=None) -> TrialR
         # ---- C-round ----
         rounds += 1
         rho.deform(fam.t_to_base)
-        rho.deform(fam.base_to_c)
         a, b = sample_memory_error(model, N_QUBITS, rng)
         frame.apply(a, b)
-        rho.apply_memory(*mem_c)
+        rho.apply_memory(*mem)
+        rho.deform(fam.base_to_c)
         observed_c = flip_syndrome(model, fam.ideal_c_syndromes(frame), fam.m_c.width, rng)
         rho.apply_syndrome(fam.m_c, observed_c, config.p)
         rho.truncate(config.eps)
@@ -333,10 +337,10 @@ def run_trial(config: ProtocolConfig, trial_index: int, observer=None) -> TrialR
         # ---- T-round ----
         rounds += 1
         rho.deform(fam.c_to_base)
-        rho.deform(fam.base_to_t)
         a, b = sample_memory_error(model, N_QUBITS, rng)
         frame.apply(a, b)
-        rho.apply_memory(*mem_t)
+        rho.apply_memory(*mem)
+        rho.deform(fam.base_to_t)
         observed_t = flip_syndrome(model, fam.ideal_t_syndromes(frame), fam.m_t.width, rng)
         rho.apply_syndrome(fam.m_t, observed_t, config.p)
         rho.truncate(config.eps)

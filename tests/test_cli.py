@@ -209,6 +209,25 @@ class TestDecodeTrace:
         assert records[-1]["argmax"] == 0
         assert all("entropy" in r for r in records)
 
+    @pytest.mark.parametrize("decoder", ["exact", "sparse"])
+    def test_memory_at_base_matches_memory_after_split(self, tmp_path, decoder):
+        # Spread the posterior first, so the memory update has work to do.
+        prefix = [{"type": "memory"}, {"type": "syndrome", "bits": [1] + [0] * 8, "q": 0.05}]
+        memory = {"type": "memory"}
+        to_base, to_c = {"type": "deform", "to": "base"}, {"type": "deform", "to": "c"}
+        last = []
+        for order in ([to_base, memory, to_c], [to_base, to_c, memory]):
+            events, out = tmp_path / "events.jsonl", tmp_path / "out.jsonl"
+            events.write_text("".join(json.dumps(e) + "\n" for e in prefix + order))
+            assert run(["decode-trace", "--events", str(events), "--p", "0.02",
+                        "--decoder", decoder, "--out", str(out)]) == EXIT_OK
+            last.append(json.loads(out.read_text().splitlines()[-1]))
+        first, second = last
+        assert first["stage"] == second["stage"] == "c"
+        assert first["argmax"] == second["argmax"]
+        assert first["support"] == second["support"] > 1
+        assert first["entropy"] == pytest.approx(second["entropy"], abs=1e-9)
+
     def test_unknown_event(self, tmp_path):
         events = tmp_path / "bad.jsonl"
         events.write_text('{"type": "warp"}\n')

@@ -80,6 +80,12 @@ class TestMakeCode:
         with pytest.raises(CodeConstructionError, match="even"):
             make_code(s, bad)
 
+    def test_rejects_odd_row_in_b_only(self):
+        a = Subspace(5, [0b00011])
+        bad = Subspace(5, [0b01100, 0b10000])
+        with pytest.raises(CodeConstructionError, match="B is not contained in the even subspace"):
+            make_code(a, bad)
+
     def test_rejects_non_orthogonal(self):
         a = Subspace(5, [0b00011])
         b = Subspace(5, [0b00110])

@@ -695,3 +695,46 @@ class TestSparseAgainstDenseStreams:
             assert np.all(sparse.labels[1:] > sparse.labels[:-1]), kind
             assert sparse.layout == dense.layout
             np.testing.assert_allclose(sparse.dense_weights(), dense.weights, rtol=1e-12, atol=0)
+
+
+class TestMemoryCommutesWithSplit:
+    """Memory at the base code then a split equals the split then memory at
+    the wide code: the protocol applies memory between merge and split."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("engine", ["exact", "sparse"])
+    @pytest.mark.parametrize("direction", ["t-base-c", "c-base-t"])
+    def test_random_supports(self, fam, engine, direction, data):
+        if direction == "t-base-c":
+            src, merge, split, dst = fam.t_stage, fam.t_to_base, fam.base_to_c, fam.c_stage
+        else:
+            src, merge, split, dst = fam.c_stage, fam.c_to_base, fam.base_to_t, fam.t_stage
+        support = data.draw(
+            st.lists(st.integers(0, src.layout.size - 1), min_size=1, max_size=40, unique=True),
+            label="support",
+        )
+        labels = np.array(sorted(support), dtype=np.uint32)
+        weights = np.array(
+            data.draw(st.lists(st.floats(0.01, 1.0), min_size=len(labels), max_size=len(labels)),
+                      label="weights")
+        )
+        weights /= weights.max()
+        p = data.draw(st.sampled_from([0.005, 0.02, 0.1]), label="p")
+        states = []
+        for memory_first in (True, False):
+            if engine == "exact":
+                arr = np.zeros(src.layout.size)
+                arr[labels] = weights
+                rho = DenseLikelihood(src.layout, arr)
+            else:
+                rho = SparseLikelihood(src.layout, labels.copy(), weights.copy())
+            rho.deform(merge)
+            if memory_first:
+                rho.apply_memory(*rho.memory_input(fam.base_stage.code.coset_map, p))
+            rho.deform(split)
+            if not memory_first:
+                rho.apply_memory(*rho.memory_input(dst.code.coset_map, p))
+            assert rho.layout == dst.layout
+            states.append(rho.weights if engine == "exact" else rho.dense_weights())
+        np.testing.assert_allclose(states[0], states[1], rtol=1e-12, atol=0)

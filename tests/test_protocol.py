@@ -189,19 +189,27 @@ class TestDeterminism:
         parallel = run_trials(dataclasses.replace(cfg, threads=2))
         assert serial == parallel
 
-    # sha256 of "gates,termination,retries,rounds\n" over the first 30
-    # trials at seed 0. A speedup of the sparse engine must leave it unchanged.
+    @staticmethod
+    def results_digest(decoder: str, p: float, max_gates: int) -> str:
+        """sha256 of "gates,termination,retries,rounds\n" over the first 30
+        trials at seed 0. A speedup of either engine must leave it unchanged."""
+        cfg = ProtocolConfig(p=p, trials=30, max_gates=max_gates, decoder=decoder, seed=0)
+        text = "".join(
+            f"{r.gates_implemented},{r.termination},{r.retries},{r.rounds}\n"
+            for r in run_trials(cfg)
+        )
+        return hashlib.sha256(text.encode()).hexdigest()
+
     @pytest.mark.parametrize("p, max_gates, digest", [
         (0.005, 20, "858bc65be1e6c6a8b47b7ea695853fb96c93d79e46a48b6b944d286cf8667b92"),
         (0.02, 2, "bba9db31b3d543adafd0aa3399345e95cf985010b66ed026fffdce48d0b9095e"),
     ])
     def test_sparse_results_pinned(self, p, max_gates, digest):
-        cfg = ProtocolConfig(p=p, trials=30, max_gates=max_gates, decoder="sparse", seed=0)
-        text = "".join(
-            f"{r.gates_implemented},{r.termination},{r.retries},{r.rounds}\n"
-            for r in run_trials(cfg)
-        )
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert self.results_digest("sparse", p, max_gates) == digest
+
+    def test_exact_results_pinned(self):
+        digest = "58339a6723d42fa66e4bfc681fd0e470e741240dd46342399d167ee095631005"
+        assert self.results_digest("exact", 0.02, 2) == digest
 
     def test_trials_independent_of_batching(self):
         cfg = ProtocolConfig(p=0.02, trials=4, max_gates=200, decoder="sparse", seed=12)
