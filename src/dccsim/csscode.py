@@ -200,18 +200,25 @@ def make_code(
     for space, name in ((a_space, "A"), (b_space, "B")):
         if any(v.bit_count() & 1 for v in space.basis):
             raise CodeConstructionError(f"{name} is not contained in the even subspace")
+    # Row x of A is orthogonal to all of B iff the columns of B's basis at
+    # the sites of x XOR to zero.
+    cols = f2.columns(b_space.basis, n)
     for x in a_space.basis:
-        for z in b_space.basis:
-            if f2.dot(x, z):
-                raise CodeConstructionError("A and B are not mutually orthogonal")
+        if f2.xor_at_sites(cols, x):
+            raise CodeConstructionError("A and B are not mutually orthogonal")
     ones = (1 << n) - 1
-    mat_a = tuple(mat_a) if mat_a is not None else a_space.basis + (ones,)
-    mat_b = tuple(mat_b) if mat_b is not None else b_space.basis + (ones,)
+    label_rows = []
     for rows, space, name in ((mat_a, a_space, "mat_a"), (mat_b, b_space, "mat_b")):
-        target = space + Subspace(n, [ones])
-        if Subspace(n, rows) != target or len(rows) != target.dim:
-            raise CodeConstructionError(f"{name} rows do not form a basis of the space plus <1>")
-    return SubsystemCode(a_space, b_space, CosetMap(n, mat_a, mat_b))
+        if rows is None:
+            # A basis of the even space plus the odd all-ones vector.
+            rows = space.basis + (ones,)
+        else:
+            rows = tuple(rows)
+            target = space + Subspace(n, [ones])
+            if Subspace(n, rows) != target or len(rows) != target.dim:
+                raise CodeConstructionError(f"{name} rows do not form a basis of the space plus <1>")
+        label_rows.append(rows)
+    return SubsystemCode(a_space, b_space, CosetMap(n, *label_rows))
 
 
 def verify_transversality(

@@ -25,16 +25,26 @@ the Z-error part above (see csscode.CosetMap). Six update kinds drive it:
 
 Weights are renormalized to max = 1 after every update (the overall scale
 carries no information and would otherwise underflow over long runs). The
-dense engine is exact; each of its updates touches all 2^c entries.
+dense engine is exact; each of its updates touches all 2^c entries, viewed
+through reshapes and broadcasts rather than per-label index arrays: a
+deformation drops or inserts one run of adjacent label bits, which is the
+middle axis of a (high, 2^k, low) reshape (merge sums along it, split
+broadcasts along it); a syndrome depends only on the label bits its rows
+read, so the factors of the labels with unread bits zero broadcast over the
+unread ones; and the T update transforms only the cleanable columns, the
+rest being zero. Each of these computes every entry from the same operands
+with the same operations, in the same order, as the per-label form (a
+bincount over merged labels, a gather of split or syndrome factors, the
+full block), so the results are bit-identical to it.
 The sparse engine tracks an explicit support of sorted, unique labels. It
-shares the 2^c lookup tables of the syndrome and deformation maps with the
-dense engine, so each of its updates is a few whole-array operations over
-the support; its advantage is a support far smaller than 2^c (tens of
-labels at p <= 0.01).
+gathers from 2^c lookup tables of the syndrome and deformation maps, so
+each of its updates is a few whole-array operations over the support; its
+advantage is a support far smaller than 2^c (tens of labels at p <= 0.01).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -61,10 +71,14 @@ NEG_TOL = 1e-12
 TIE_TOL = 1e-12
 
 
-def _argmax_smallest(labels: np.ndarray, weights: np.ndarray) -> int:
-    m = weights.max()
-    tied = labels[weights >= m * (1.0 - TIE_TOL)]
-    return int(tied.min())
+def _tied(weights: np.ndarray) -> np.ndarray:
+    """Mask of the weights tied with the maximum."""
+    return weights >= weights.max() * (1.0 - TIE_TOL)
+
+
+def _first_tied(weights: np.ndarray) -> int:
+    """Smallest index whose weight is tied with the maximum."""
+    return int(np.argmax(_tied(weights)))
 
 
 @dataclass(frozen=True)
@@ -119,7 +133,32 @@ class SyndromeMap:
 
     @cached_property
     def table(self) -> np.ndarray:
-        labels = np.arange(self.layout.size, dtype=np.uint32)
+        return self._syndromes(np.arange(self.layout.size, dtype=np.uint32))
+
+    @cached_property
+    def read_table(self) -> tuple[tuple[int, ...], np.ndarray]:
+        """(shape, syndromes): a shape for the 2^c labels, and the syndromes
+        of the labels whose unread bits are zero, shaped to broadcast
+        against it.
+
+        The label bits split into runs of bits that some row reads and runs
+        that none does; `shape` has one axis per run, highest bits first, and
+        the syndromes have length 1 along the unread runs. A label's syndrome
+        does not depend on its unread bits, so the broadcast gives every
+        label its own syndrome.
+        """
+        read = 0
+        for row in self.rows:
+            read |= row
+        bits = [(read >> k) & 1 for k in reversed(range(self.layout.c))]
+        runs = [(is_read, len(list(run))) for is_read, run in itertools.groupby(bits)]
+        shape = tuple(1 << length for _, length in runs)
+        syndromes = self._syndromes(_bit_span(read))
+        syndromes = syndromes.reshape([1 << length if is_read else 1 for is_read, length in runs])
+        syndromes.flags.writeable = False
+        return shape, syndromes
+
+    def _syndromes(self, labels: np.ndarray) -> np.ndarray:
         out = np.zeros_like(labels)
         for i, row in enumerate(self.rows):
             out |= (np.bitwise_count(labels & np.uint32(row)) & np.uint32(1)) << np.uint32(i)
@@ -149,7 +188,9 @@ class DeformationMap:
     The narrow labels are the bits of the wide labels selected by `kept`,
     packed in order. merge (the gauge group grows, wide to narrow) drops the
     other bits; split (the gauge group shrinks, narrow to wide) inserts them,
-    expanding each old label uniformly over their 2^k values.
+    expanding each old label uniformly over their 2^k values. The dropped
+    bits must form one run of adjacent bits (none for an identity map), so
+    the dense engine can treat them as the middle axis of a reshape.
     """
 
     direction: str              # "merge" | "split"
@@ -162,6 +203,10 @@ class DeformationMap:
             raise ValueError("direction must be 'merge' or 'split'")
         if self.kept.bit_count() != self.narrow.c or self.kept >> self.wide.c:
             raise ValueError("kept mask does not match the label widths")
+        dropped = self.dropped
+        run = dropped // (dropped & -dropped) if dropped else 0
+        if run & (run + 1):
+            raise ValueError("the dropped bits are not one run of adjacent bits")
 
     @property
     def wide(self) -> LabelLayout:
@@ -170,6 +215,21 @@ class DeformationMap:
     @property
     def narrow(self) -> LabelLayout:
         return self.new_layout if self.direction == "merge" else self.old_layout
+
+    @property
+    def dropped(self) -> int:
+        """Mask of the wide label bits the narrow labels do not keep."""
+        return (self.wide.size - 1) & ~self.kept
+
+    @cached_property
+    def run_shape(self) -> tuple[int, int, int]:
+        """(2^high, 2^k, 2^low): the shape that puts the k dropped bits of a
+        wide label on the middle axis, with the high and low kept bits on
+        either side."""
+        dropped = self.dropped
+        k = dropped.bit_count()
+        low = (dropped & -dropped).bit_length() - 1 if dropped else self.wide.c
+        return self.wide.size >> (low + k), 1 << k, 1 << low
 
     @cached_property
     def dense_index(self) -> np.ndarray:
@@ -185,7 +245,7 @@ class DeformationMap:
         """The wide label with zero dropped bits for every narrow label, and
         the 2^k dropped-bit patterns: narrow label l splits into
         base[l] ^ patterns."""
-        return _bit_span(self.kept), _bit_span((self.wide.size - 1) & ~self.kept)
+        return _bit_span(self.kept), _bit_span(self.dropped)
 
 
 def _bit_positions(mask: int) -> list[int]:
@@ -212,6 +272,19 @@ class TGateUpdate:
     layout: LabelLayout
     cleanable_mask: np.ndarray       # bool, 2^alpha_bits
     gamma_hat: np.ndarray            # float64, (2^beta_bits, 2^alpha_bits)
+
+    @cached_property
+    def cleanable_entries(self) -> np.ndarray:
+        """Row-major positions of the cleanable columns' entries in a
+        (2^beta_bits, 2^alpha_bits) block, i.e. their labels."""
+        columns = np.flatnonzero(self.cleanable_mask)
+        rows = np.arange(len(self.gamma_hat))[:, np.newaxis] << self.layout.alpha_bits
+        return (rows | columns).reshape(-1)
+
+    @cached_property
+    def cleanable_gamma_hat(self) -> np.ndarray:
+        """The cleanable columns of gamma_hat, in order."""
+        return self.gamma_hat.reshape(-1)[self.cleanable_entries].reshape(len(self.gamma_hat), -1)
 
 
 def build_t_gate_update(
@@ -271,6 +344,14 @@ def transformed_depolarizing(coset_map, p: float) -> np.ndarray:
 # Dense engine
 # ---------------------------------------------------------------------------
 
+def _scale_to_max(weights: np.ndarray) -> None:
+    """Divide the weights in place by their maximum, which must be positive."""
+    m = weights.max()
+    if m <= 0.0:
+        raise DegeneratePosteriorError("all coset weights vanished")
+    weights /= m
+
+
 class DenseLikelihood:
     """Exact likelihood vector over all 2^c labels."""
 
@@ -285,10 +366,7 @@ class DenseLikelihood:
         return DenseLikelihood(self.layout, self.weights.copy())
 
     def _renormalize(self) -> None:
-        m = self.weights.max()
-        if m <= 0.0:
-            raise DegeneratePosteriorError("all coset weights vanished")
-        self.weights /= m
+        _scale_to_max(self.weights)
 
     def normalized(self) -> np.ndarray:
         return self.weights / self.weights.sum()
@@ -314,19 +392,23 @@ class DenseLikelihood:
         self._renormalize()
 
     def apply_syndrome(self, smap: SyndromeMap, observed: int, q: float) -> None:
-        mismatch = np.bitwise_count(smap.table ^ np.uint32(observed))
+        shape, syndromes = smap.read_table
+        mismatch = np.bitwise_count(syndromes ^ np.uint32(observed))
         hit, miss = _mismatch_factors(smap.width, q)
-        self.weights *= (hit * miss)[mismatch]
+        weights = self.weights.reshape(shape)
+        weights *= (hit * miss)[mismatch]
+        self.weights = weights.reshape(-1)
         self._renormalize()
 
     def deform(self, dmap: DeformationMap) -> None:
+        shape = dmap.run_shape
         if dmap.direction == "merge":
-            new = np.bincount(
-                dmap.dense_index, weights=self.weights, minlength=dmap.new_layout.size
-            )
+            new = self.weights.reshape(shape).sum(axis=1).reshape(-1)
         else:
             scale = 2.0 ** (dmap.old_layout.c - dmap.new_layout.c)
-            new = self.weights[dmap.dense_index] * scale
+            new = np.empty(shape, dtype=np.float64)
+            new[...] = (self.weights * scale).reshape(shape[0], 1, shape[2])
+            new = new.reshape(-1)
         self.layout = dmap.new_layout
         self.weights = new
         self._renormalize()
@@ -338,37 +420,40 @@ class DenseLikelihood:
 
     def choose_recovery(self) -> int:
         lay = self.layout
-        per_alpha = self.weights.reshape(1 << lay.beta_bits, 1 << lay.alpha_bits).sum(axis=0)
-        alpha_star = _argmax_smallest(np.arange(1 << lay.alpha_bits, dtype=np.uint32), per_alpha)
+        block = self.weights.reshape(1 << lay.beta_bits, 1 << lay.alpha_bits)
+        alpha_star = _first_tied(block.sum(axis=0))
         if alpha_star:
-            labels = np.arange(lay.size, dtype=np.uint32)
-            self.weights = self.weights[labels ^ np.uint32(alpha_star)]
+            alphas = np.arange(1 << lay.alpha_bits, dtype=np.uint32)
+            self.weights = np.take(block, alphas ^ np.uint32(alpha_star), axis=1).reshape(-1)
         return alpha_star
 
     def apply_t_gate(self, update: TGateUpdate) -> None:
         lay = self.layout
         if update.layout != lay:
             raise ValueError("T-gate table was built for a different label layout")
-        block = self.weights.reshape(1 << lay.beta_bits, 1 << lay.alpha_bits)
-        block *= update.cleanable_mask[np.newaxis, :]
+        # The projection zeroes the other columns, and fwht acts on each
+        # column on its own, so only the cleanable columns are transformed.
+        entries = update.cleanable_entries
+        block = self.weights[entries].reshape(update.cleanable_gamma_hat.shape)
         if not block.any():
             raise DegeneratePosteriorError("no weight on cleanable cosets")
         fwht(block, axis=0)
-        block *= update.gamma_hat
+        block *= update.cleanable_gamma_hat
         fwht(block, axis=0)
         block /= 1 << lay.beta_bits
         floor = block.min()
         if floor < -NEG_TOL * max(1.0, block.max()):
             raise NumericError(f"negative weight {floor} after T update")
         np.maximum(block, 0.0, out=block)
-        self.weights = block.reshape(-1)
-        self._renormalize()
+        _scale_to_max(block)  # the other entries are zero
+        self.weights.fill(0.0)
+        self.weights[entries] = block.reshape(-1)
 
     def truncate(self, eps: float) -> None:
         pass  # dense engine never drops support
 
     def final_coset(self) -> int:
-        return _argmax_smallest(np.arange(self.layout.size, dtype=np.uint32), self.weights)
+        return _first_tied(self.weights)
 
     def entropy(self) -> float:
         p = self.normalized()
@@ -465,10 +550,16 @@ class SparseLikelihood:
         else:
             base, patterns = dmap.split_tables
             expansion = len(patterns)
-            self.labels = (base[self.labels][:, None] ^ patterns).reshape(-1)
-            self.weights = np.repeat(self.weights / expansion, expansion)
+            if dmap.run_shape[0] == 1:
+                # The dropped bits are the top bits, so the pattern-major
+                # expansion of sorted labels is already sorted.
+                self.labels = (patterns[:, None] ^ base[self.labels]).reshape(-1)
+                self.weights = np.tile(self.weights / expansion, expansion)
+            else:
+                self.labels = (base[self.labels][:, None] ^ patterns).reshape(-1)
+                self.weights = np.repeat(self.weights / expansion, expansion)
+                self._sort()
             self.layout = dmap.new_layout
-            self._sort()
         self._renormalize()
 
     def apply_clifford(self, action: CliffordAction) -> None:
@@ -479,7 +570,7 @@ class SparseLikelihood:
         lay = self.layout
         alpha = self.labels & np.uint32((1 << lay.alpha_bits) - 1)
         mass = np.bincount(alpha, weights=self.weights, minlength=1 << lay.alpha_bits)
-        alpha_star = _argmax_smallest(np.arange(1 << lay.alpha_bits, dtype=np.uint32), mass)
+        alpha_star = _first_tied(mass)
         if alpha_star:
             self.labels = self.labels ^ np.uint32(alpha_star)
             self._sort()
@@ -518,7 +609,7 @@ class SparseLikelihood:
         self.weights /= self.weights.max()
 
     def final_coset(self) -> int:
-        return _argmax_smallest(self.labels, self.weights)
+        return int(self.labels[_tied(self.weights)].min())
 
     def entropy(self) -> float:
         p = self.weights / self.weights.sum()

@@ -164,6 +164,29 @@ def solve_linear(rows: Sequence[int], rhs: Sequence[int], n: int) -> tuple[int |
     return x, nullspace(rows, n)
 
 
+def columns(rows: Sequence[int], n: int) -> list[int]:
+    """The n columns of the matrix with the given rows, as packed vectors:
+    bit i of column j is coordinate j of rows[i]."""
+    cols = [0] * n
+    for i, row in enumerate(rows):
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= 1 << i
+            row ^= low
+    return cols
+
+
+def xor_at_sites(cols: Sequence[int], x: int) -> int:
+    """XOR of cols[j] over the set bits j of x: the products of x with the
+    rows whose columns these are, as a packed vector."""
+    acc = 0
+    while x:
+        low = x & -x
+        acc ^= cols[low.bit_length() - 1]
+        x ^= low
+    return acc
+
+
 def enumerate_span(rows: Sequence[int], n: int) -> np.ndarray:
     """All 2^k elements of the span as a uint64 array (requires n <= 63).
 
@@ -290,10 +313,7 @@ def min_odd_weight(s: Subspace, max_weight: int | None = None) -> int | None:
         if n - s.dim > FULL_ENUM_DIM_LIMIT:
             raise ValueError("max_weight is required when dim(S-perp) exceeds the enumeration limit")
         max_weight = n
-    cols = [0] * n
-    for i, row in enumerate(s.basis):
-        for j in support(row):
-            cols[j] |= 1 << i
+    cols = columns(s.basis, n)
     half: set[int] = {0}
     level: Iterable[list[int]] = [[c] for c in cols]
     for w in range(1, max_weight + 1, 2):
@@ -322,23 +342,37 @@ def fwht(values: np.ndarray, axis: int = 0) -> np.ndarray:
 
     output[f] = sum_g (-1)^(f.g) input[g]; applying twice multiplies by 2^c.
     The array must be C-contiguous so the butterfly stages are pure views.
+
+    Stage s = 0, 1, ..., c-1 maps each pair (x, y) of entries whose axis-0
+    indices differ only in bit s, x having the bit clear, to (x + y, x - y).
+    Each stage reads its pairs as the even and odd rows of one buffer and
+    writes the sums to the first half and the differences to the second
+    half of another (the two buffers then swap roles). That moves index
+    bit s to the top and every other bit down by one, so the next stage's
+    pairs are again the even and odd rows, and after c stages the rows are
+    back in order. Every ufunc call thus runs over half the array, not over
+    short runs of 2^s rows. Each entry is the same sum of the same operands,
+    stage by stage, as in the in-place radix-2 loop, so the result is
+    bit-identical to it.
     """
     if axis != 0:
         raise ValueError("fwht operates along axis 0")
     m = values.shape[0]
     if m == 0 or m & (m - 1):
         raise ValueError(f"length {m} is not a power of two")
-    tail = int(np.prod(values.shape[1:], dtype=np.int64)) if values.ndim > 1 else 1
-    a = values.reshape(m, tail) if values.ndim > 1 else values.reshape(m, 1)
-    if not a.flags.c_contiguous:
+    if not values.flags.c_contiguous:
         raise ValueError("fwht requires a C-contiguous array")
-    h = 1
-    while h < m:
-        b = a.reshape(m // (2 * h), 2, h, tail)
-        diff = b[:, 0] - b[:, 1]
-        b[:, 0] += b[:, 1]
-        b[:, 1] = diff
-        h *= 2
+    a = values.reshape(m, values.size // m)
+    b = np.empty_like(a)
+    half = m // 2
+    stage_views = [(src[0::2], src[1::2], dst[:half], dst[half:]) for src, dst in ((a, b), (b, a))]
+    c = m.bit_length() - 1
+    for s in range(c):
+        x, y, sums, diffs = stage_views[s & 1]
+        np.add(x, y, out=sums)
+        np.subtract(x, y, out=diffs)
+    if c & 1:
+        a[...] = b
     return values
 
 

@@ -92,6 +92,11 @@ class TestMakeCode:
         with pytest.raises(CodeConstructionError, match="orthogonal"):
             make_code(a, b)
 
+    def test_rejects_label_rows_without_all_ones(self):
+        s = steane_space()
+        with pytest.raises(CodeConstructionError, match="mat_a rows"):
+            make_code(s, s, mat_a=s.basis)
+
     def test_regular_gauge_spaces(self):
         t_space, c_space, _ = fifteen_qubit_spaces()
         for a in (steane_space(), t_space, c_space):

@@ -11,6 +11,7 @@ from dccsim.decoder import (
     LabelLayout,
     SparseLikelihood,
     SyndromeMap,
+    _mismatch_factors,
     gamma_hat_direct,
     init_likelihood,
 )
@@ -134,6 +135,32 @@ class TestSyndrome:
         post = rho.normalized()
         assert abs(post[1] / post[0] - 99.0) <= 1e-9
 
+    @pytest.mark.parametrize("name", ["m_c", "m_t"])
+    def test_read_bits_equal_full_table(self, fam, name):
+        smap = getattr(fam, name)
+        shape, syndromes = smap.read_table
+        assert syndromes.size == 1 << {"m_c": 14, "m_t": 6}[name]
+        assert np.array_equal(np.broadcast_to(syndromes, shape).reshape(-1), smap.table)
+        rng = np.random.default_rng(44)
+        for _ in range(5):
+            observed, q = int(rng.integers(0, 1 << smap.width)), float(rng.uniform(0.001, 0.4))
+            start = spread(rng, smap.layout.size)
+            rho = DenseLikelihood(smap.layout, start.copy())
+            rho.apply_syndrome(smap, observed, q)
+            hit, miss = _mismatch_factors(smap.width, q)
+            expect = start * (hit * miss)[np.bitwise_count(smap.table ^ np.uint32(observed))]
+            assert np.array_equal(rho.weights, expect / expect.max())
+
+    def test_read_bits_of_random_rows(self):
+        layout = LabelLayout(3, 3)
+        rng = np.random.default_rng(45)
+        for _ in range(30):
+            rows = tuple(int(r) for r in rng.integers(0, 1 << layout.c, int(rng.integers(0, 4))))
+            smap = SyndromeMap(rows, layout)
+            shape, syndromes = smap.read_table
+            assert np.prod(shape) == layout.size
+            assert np.array_equal(np.broadcast_to(syndromes, shape).reshape(-1), smap.table)
+
     def test_degenerate_posterior_raises(self):
         layout = LabelLayout(1, 0)
         smap = SyndromeMap(rows=(0b1,), layout=layout)
@@ -230,6 +257,11 @@ class TestCompleteSyndrome:
                              stage.logical_x ^ stage.logical_z}
 
 
+def spread(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Positive weights spread over about 10^+-20 in magnitude."""
+    return rng.random(size) * 10.0 ** rng.integers(-20, 21, size=size)
+
+
 class TestDeform:
     def test_identity_merge(self):
         layout = LabelLayout(2, 1)
@@ -239,6 +271,59 @@ class TestDeform:
         rho = DenseLikelihood(layout, start.copy())
         rho.deform(dmap)
         assert np.allclose(rho.normalized(), start / start.sum())
+
+    @pytest.mark.parametrize("direction", ["merge", "split"])
+    def test_identity_map_is_exact(self, direction):
+        layout = LabelLayout(2, 1)
+        dmap = DeformationMap(direction, 0b111, layout, layout)
+        assert dmap.run_shape == (1, 1, 8)
+        rng = np.random.default_rng(4)
+        start = rng.random(8)
+        rho = DenseLikelihood(layout, start.copy())
+        rho.deform(dmap)
+        assert np.array_equal(rho.weights, start / start.max())
+
+    def test_dropped_bits_must_be_one_run(self):
+        with pytest.raises(ValueError, match="one run"):
+            DeformationMap("merge", 0b1010, LabelLayout(2, 2), LabelLayout(1, 1))
+        with pytest.raises(ValueError, match="one run"):
+            DeformationMap("split", 0b0110, LabelLayout(1, 1), LabelLayout(2, 2))
+
+    @pytest.mark.parametrize("name", ["t_to_base", "c_to_base"])
+    def test_dense_merge_equals_bincount(self, fam, name):
+        # Bit for bit: the reshape sum adds each narrow label's entries in
+        # the order the bincount over dense_index does.
+        dmap = getattr(fam, name)
+        rng = np.random.default_rng(40)
+        for _ in range(10):
+            start = spread(rng, dmap.wide.size)
+            rho = DenseLikelihood(dmap.old_layout, start.copy())
+            rho.deform(dmap)
+            expect = np.bincount(dmap.dense_index, weights=start, minlength=dmap.narrow.size)
+            assert np.array_equal(rho.weights, expect / expect.max())
+
+    @pytest.mark.parametrize("name", ["base_to_t", "base_to_c"])
+    def test_dense_split_equals_gather(self, fam, name):
+        dmap = getattr(fam, name)
+        rng = np.random.default_rng(41)
+        for _ in range(10):
+            start = spread(rng, dmap.narrow.size)
+            rho = DenseLikelihood(dmap.old_layout, start.copy())
+            rho.deform(dmap)
+            expect = start[dmap.dense_index] * 2.0 ** (dmap.narrow.c - dmap.wide.c)
+            assert np.array_equal(rho.weights, expect / expect.max())
+
+    @pytest.mark.parametrize("name", ["base_to_t", "base_to_c"])
+    def test_sparse_split_is_sorted_and_matches_dense(self, fam, name):
+        dmap = getattr(fam, name)
+        rng = np.random.default_rng(42)
+        labels = np.sort(rng.choice(dmap.narrow.size, 300, replace=False)).astype(np.uint32)
+        sparse = SparseLikelihood(dmap.old_layout, labels, spread(rng, len(labels)))
+        dense = DenseLikelihood(dmap.old_layout, sparse.dense_weights())
+        sparse.deform(dmap)
+        dense.deform(dmap)
+        assert np.all(np.diff(sparse.labels.astype(np.int64)) > 0)
+        assert np.array_equal(sparse.dense_weights(), dense.weights)
 
     @pytest.mark.parametrize("engine", ["exact", "sparse"])
     def test_split_then_merge_roundtrip(self, fam, engine):
@@ -422,7 +507,29 @@ class TestTruncate:
         assert total - kept <= eps * total * 200
 
 
+def full_block_t_update(weights: np.ndarray, update) -> np.ndarray:
+    """Reference T update: project and transform the whole block, then
+    renormalize to max 1."""
+    lay = update.layout
+    block = weights.copy().reshape(1 << lay.beta_bits, 1 << lay.alpha_bits)
+    block *= update.cleanable_mask[np.newaxis, :]
+    f2.fwht(block)
+    block *= update.gamma_hat
+    f2.fwht(block)
+    block /= 1 << lay.beta_bits
+    np.maximum(block, 0.0, out=block)
+    return block.reshape(-1) / block.max()
+
+
 class TestTGate:
+    def test_cleanable_columns_equal_full_block(self, fam):
+        rng = np.random.default_rng(43)
+        for _ in range(5):
+            start = spread(rng, fam.t_stage.layout.size)
+            rho = DenseLikelihood(fam.t_stage.layout, start.copy())
+            rho.apply_t_gate(fam.t_update)
+            assert np.array_equal(rho.weights, full_block_t_update(start, fam.t_update))
+
     def test_gamma_hat_matches_direct_sum(self, fam):
         # Transformed-basis diagonal against the explicit sum over subsets,
         # for every cleanable coset and every Z-label block entry.
@@ -505,10 +612,8 @@ class TestMassConservation:
         start = rng.random(fam.t_stage.layout.size)
         rho = DenseLikelihood(fam.t_stage.layout, start.copy())
         before = start.sum()
-        # Inspect pre-normalization mass via the bincount the merge uses.
-        merged = np.bincount(
-            fam.t_to_base.dense_index, weights=start, minlength=fam.base_stage.layout.size
-        )
+        # Inspect pre-normalization mass via the reshape sum the merge uses.
+        merged = start.reshape(fam.t_to_base.run_shape).sum(axis=1)
         assert abs(merged.sum() - before) <= 1e-10 * before
         rho.deform(fam.t_to_base)
 
@@ -516,7 +621,8 @@ class TestMassConservation:
         rng = np.random.default_rng(21)
         start = rng.random(fam.base_stage.layout.size)
         scale = 2.0 ** (fam.base_stage.layout.c - fam.t_stage.layout.c)
-        expanded = start[fam.base_to_t.dense_index] * scale
+        high, expansion, low = fam.base_to_t.run_shape
+        expanded = np.broadcast_to((start * scale).reshape(high, 1, low), (high, expansion, low))
         assert abs(expanded.sum() - start.sum()) <= 1e-10 * start.sum()
 
     def test_clifford_preserves_total(self, fam):

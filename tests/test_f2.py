@@ -188,7 +188,37 @@ class TestMinOddWeight:
         assert min_odd_weight(s, max_weight=1) is None
 
 
+def radix2_fwht(values: np.ndarray) -> np.ndarray:
+    """Reference transform along axis 0: the plain in-place radix-2 loop,
+    stage h = 1, 2, 4, ... mapping each pair of rows (i, i + h) with bit h
+    of i clear to (row_i + row_i+h, row_i - row_i+h)."""
+    out = values.copy()
+    m = len(out)
+    h = 1
+    while h < m:
+        for i in range(m):
+            if not i & h:
+                x, y = out[i].copy(), out[i + h].copy()
+                out[i], out[i + h] = x + y, x - y
+        h *= 2
+    return out
+
+
 class TestFwht:
+    @pytest.mark.parametrize(
+        "shape", [(1,), (2,), (1 << 13,), (32, 1), (32, 3), (32, 996), (16, 3, 5), (4, 0)]
+    )
+    def test_bit_identical_to_radix2_loop(self, shape):
+        rng = np.random.default_rng(len(shape) + shape[0])
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 21, size=shape)
+        y = x.copy()
+        assert fwht(y) is y
+        assert np.array_equal(y, radix2_fwht(x))
+
+    def test_rejects_non_contiguous(self):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            fwht(np.zeros((8, 4))[:, ::2])
+
     def test_delta_gives_ones(self):
         x = np.zeros(16)
         x[0] = 1.0
