@@ -158,6 +158,8 @@ def cmd_verify(args) -> int:
     if stage == "doubled":
         checks.append(("doubly-even side is dot-self-dual", c_space.dot_space() == c_space))
     checks.append(("generator list spans the dot space", Subspace(n, gen_rows) == dot_t))
+    if stage != "doubled":  # the doubled stage's link rows weigh up to 4t
+        checks.append(("every generator has weight <= 6", all(row.bit_count() <= 6 for row in gen_rows)))
     checks.append(("order-8 witness", check_evenness(t_space, w_t)))
     checks.append(("order-4 witness", check_evenness(c_space, w_c)))
     checks.append(("witness imbalance is odd", w_t.m % 2 == 1 and w_c.m % 2 == 1))
@@ -278,6 +280,8 @@ def cmd_decode_trace(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _resolve_config(args, p: float) -> ProtocolConfig:
+    if args.threads < 0:
+        raise UsageError("--threads must be at least 0")
     threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
     seed = args.seed if args.seed is not None else _seed_default()
     return ProtocolConfig(
@@ -318,8 +322,17 @@ def _estimate(config: ProtocolConfig):
     return estimate_pl(config)
 
 
+def _note_sparse_cost(configs: list[ProtocolConfig]) -> None:
+    """Above p = 0.02 the sparse engine's support, and so its cost per
+    round, outgrows the exact engine's flat cost (see the README)."""
+    if any(config.decoder == "sparse" and config.p > 0.02 for config in configs):
+        print("note: above p = 0.02 the sparse decoder slows as p grows; "
+              "--decoder exact runs at a flat cost there", file=sys.stderr)
+
+
 def cmd_simulate(args) -> int:
     config = _resolve_config(args, args.p)
+    _note_sparse_cost([config])
     with _csv_sink(args.out) as sink:
         _write_rows(sink, [config], [_estimate(config)])
     return EXIT_OK
@@ -330,6 +343,7 @@ def cmd_sweep(args) -> int:
     if not values:
         raise UsageError("empty p list")
     configs = [_resolve_config(args, float(text)) for text in values]
+    _note_sparse_cost(configs)
     with _csv_sink(args.out) as sink:
         estimates = [_estimate(config) for config in configs]
         _write_rows(sink, configs, estimates)

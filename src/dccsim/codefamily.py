@@ -3,9 +3,13 @@
 Stages, in construction order:
 
   doubled   n_t = 2t^3+6t^2+6t+1 qubits, blocks A_t B_t ... A_1 B_1 A_0.
-            The triply-even space is built by recursively doubling the
-            color-code face spaces; the doubly-even companion space has
-            per-level face generators plus block-linking all-ones rows.
+            The triply-even space at level t is the doubling map
+            double(S_t, T_{t-1}) of the level-t color-code face space and
+            the level-(t-1) space, from the single qubit T_0; its order-8
+            witness comes from double_witness the same way. The dot space
+            is spanned by the per-level face, double-edge and boundary-link
+            generators, and the doubly-even companion by the same set
+            without the double edges.
   gadget    N_t = 2t^3+7t^2+7t+1 qubits: a block D_r of 2r ancilla qubits
             per level, with weight-2 generators g and weight-6 generators h
             that decompose each non-local boundary link into local pieces.
@@ -25,7 +29,7 @@ from functools import lru_cache
 from . import f2
 from .csscode import EvennessWitness
 from .f2 import Subspace
-from .lattice import ColorLattice, build_lattice
+from .lattice import ColorLattice, build_lattice, face_space
 
 
 @dataclass(frozen=True)
@@ -119,10 +123,6 @@ class DoubledCodes:
     def n(self) -> int:
         return self.layout.n
 
-    @property
-    def dot_c_space(self) -> Subspace:
-        return self.c_space
-
 
 def link_row(layout: BlockLayout, lattices: dict[int, ColorLattice], r: int) -> int:
     """Boundary link omega_{r,r-1}: side 1 of level r on B_r joined to side 2
@@ -147,38 +147,23 @@ def build_doubled(t: int) -> DoubledCodes:
     layout = BlockLayout(tuple(blocks))
 
     gens: list[Generator] = []
-    t_rows: list[int] = []
+    t_space, witness_t = Subspace(1), EvennessWitness(1, 0, 8)
     for r in range(1, t + 1):
         lat = lattices[r]
         a_off, b_off = layout.offset(f"A{r}"), layout.offset(f"B{r}")
         for face in lat.faces:
             gens.append(Generator("face_a", r, face.bits << a_off))
             gens.append(Generator("face_b", r, face.bits << b_off))
-            t_rows.append((face.bits << a_off) | (face.bits << b_off))
         for edge in lat.edges:
             e = lat.edge_bits(edge)
             gens.append(Generator("edge_double", r, (e << a_off) | (e << b_off)))
         gens.append(Generator("omega_link", r, link_row(layout, lattices, r)))
-        ones = (1 << lat.m) - 1
-        next_block = "A0" if r == 1 else f"A{r-1}"
-        t_rows.append((ones << b_off) | layout.embed((1 << layout.size(next_block)) - 1, next_block))
+        witness_s = EvennessWitness(lat.delta0, lat.delta2, 4)
+        witness_t = double_witness(lat.m, t_space.n, witness_s, witness_t)
+        t_space = double(face_space(lat), t_space)
 
-    t_space = Subspace(layout.n, t_rows)
-    dot_rows = [g.bits for g in gens]
-    dot_t_space = Subspace(layout.n, dot_rows)
+    dot_t_space = Subspace(layout.n, [g.bits for g in gens])
     c_space = Subspace(layout.n, [g.bits for g in gens if g.kind != "edge_double"])
-
-    # Triply-even witness from the doubling recursion: level-0 base is the
-    # single qubit on the plus side, each level adds its site classes on both
-    # copies and swaps the accumulated sets.
-    plus, minus = layout.embed(1, "A0"), 0
-    for r in range(1, t + 1):
-        lat = lattices[r]
-        a_off, b_off = layout.offset(f"A{r}"), layout.offset(f"B{r}")
-        new_plus = (lat.delta0 << a_off) | (lat.delta0 << b_off) | minus
-        new_minus = (lat.delta2 << a_off) | (lat.delta2 << b_off) | plus
-        plus, minus = new_plus, new_minus
-    witness_t = EvennessWitness(plus, minus, 8)
     lat_t = lattices[t]
     witness_c = EvennessWitness(
         layout.embed(lat_t.delta0, f"A{t}"), layout.embed(lat_t.delta2, f"A{t}"), 4

@@ -176,9 +176,6 @@ class SubsystemCode:
             return None
         return min(da, db)
 
-    def coset_label(self, a: int, b: int) -> int:
-        return self.coset_map.label(a, b)
-
 
 def make_code(
     a_space: Subspace,
@@ -249,7 +246,7 @@ def verify_transversality(
 def odd_dual_vectors(a_space: Subspace) -> list[int]:
     """All odd-weight vectors of A-perp (undetectable non-trivial Z errors)."""
     perp = a_space.orthogonal_complement()
-    if perp.dim > 26:
+    if perp.dim > f2.FULL_ENUM_DIM_LIMIT:
         raise CapacityError("A-perp too large to enumerate")
     return [v for v in perp.elements() if v.bit_count() & 1]
 

@@ -94,12 +94,6 @@ class LabelLayout:
     def size(self) -> int:
         return 1 << self.c
 
-    def split(self, label: int) -> tuple[int, int]:
-        return label & ((1 << self.alpha_bits) - 1), label >> self.alpha_bits
-
-    def join(self, alpha: int, beta: int) -> int:
-        return alpha | (beta << self.alpha_bits)
-
 
 @lru_cache(maxsize=64)
 def _clifford_image(layout: LabelLayout, action: CliffordAction) -> np.ndarray:
@@ -153,8 +147,9 @@ class SyndromeMap:
         bits = [(read >> k) & 1 for k in reversed(range(self.layout.c))]
         runs = [(is_read, len(list(run))) for is_read, run in itertools.groupby(bits)]
         shape = tuple(1 << length for _, length in runs)
-        syndromes = self._syndromes(_bit_span(read))
-        syndromes = syndromes.reshape([1 << length if is_read else 1 for is_read, length in runs])
+        labels = np.arange(self.layout.size, dtype=np.uint32).reshape(shape)
+        unread_zero = labels[tuple(slice(None) if is_read else slice(1) for is_read, _ in runs)]
+        syndromes = self._syndromes(unread_zero)
         syndromes.flags.writeable = False
         return shape, syndromes
 
@@ -163,9 +158,6 @@ class SyndromeMap:
         for i, row in enumerate(self.rows):
             out |= (np.bitwise_count(labels & np.uint32(row)) & np.uint32(1)) << np.uint32(i)
         return out
-
-    def syndrome_of(self, labels: np.ndarray) -> np.ndarray:
-        return self.table[labels]
 
 
 @lru_cache(maxsize=16)
@@ -233,29 +225,20 @@ class DeformationMap:
 
     @cached_property
     def dense_index(self) -> np.ndarray:
-        """Narrow label of every wide label: its kept bits, packed."""
-        labels = np.arange(self.wide.size, dtype=np.uint32)
-        out = np.zeros_like(labels)
-        for i, k in enumerate(_bit_positions(self.kept)):
-            out |= ((labels >> np.uint32(k)) & np.uint32(1)) << np.uint32(i)
-        return out
+        """Narrow label of every wide label: its kept bits, packed, i.e. the
+        narrow labels laid out as (2^high, 1, 2^low), broadcast over the
+        dropped axis."""
+        high, _, low = self.run_shape
+        narrow = np.arange(high * low, dtype=np.uint32).reshape(high, 1, low)
+        return np.broadcast_to(narrow, self.run_shape).reshape(-1)
 
     @cached_property
     def split_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """The wide label with zero dropped bits for every narrow label, and
         the 2^k dropped-bit patterns: narrow label l splits into
         base[l] ^ patterns."""
-        return _bit_span(self.kept), _bit_span(self.dropped)
-
-
-def _bit_positions(mask: int) -> list[int]:
-    return [k for k in range(mask.bit_length()) if (mask >> k) & 1]
-
-
-def _bit_span(mask: int) -> np.ndarray:
-    """Every value whose set bits lie in mask; bit i of the index sets the
-    i-th set bit of mask."""
-    return f2.enumerate_span([1 << k for k in _bit_positions(mask)], 32).astype(np.uint32)
+        wide = np.arange(self.wide.size, dtype=np.uint32).reshape(self.run_shape)
+        return wide[:, 0, :].reshape(-1), wide[0, :, 0]
 
 
 @dataclass(frozen=True)
@@ -302,7 +285,7 @@ def build_t_gate_update(
         mask[alpha] = True
         cp = prop.coset(alpha)
         radical = f2.Subspace(code.n, cp.radical)
-        e = cp.rep
+        e = table.rep(alpha)
         for beta in range(n_beta):
             g = at_beta[beta] & e
             if radical.contains(g):
@@ -365,9 +348,6 @@ class DenseLikelihood:
     def copy(self) -> "DenseLikelihood":
         return DenseLikelihood(self.layout, self.weights.copy())
 
-    def _renormalize(self) -> None:
-        _scale_to_max(self.weights)
-
     def normalized(self) -> np.ndarray:
         return self.weights / self.weights.sum()
 
@@ -389,7 +369,7 @@ class DenseLikelihood:
         if floor < -NEG_TOL * max(1.0, self.weights.max()):
             raise NumericError(f"negative weight {floor} after memory update")
         np.maximum(self.weights, 0.0, out=self.weights)
-        self._renormalize()
+        _scale_to_max(self.weights)
 
     def apply_syndrome(self, smap: SyndromeMap, observed: int, q: float) -> None:
         shape, syndromes = smap.read_table
@@ -398,7 +378,7 @@ class DenseLikelihood:
         weights = self.weights.reshape(shape)
         weights *= (hit * miss)[mismatch]
         self.weights = weights.reshape(-1)
-        self._renormalize()
+        _scale_to_max(self.weights)
 
     def deform(self, dmap: DeformationMap) -> None:
         shape = dmap.run_shape
@@ -411,7 +391,7 @@ class DenseLikelihood:
             new = new.reshape(-1)
         self.layout = dmap.new_layout
         self.weights = new
-        self._renormalize()
+        _scale_to_max(self.weights)
 
     def apply_clifford(self, action: CliffordAction) -> None:
         new = np.empty_like(self.weights)
@@ -537,7 +517,7 @@ class SparseLikelihood:
         self._renormalize()
 
     def apply_syndrome(self, smap: SyndromeMap, observed: int, q: float) -> None:
-        mismatch = np.bitwise_count(smap.syndrome_of(self.labels) ^ np.uint32(observed))
+        mismatch = np.bitwise_count(smap.table[self.labels] ^ np.uint32(observed))
         hit, miss = _mismatch_factors(smap.width, q)
         self.weights = self.weights * hit[mismatch] * miss[mismatch]
         self._renormalize()

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 # Largest dim(S-perp) for which min_odd_weight searches without a weight
-# bound, and largest subspace element_array enumerates.
+# bound, and largest subspace elements and element_array enumerate.
 FULL_ENUM_DIM_LIMIT = 25
 
 
@@ -272,7 +272,7 @@ class Subspace:
 
     def elements(self) -> Iterator[int]:
         """All 2^dim elements; guard the dimension before calling."""
-        if self.dim > 26:
+        if self.dim > FULL_ENUM_DIM_LIMIT:
             raise ValueError(f"refusing to enumerate 2^{self.dim} elements")
         for combo in range(1 << self.dim):
             v = 0

@@ -1,9 +1,9 @@
-"""Error models, Pauli frames, and error propagation through transversal gates.
+"""Noise sampling, Pauli frames, and error propagation through transversal gates.
 
 The simulator's ground truth is a phase-free Pauli frame (a, b): X on the
 support of a, Z on the support of b, composed by XOR. Memory noise is
-single-qubit depolarizing (X, Y, Z each with probability p/3); measured
-syndrome bits flip independently with probability p_meas.
+single-qubit depolarizing (X, Y, Z each with probability p/3), and each
+measured syndrome bit flips independently with the same probability p.
 
 Transversal T gates convert X-support into random Z errors. For a frame
 whose X part lies in a cleanable coset, the X part is first replaced by the
@@ -27,18 +27,6 @@ from . import f2
 from .csscode import CleanabilityTable, SubsystemCode
 
 
-@dataclass(frozen=True)
-class ErrorModel:
-    p_mem: float
-    p_meas: float
-
-    def __post_init__(self) -> None:
-        for name in ("p_mem", "p_meas"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-
-
 @dataclass
 class PauliFrame:
     """Accumulated Pauli error: X on support(a), Z on support(b)."""
@@ -55,9 +43,8 @@ class PauliFrame:
         return PauliFrame(self.n, self.a, self.b)
 
 
-def sample_memory_error(model: ErrorModel, n: int, rng: np.random.Generator) -> tuple[int, int]:
+def sample_memory_error(p: float, n: int, rng: np.random.Generator) -> tuple[int, int]:
     """Depolarizing draw: per qubit identity w.p. 1-p, else X, Y, or Z."""
-    p = model.p_mem
     if p == 0.0:
         return 0, 0
     hit = rng.random(n) < p
@@ -72,9 +59,8 @@ def sample_memory_error(model: ErrorModel, n: int, rng: np.random.Generator) -> 
     return a, b
 
 
-def flip_syndrome(model: ErrorModel, bits: int, width: int, rng: np.random.Generator) -> int:
-    """XOR each of `width` syndrome bits with an independent Bernoulli flip."""
-    q = model.p_meas
+def flip_syndrome(q: float, bits: int, width: int, rng: np.random.Generator) -> int:
+    """XOR each of `width` syndrome bits with an independent Bernoulli(q) flip."""
     if q == 0.0:
         return bits
     flips = rng.random(width) < q
@@ -157,14 +143,13 @@ def sample_clifford(rng: np.random.Generator) -> CliffordAction:
 class CosetPropagation:
     """Sampling data for one cleanable coset.
 
-    positions: support of the clean representative e.
+    positions: support of its clean representative e (table.rep).
     radical: basis of {g in B : g inside e} intersected with its own
         orthogonal complement, as vectors on the full qubit line.
     particular / kernel: solution structure of the parity constraints
         f . g^a = |g^a|/2 (mod 2) over f inside e, in e-local coordinates.
     """
 
-    rep: int
     positions: tuple[int, ...]
     radical: tuple[int, ...]
     particular: int
@@ -193,7 +178,6 @@ class TPropagator:
             if particular is None:
                 raise AssertionError("propagation constraints are inconsistent")
             self._cosets[alpha] = CosetPropagation(
-                rep=e,
                 positions=positions,
                 radical=tuple(radical),
                 particular=particular,
@@ -202,9 +186,6 @@ class TPropagator:
 
     def coset(self, alpha: int) -> CosetPropagation:
         return self._cosets[alpha]
-
-    def is_cleanable(self, alpha: int) -> bool:
-        return alpha in self._cosets
 
     def sample_f(self, alpha: int, rng: np.random.Generator) -> int:
         """Draw f ~ P(f|e(alpha)), returned on the full qubit line."""
@@ -278,9 +259,9 @@ def propagate_through_t(frame: PauliFrame, prop: TPropagator, rng: np.random.Gen
     """Replace the X part by its clean representative and add the sampled
     Z error; raises if the X coset is not cleanable."""
     alpha = prop.code.coset_map.label_x(frame.a)
-    if not prop.is_cleanable(alpha):
+    if not prop.table.is_cleanable(alpha):
         raise ValueError("X part lies in a non-cleanable coset")
-    frame.a = prop.coset(alpha).rep
+    frame.a = prop.table.rep(alpha)
     frame.b ^= prop.sample_f(alpha, rng)
 
 

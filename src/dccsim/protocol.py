@@ -49,7 +49,6 @@ from .decoder import (
 from .noise import (
     CLIFFORD_CLASSES,
     CliffordAction,
-    ErrorModel,
     PauliFrame,
     TPropagator,
     flip_syndrome,
@@ -232,6 +231,12 @@ class ProtocolConfig:
             raise ValueError("p must lie in [0, 1]")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.max_gates < 1:
+            raise ValueError("max_gates must be at least 1")
+        if not 0.0 <= self.eps <= 1.0:
+            raise ValueError("eps must lie in [0, 1]")
+        if self.max_retry_rounds < 0:
+            raise ValueError("max_retry_rounds must be at least 0")
         if self.decoder not in ENGINES:
             raise ValueError(f"decoder must be one of {', '.join(map(repr, ENGINES))}")
 
@@ -299,7 +304,6 @@ def logical_error_test(final_label: int, frame_label: int, stage: StageContext) 
 def run_trial(config: ProtocolConfig, trial_index: int, observer=None) -> TrialResult:
     fam = family15()
     rng = np.random.default_rng([config.seed, trial_index])
-    model = ErrorModel(config.p, config.p)
     frame = PauliFrame(N_QUBITS)
     rho = init_likelihood(fam.t_stage.layout, config.decoder)
     mem = rho.memory_input(fam.base_stage.code.coset_map, config.p)
@@ -313,11 +317,11 @@ def run_trial(config: ProtocolConfig, trial_index: int, observer=None) -> TrialR
         # ---- C-round ----
         rounds += 1
         rho.deform(fam.t_to_base)
-        a, b = sample_memory_error(model, N_QUBITS, rng)
+        a, b = sample_memory_error(config.p, N_QUBITS, rng)
         frame.apply(a, b)
         rho.apply_memory(*mem)
         rho.deform(fam.base_to_c)
-        observed_c = flip_syndrome(model, fam.ideal_c_syndromes(frame), fam.m_c.width, rng)
+        observed_c = flip_syndrome(config.p, fam.ideal_c_syndromes(frame), fam.m_c.width, rng)
         rho.apply_syndrome(fam.m_c, observed_c, config.p)
         rho.truncate(config.eps)
         if observer is not None:
@@ -337,11 +341,11 @@ def run_trial(config: ProtocolConfig, trial_index: int, observer=None) -> TrialR
         # ---- T-round ----
         rounds += 1
         rho.deform(fam.c_to_base)
-        a, b = sample_memory_error(model, N_QUBITS, rng)
+        a, b = sample_memory_error(config.p, N_QUBITS, rng)
         frame.apply(a, b)
         rho.apply_memory(*mem)
         rho.deform(fam.base_to_t)
-        observed_t = flip_syndrome(model, fam.ideal_t_syndromes(frame), fam.m_t.width, rng)
+        observed_t = flip_syndrome(config.p, fam.ideal_t_syndromes(frame), fam.m_t.width, rng)
         rho.apply_syndrome(fam.m_t, observed_t, config.p)
         rho.truncate(config.eps)
         if observer is not None:

@@ -200,13 +200,13 @@ def test_c11_bayes_posterior(fam):
         s1 = int(rng.integers(0, 1 << smap.width))
         s2 = int(rng.integers(0, 1 << smap.width))
         posterior = np.zeros(layout.size)
-        syn = smap.syndrome_of(shifts)
+        syn = smap.table[shifts]
         for e1, w1, y1 in zip(shifts, probs, syn):
             m1 = int(y1 ^ s1).bit_count()
             like1 = q**m1 * (1 - q) ** (smap.width - m1)
             for e2, w2 in zip(shifts, probs):
                 f_final = int(e1 ^ e2)
-                y2 = smap.syndrome_of(np.array([f_final], dtype=np.uint32))[0]
+                y2 = smap.table[f_final]
                 m2 = int(y2 ^ s2).bit_count()
                 posterior[f_final] += w1 * like1 * w2 * q**m2 * (1 - q) ** (smap.width - m2)
         posterior /= posterior.sum()

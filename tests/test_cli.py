@@ -45,6 +45,22 @@ class TestBuildVerify:
         out.write_text(json.dumps(obj))
         assert run(["verify", str(out)]) == EXIT_VERIFY
 
+    def test_heavy_generator_fails_locality(self, tmp_path, capsys):
+        out = tmp_path / "code.json"
+        run(["build", "--t", "1", "--stage", "final", "--out", str(out)])
+        obj = json.loads(out.read_text())
+        supports = [set(g["support"]) for g in obj["generators"]]
+        first, second = next(
+            (a, b) for a in supports for b in supports if not a & b and len(a | b) > 6
+        )
+        # The XOR of two generators leaves the span unchanged.
+        obj["generators"].append({"kind": "face_a", "level": 1, "support": sorted(first | second)})
+        out.write_text(json.dumps(obj))
+        assert run(["verify", str(out)]) == EXIT_VERIFY
+        report = capsys.readouterr().out
+        assert "PASS  generator list spans the dot space" in report
+        assert "FAIL  every generator has weight <= 6" in report
+
     def test_t2_verify_with_budget(self, tmp_path, capsys):
         out = tmp_path / "t2.json"
         run(["build", "--t", "2", "--stage", "final", "--out", str(out)])
@@ -115,6 +131,25 @@ class TestSimulate:
 
     def test_rejects_bad_p(self):
         assert run(["simulate", "--p", "1.5", "--trials", "1"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("flags", [
+        pytest.param(["--max-gates", "0"], id="max-gates-0"),
+        pytest.param(["--eps", "-1"], id="eps-negative"),
+        pytest.param(["--eps", "1.5"], id="eps-above-one"),
+        pytest.param(["--threads", "-1"], id="threads-negative"),
+    ])
+    def test_rejects_out_of_range_settings(self, flags):
+        assert run(["simulate", "--p", "0", "--trials", "1", "--max-gates", "2",
+                    "--threads", "1", *flags]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("p, noted", [(0.05, True), (0.01, False)])
+    def test_sparse_high_p_note(self, tmp_path, capsys, p, noted):
+        assert run(["simulate", "--p", str(p), "--trials", "1", "--max-gates", "1",
+                    "--decoder", "sparse", "--threads", "1",
+                    "--out", str(tmp_path / "run.csv")]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert ("--decoder exact" in err) == noted
+        assert err.count("note:") == noted
 
     def test_csv_counts_every_trial(self, tmp_path):
         out = tmp_path / "run.csv"

@@ -109,7 +109,7 @@ class TestDoublingMap:
 
 
 class TestDoubledCodes:
-    @pytest.mark.parametrize("t", [1, 2])
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
     def test_counts_and_dims(self, t):
         d = build_doubled(t)
         assert d.n == qubit_counts(t)["doubled"]

@@ -226,12 +226,12 @@ class TestDecoderFramePropagationConsistency:
             alpha = int(alpha)
             beta0 = int(rng.integers(0, 32))
             arr = np.zeros(layout.size)
-            arr[layout.join(alpha, beta0)] = 1.0
+            arr[alpha | (beta0 << layout.alpha_bits)] = 1.0
             rho = DenseLikelihood(layout, arr)
             rho.apply_t_gate(fam.t_update)
             expect = np.zeros(layout.size)
             for fvec, pf in p_f_given_e(fam.prop, alpha).items():
-                expect[layout.join(alpha, beta0 ^ cm.label_z(fvec))] += pf
+                expect[alpha | ((beta0 ^ cm.label_z(fvec)) << layout.alpha_bits)] += pf
             assert np.max(np.abs(rho.normalized() - expect)) <= 1e-12
 
 
@@ -373,6 +373,21 @@ class TestDeform:
             assert fam.t_to_base.dense_index[fam.t_stage.frame_label(frame)] == base_label
             assert fam.c_to_base.dense_index[fam.c_stage.frame_label(frame)] == base_label
 
+    def test_tables_pack_the_kept_bits(self):
+        # Every mask whose dropped bits form one run, on 5-bit wide labels,
+        # against explicit bit extraction and insertion.
+        wide = LabelLayout(3, 2)
+        for low in range(6):
+            for k in range(6 - low):
+                kept = 31 & ~(((1 << k) - 1) << low)
+                positions = [j for j in range(5) if (kept >> j) & 1]
+                narrow = LabelLayout(len(positions), 0)
+                merge = DeformationMap("merge", kept, wide, narrow)
+                assert merge.dense_index.tolist() == [f2.restrict(w, positions) for w in range(32)]
+                base, patterns = DeformationMap("split", kept, narrow, wide).split_tables
+                assert base.tolist() == [f2.embed(l, positions) for l in range(narrow.size)]
+                assert sorted(patterns.tolist()) == [w for w in range(32) if not w & kept]
+
     def test_kept_mask_must_match_the_narrow_width(self, fam):
         with pytest.raises(ValueError, match="kept mask"):
             DeformationMap("merge", 0b111, LabelLayout(2, 2), LabelLayout(2, 0))
@@ -416,10 +431,9 @@ class TestClifford:
             rho = DenseLikelihood(layout, start.copy())
             before = rho.final_coset()
             rho.apply_clifford(action)
-            alpha, beta = layout.split(before)
-            expect = layout.join(
-                (alpha * action.p) ^ (beta * action.r),
-                (alpha * action.q) ^ (beta * action.s),
+            alpha, beta = before & ((1 << layout.alpha_bits) - 1), before >> layout.alpha_bits
+            expect = ((alpha * action.p) ^ (beta * action.r)) | (
+                ((alpha * action.q) ^ (beta * action.s)) << layout.alpha_bits
             )
             assert rho.final_coset() == expect
 
@@ -443,10 +457,10 @@ class TestRecovery:
         layout = fam.t_stage.layout
         alpha0, beta0 = 0b101, 0b11
         arr = np.zeros(layout.size)
-        arr[layout.join(alpha0, beta0)] = 1.0
+        arr[alpha0 | (beta0 << layout.alpha_bits)] = 1.0
         rho = DenseLikelihood(layout, arr)
         assert rho.choose_recovery() == alpha0
-        assert rho.final_coset() == layout.join(0, beta0)
+        assert rho.final_coset() == beta0 << layout.alpha_bits
 
     def test_uniform_returns_zero(self, fam):
         layout = fam.t_stage.layout
@@ -456,8 +470,8 @@ class TestRecovery:
     def test_heavier_coset_wins(self, fam):
         layout = fam.t_stage.layout
         arr = np.zeros(layout.size)
-        arr[layout.join(3, 0)] = 0.7
-        arr[layout.join(5, 1)] = 0.3
+        arr[3] = 0.7
+        arr[5 | (1 << layout.alpha_bits)] = 0.3
         rho = DenseLikelihood(layout, arr)
         assert rho.choose_recovery() == 3
 
@@ -546,7 +560,7 @@ class TestTGate:
         arr = np.zeros(layout.size)
         betas = rng.random(32)
         for beta in range(32):
-            arr[layout.join(0, beta)] = betas[beta]
+            arr[beta << layout.alpha_bits] = betas[beta]
         rho = DenseLikelihood(layout, arr.copy())
         rho.apply_t_gate(fam.t_update)
         got = rho.normalized()
@@ -560,7 +574,7 @@ class TestTGate:
             vec = rng.random(32)
             arr = np.zeros(layout.size)
             for beta in range(32):
-                arr[layout.join(alpha, beta)] = vec[beta]
+                arr[alpha | (beta << layout.alpha_bits)] = vec[beta]
             rho = DenseLikelihood(layout, arr.copy())
             rho.apply_t_gate(fam.t_update)
             out = rho.weights * (vec.sum() / rho.weights.sum())
@@ -570,8 +584,8 @@ class TestTGate:
         layout = fam.t_stage.layout
         bad = next(a for a in range(1 << 11) if not fam.table.is_cleanable(a))
         arr = np.zeros(layout.size)
-        arr[layout.join(bad, 1)] = 0.3
-        arr[layout.join(0, 0)] = 0.7
+        arr[bad | (1 << layout.alpha_bits)] = 0.3
+        arr[0] = 0.7
         rho = DenseLikelihood(layout, arr)
         rho.apply_t_gate(fam.t_update)
         assert rho.final_coset() == 0
@@ -582,7 +596,7 @@ class TestTGate:
         layout = fam.t_stage.layout
         bad = next(a for a in range(1 << 11) if not fam.table.is_cleanable(a))
         arr = np.zeros(layout.size)
-        arr[layout.join(bad, 0)] = 1.0
+        arr[bad] = 1.0
         rho = DenseLikelihood(layout, arr)
         with pytest.raises(DegeneratePosteriorError):
             rho.apply_t_gate(fam.t_update)
@@ -594,7 +608,7 @@ class TestTGate:
         labels = []
         for a in rng.choice(cleanables, 5, replace=False):
             for beta in rng.choice(32, 3, replace=False):
-                labels.append(layout.join(int(a), int(beta)))
+                labels.append(int(a) | (int(beta) << layout.alpha_bits))
         labels = np.array(sorted(set(labels)), dtype=np.uint32)
         weights = rng.random(len(labels))
         arr = np.zeros(layout.size)
@@ -662,12 +676,12 @@ class TestBayesOracle:
             s2 = int(rng.integers(0, 1 << smap.width))
             posterior = np.zeros(layout.size)
             for e1, w1 in zip(shifts, probs):
-                syn1 = smap.syndrome_of(np.array([e1], dtype=np.uint32))[0]
+                syn1 = smap.table[e1]
                 m1 = int(syn1 ^ s1).bit_count()
                 like1 = q**m1 * (1 - q) ** (smap.width - m1)
                 for e2, w2 in zip(shifts, probs):
                     f_final = int(e1 ^ e2)
-                    syn2 = smap.syndrome_of(np.array([f_final], dtype=np.uint32))[0]
+                    syn2 = smap.table[f_final]
                     m2 = int(syn2 ^ s2).bit_count()
                     like2 = q**m2 * (1 - q) ** (smap.width - m2)
                     posterior[f_final] += w1 * like1 * w2 * like2

@@ -47,16 +47,16 @@ class TestFamilyWiring:
         for _ in range(100):
             frame = PauliFrame(15, int(rng.integers(0, 1 << 15)), int(rng.integers(0, 1 << 15)))
             label_c = fam.c_stage.frame_label(frame)
-            got = fam.m_c.syndrome_of(np.array([label_c], dtype=np.uint32))[0]
+            got = fam.m_c.table[label_c]
             assert int(got) == fam.ideal_c_syndromes(frame)
             label_t = fam.t_stage.frame_label(frame)
-            got = fam.m_t.syndrome_of(np.array([label_t], dtype=np.uint32))[0]
+            got = fam.m_t.table[label_t]
             assert int(got) == fam.ideal_t_syndromes(frame)
 
     def test_logical_labels_invisible_to_syndromes(self, fam):
         for stage, smap in ((fam.c_stage, fam.m_c), (fam.t_stage, fam.m_t)):
             for label in (stage.logical_x, stage.logical_z):
-                syn = smap.syndrome_of(np.array([label], dtype=np.uint32))[0]
+                syn = smap.table[label]
                 assert syn == 0
                 assert label != 0
 
@@ -319,6 +319,12 @@ class TestEstimator:
             ProtocolConfig(p=0.1, trials=1, decoder="magic")
         with pytest.raises(ValueError, match="t = 1"):
             ProtocolConfig(p=0.1, trials=1, t=2)
+        with pytest.raises(ValueError, match="max_gates"):
+            ProtocolConfig(p=0.1, trials=1, max_gates=0)
+        with pytest.raises(ValueError, match="eps"):
+            ProtocolConfig(p=0.1, trials=1, eps=-1.0)
+        with pytest.raises(ValueError, match="max_retry_rounds"):
+            ProtocolConfig(p=0.1, trials=1, max_retry_rounds=-1)
 
 
 class TestRetryPath:
