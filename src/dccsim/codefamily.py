@@ -89,7 +89,7 @@ def double(s: Subspace, t: Subspace) -> Subspace:
     return Subspace(k, rows)
 
 
-def double_witness(m: int, n: int, ws: EvennessWitness, wt: EvennessWitness) -> EvennessWitness:
+def double_witness(m: int, ws: EvennessWitness, wt: EvennessWitness) -> EvennessWitness:
     """Order-8 witness for the doubled space: M's on both copies, N's swapped.
 
     Requires ws of order 4, wt of order 8, and the balance condition
@@ -159,7 +159,7 @@ def build_doubled(t: int) -> DoubledCodes:
             gens.append(Generator("edge_double", r, (e << a_off) | (e << b_off)))
         gens.append(Generator("omega_link", r, link_row(layout, lattices, r)))
         witness_s = EvennessWitness(lat.delta0, lat.delta2, 4)
-        witness_t = double_witness(lat.m, t_space.n, witness_s, witness_t)
+        witness_t = double_witness(lat.m, witness_s, witness_t)
         t_space = double(face_space(lat), t_space)
 
     dot_t_space = Subspace(layout.n, [g.bits for g in gens])

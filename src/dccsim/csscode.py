@@ -294,34 +294,32 @@ class CleanabilityTable:
 
 
 def build_cleanability_table(code: SubsystemCode) -> CleanabilityTable:
-    """Scan all of F2^n, marking cosets of A that admit a clean representative."""
+    """Scan all of F2^n, marking cosets of A that admit a clean representative.
+
+    A vector is unclean when it contains an odd dual vector. Marking the odd
+    dual vectors and then closing the marks under supersets, one bit at a
+    time (v with bit j set inherits the mark of v without it), marks exactly
+    the unclean vectors. The vectors, in value order, are stably sorted by
+    weight, so the first clean vector of each label is its minimum-weight,
+    smallest-pattern representative.
+    """
     n = code.n
     if not code.is_regular:
         raise CodeConstructionError("cleanability table requires a regular code")
     if n > CLEANABILITY_QUBIT_LIMIT:
         raise CapacityError(f"cleanability scan over 2^{n} vectors is not supported")
-    odd_duals = np.array(odd_dual_vectors(code.a_space), dtype=np.uint64)
-    vectors = np.arange(1 << n, dtype=np.uint64)
-    clean = np.ones(1 << n, dtype=bool)
-    for g in odd_duals:
-        clean &= (g & ~vectors) != 0
-    # Coset label of every vector, built bit by bit.
-    labels = np.zeros(1 << n, dtype=np.uint32)
+    unclean = np.zeros(1 << n, dtype=bool)
+    unclean[odd_dual_vectors(code.a_space)] = True
     for j in range(n):
-        col = np.uint32(code.coset_map.label_x(1 << j))
-        labels ^= np.where((vectors >> np.uint64(j)) & np.uint64(1), col, np.uint32(0))
-    weights = np.bitwise_count(vectors)
-    cleanable: set[int] = set()
-    representative: dict[int, int] = {}
-    order = np.lexsort((vectors, weights))
-    for idx in order:
-        if not clean[idx]:
-            continue
-        alpha = int(labels[idx])
-        if alpha not in cleanable:
-            cleanable.add(alpha)
-            representative[alpha] = int(vectors[idx])
-    return CleanabilityTable(code, frozenset(cleanable), representative)
+        halves = unclean.reshape(-1, 2, 1 << j)
+        halves[:, 1, :] |= halves[:, 0, :]
+    labels = f2.enumerate_span([code.coset_map.label_x(1 << j) for j in range(n)], n)
+    weights = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
+    order = np.argsort(weights, kind="stable")
+    clean = order[~unclean[order]]
+    alphas, first = np.unique(labels[clean], return_index=True)
+    alphas, reps = alphas.tolist(), clean[first].tolist()
+    return CleanabilityTable(code, frozenset(alphas), dict(zip(alphas, reps)))
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ import numpy as np
 from . import f2
 from .csscode import CleanabilityTable, CosetMap, SubsystemCode
 from .f2 import fwht
-from .noise import CliffordAction, TPropagator
+from .noise import CLIFFORD_CLASSES, CliffordAction, TPropagator
 
 
 class DegeneratePosteriorError(RuntimeError):
@@ -107,6 +107,16 @@ def _clifford_image(layout: LabelLayout, action: CliffordAction) -> np.ndarray:
     image = ((alpha * p) ^ (beta * r)) | (((alpha * q) ^ (beta * s)) << np.uint32(layout.alpha_bits))
     image.flags.writeable = False
     return image
+
+
+@lru_cache(maxsize=64)
+def _clifford_preimage(layout: LabelLayout, action: CliffordAction) -> np.ndarray:
+    """Label mapped onto each label by the Clifford relabeling: gathering
+    through it moves every weight to its image."""
+    preimage = np.empty(layout.size, dtype=np.intp)
+    preimage[_clifford_image(layout, action)] = np.arange(layout.size)
+    preimage.flags.writeable = False
+    return preimage
 
 
 @dataclass(frozen=True)
@@ -271,25 +281,34 @@ class TGateUpdate:
 
 
 def build_t_gate_update(
-    code: SubsystemCode, table: CleanabilityTable, prop: TPropagator, layout: LabelLayout
+    code: SubsystemCode, table: CleanabilityTable, layout: LabelLayout
 ) -> TGateUpdate:
+    """Gamma for every cleanable alpha and every beta, in one array pass.
+
+    Entry (beta, alpha) is (-1)^(|g|/2) when g = A^T beta & e(alpha) lies in
+    the radical of B_e = {b in B : b inside e}, and zero otherwise. That
+    radical test is the test g in B: A^T beta lies in A + <1>, which is
+    orthogonal to B (make_code checks A against B, and B is even), and g
+    agrees with A^T beta on e, so g is orthogonal to all of B_e. A g in B is
+    thus in B_e and in its radical, and the radical lies in B.
+    """
     cm = code.coset_map
     if (cm.alpha_bits, cm.beta_bits) != (layout.alpha_bits, layout.beta_bits):
         raise ValueError("layout does not match the code's coset map")
     n_alpha, n_beta = 1 << layout.alpha_bits, 1 << layout.beta_bits
+    alphas = sorted(table.cleanable)
     mask = np.zeros(n_alpha, dtype=bool)
-    gamma = np.zeros((n_beta, n_alpha), dtype=np.float64)
+    mask[alphas] = True
+    reps = np.array([table.rep(alpha) for alpha in alphas], dtype=np.uint64)
     # A^T beta for every beta, as packed qubit-line vectors.
-    at_beta = f2.enumerate_span(cm.mat_a, code.n).tolist()
-    for alpha in table.cleanable:
-        mask[alpha] = True
-        cp = prop.coset(alpha)
-        radical = f2.Subspace(code.n, cp.radical)
-        e = table.rep(alpha)
-        for beta in range(n_beta):
-            g = at_beta[beta] & e
-            if radical.contains(g):
-                gamma[beta, alpha] = -1.0 if (g.bit_count() // 2) % 2 else 1.0
+    at_beta = f2.enumerate_span(cm.mat_a, code.n)
+    g = at_beta[:, np.newaxis] & reps
+    in_b = np.ones(g.shape, dtype=bool)
+    for check in code.b_space.parity_checks:
+        in_b &= (np.bitwise_count(g & np.uint64(check)) & 1) == 0
+    sign = np.where(np.bitwise_count(g) & 2, -1.0, 1.0)
+    gamma = np.zeros((n_beta, n_alpha), dtype=np.float64)
+    gamma[:, alphas] = np.where(in_b, sign, 0.0)
     return TGateUpdate(layout=layout, cleanable_mask=mask, gamma_hat=gamma)
 
 
@@ -394,9 +413,9 @@ class DenseLikelihood:
         _scale_to_max(self.weights)
 
     def apply_clifford(self, action: CliffordAction) -> None:
-        new = np.empty_like(self.weights)
-        new[_clifford_image(self.layout, action)] = self.weights
-        self.weights = new
+        if action == CLIFFORD_CLASSES[0]:  # the identity class
+            return
+        self.weights = self.weights[_clifford_preimage(self.layout, action)]
 
     def choose_recovery(self) -> int:
         lay = self.layout
@@ -543,6 +562,8 @@ class SparseLikelihood:
         self._renormalize()
 
     def apply_clifford(self, action: CliffordAction) -> None:
+        if action == CLIFFORD_CLASSES[0]:  # the identity class
+            return
         self.labels = _clifford_image(self.layout, action)[self.labels]
         self._sort()
 

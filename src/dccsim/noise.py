@@ -157,39 +157,47 @@ class CosetPropagation:
 
 
 class TPropagator:
-    """Per-coset propagation tables for a regular T-transversal code."""
+    """Per-coset propagation tables for a regular T-transversal code.
+
+    A coset's table is built the first time coset() or sample_f asks for it,
+    then cached: a run meets only a few of the cleanable cosets.
+    """
 
     def __init__(self, code: SubsystemCode, table: CleanabilityTable):
         if not code.is_regular:
             raise ValueError("propagation requires a regular code")
         self.code = code
         self.table = table
-        b_elements = [int(v) for v in code.b_space.element_array()]
+        self._b_elements = code.b_space.element_array()
         self._cosets: dict[int, CosetPropagation] = {}
-        for alpha in table.cleanable:
-            e = table.rep(alpha)
-            inside = [g for g in b_elements if g and not (g & ~e)]
-            basis = f2.Subspace(code.n, inside)
-            radical = _radical_basis(basis)
-            positions = f2.support(e)
-            rows = [f2.restrict(g, positions) for g in radical]
-            rhs = [(g.bit_count() // 2) & 1 for g in radical]
-            particular, kernel = f2.solve_linear(rows, rhs, len(positions))
-            if particular is None:
-                raise AssertionError("propagation constraints are inconsistent")
-            self._cosets[alpha] = CosetPropagation(
-                positions=positions,
-                radical=tuple(radical),
-                particular=particular,
-                kernel=kernel,
-            )
 
     def coset(self, alpha: int) -> CosetPropagation:
-        return self._cosets[alpha]
+        cp = self._cosets.get(alpha)
+        if cp is None:
+            cp = self._cosets[alpha] = self._build(alpha)
+        return cp
+
+    def _build(self, alpha: int) -> CosetPropagation:
+        e = self.table.rep(alpha)
+        outside = np.uint64(((1 << self.code.n) - 1) ^ e)
+        inside = self._b_elements[(self._b_elements & outside) == 0]
+        radical = _radical_basis(f2.Subspace(self.code.n, inside.tolist()))
+        positions = f2.support(e)
+        rows = [f2.restrict(g, positions) for g in radical]
+        rhs = [(g.bit_count() // 2) & 1 for g in radical]
+        particular, kernel = f2.solve_linear(rows, rhs, len(positions))
+        if particular is None:
+            raise AssertionError("propagation constraints are inconsistent")
+        return CosetPropagation(
+            positions=positions,
+            radical=tuple(radical),
+            particular=particular,
+            kernel=kernel,
+        )
 
     def sample_f(self, alpha: int, rng: np.random.Generator) -> int:
         """Draw f ~ P(f|e(alpha)), returned on the full qubit line."""
-        cp = self._cosets[alpha]
+        cp = self.coset(alpha)
         x = cp.particular
         if cp.kernel:
             picks = rng.integers(0, 2, size=len(cp.kernel))

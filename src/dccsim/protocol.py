@@ -170,7 +170,7 @@ class Family15:
 
         self.table: CleanabilityTable = build_cleanability_table(t_code)
         self.prop = TPropagator(t_code, self.table)
-        self.t_update: TGateUpdate = build_t_gate_update(t_code, self.table, self.prop, lay_t)
+        self.t_update: TGateUpdate = build_t_gate_update(t_code, self.table, lay_t)
 
         # Recovery vector of every X label, spanned by a linear section:
         # vectors r_k with label_x(r_k) = e_k.

@@ -103,7 +103,7 @@ class TestDoublingMap:
         ws = EvennessWitness(lat.delta0, lat.delta2, 4)
         wt = EvennessWitness(1, 0, 8)  # the single level-0 qubit
         u = double(s1, Subspace(1))
-        w = double_witness(7, 1, ws, wt)
+        w = double_witness(7, ws, wt)
         assert w.m == 1
         assert check_evenness(u, w)
 

@@ -451,6 +451,30 @@ class TestClifford:
             sparse.apply_clifford(action)
             assert np.max(np.abs(dense.normalized() - _as_dense_normalized(sparse))) <= 1e-12
 
+    def test_gather_equals_scatter(self, fam):
+        # Both engines move each weight to its image, bit for bit, as a
+        # scatter through the image of every label does.
+        rng = np.random.default_rng(11)
+        layout = fam.c_stage.layout
+        labels = np.arange(layout.size, dtype=np.uint32)
+        alpha, beta = labels & np.uint32((1 << layout.alpha_bits) - 1), labels >> np.uint32(layout.alpha_bits)
+        start = rng.random(layout.size)
+        support = np.array(sorted(rng.choice(layout.size, 40, replace=False)), dtype=np.uint32)
+        for action in CLIFFORD_CLASSES:
+            image = ((alpha * action.p) ^ (beta * action.r)) | (
+                ((alpha * action.q) ^ (beta * action.s)) << np.uint32(layout.alpha_bits)
+            )
+            scattered = np.empty_like(start)
+            scattered[image] = start
+            dense = DenseLikelihood(layout, start.copy())
+            dense.apply_clifford(action)
+            assert np.array_equal(dense.weights, scattered)
+            sparse = SparseLikelihood(layout, support.copy(), start[support])
+            sparse.apply_clifford(action)
+            order = np.argsort(image[support])
+            assert np.array_equal(sparse.labels, image[support][order])
+            assert np.array_equal(sparse.weights, start[support][order])
+
 
 class TestRecovery:
     def test_delta_shifts_to_zero(self, fam):
@@ -553,6 +577,18 @@ class TestTGate:
             for beta in range(32):
                 direct = gamma_hat_direct(code, fam.prop, alpha, beta)
                 assert abs(gh[beta, alpha] - direct) <= 1e-10
+
+    def test_radical_membership_is_membership_in_b(self, fam):
+        # g = A^T beta & e(alpha) is in the radical of the B vectors inside
+        # e(alpha) exactly when it is in B, the rule build_t_gate_update uses.
+        code = fam.t_stage.code
+        at_beta = f2.enumerate_span(code.coset_map.mat_a, code.n).tolist()
+        for alpha in sorted(fam.table.cleanable):
+            e = fam.table.rep(alpha)
+            radical = f2.Subspace(code.n, fam.prop.coset(alpha).radical)
+            for v in at_beta:
+                g = v & e
+                assert code.b_space.contains(g) == radical.contains(g)
 
     def test_zero_coset_block_is_identity(self, fam):
         rng = np.random.default_rng(12)

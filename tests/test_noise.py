@@ -147,6 +147,14 @@ class TestPropagation:
             for k in keys:
                 assert abs(prod.get(k, 0.0) - char.get(k, 0.0)) <= 1e-12
 
+    def test_cosets_are_built_on_first_use(self, t_code):
+        prop = TPropagator(t_code, build_cleanability_table(t_code))
+        assert prop._cosets == {}
+        first = prop.coset(0)
+        assert list(prop._cosets) == [0]
+        assert prop.coset(0) is first
+        assert len(prop._cosets) == 1
+
     def test_zero_coset_is_deterministic(self, propagator):
         dist = p_f_given_e(propagator, 0)
         assert dist == {0: 1.0}

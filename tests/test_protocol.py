@@ -211,6 +211,27 @@ class TestDeterminism:
         digest = "58339a6723d42fa66e4bfc681fd0e470e741240dd46342399d167ee095631005"
         assert self.results_digest("exact", 0.02, 2) == digest
 
+    def test_tables_pinned(self, fam):
+        """sha256 over the offline tables of family15(): the cleanable labels
+        with their representatives, the T-gate mask and Gamma bytes, and
+        every cleanable coset's propagation data. A faster build must leave
+        it unchanged."""
+
+        def words(values) -> str:
+            return ",".join(str(int(v)) for v in values)
+
+        h = hashlib.sha256()
+        cleanable = sorted(fam.table.cleanable)
+        for alpha in cleanable:
+            h.update(f"{alpha}:{fam.table.rep(alpha)}\n".encode())
+        h.update(fam.t_update.cleanable_mask.tobytes())
+        h.update(fam.t_update.gamma_hat.tobytes())
+        for alpha in cleanable:
+            cp = fam.prop.coset(alpha)
+            h.update(f"{words(cp.positions)};{words(cp.radical)};{cp.particular};"
+                     f"{words(cp.kernel)}\n".encode())
+        assert h.hexdigest() == "83d9627204830a1d6f9aec828748a357db27d00154cffef979efa9d0a116b95c"
+
     def test_trials_independent_of_batching(self):
         cfg = ProtocolConfig(p=0.02, trials=4, max_gates=200, decoder="sparse", seed=12)
         serial = run_trials(cfg)
