@@ -320,10 +320,8 @@ def run_trial(config: ProtocolConfig, trial_index: int, observer=None) -> TrialR
         a, b = sample_memory_error(config.p, N_QUBITS, rng)
         frame.apply(a, b)
         rho.apply_memory(*mem)
-        rho.deform(fam.base_to_c)
         observed_c = flip_syndrome(config.p, fam.ideal_c_syndromes(frame), fam.m_c.width, rng)
-        rho.apply_syndrome(fam.m_c, observed_c, config.p)
-        rho.truncate(config.eps)
+        rho.measure(fam.base_to_c, fam.m_c, observed_c, config.p, config.eps)
         if observer is not None:
             observer("C", fam.c_stage, rho, frame)
         if not logical_error_test(rho.final_coset(), fam.c_stage.frame_label(frame), fam.c_stage):
@@ -344,10 +342,8 @@ def run_trial(config: ProtocolConfig, trial_index: int, observer=None) -> TrialR
         a, b = sample_memory_error(config.p, N_QUBITS, rng)
         frame.apply(a, b)
         rho.apply_memory(*mem)
-        rho.deform(fam.base_to_t)
         observed_t = flip_syndrome(config.p, fam.ideal_t_syndromes(frame), fam.m_t.width, rng)
-        rho.apply_syndrome(fam.m_t, observed_t, config.p)
-        rho.truncate(config.eps)
+        rho.measure(fam.base_to_t, fam.m_t, observed_t, config.p, config.eps)
         if observer is not None:
             observer("T", fam.t_stage, rho, frame)
         if not logical_error_test(rho.final_coset(), fam.t_stage.frame_label(frame), fam.t_stage):

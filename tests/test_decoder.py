@@ -894,3 +894,80 @@ class TestMemoryCommutesWithSplit:
             assert rho.layout == dst.layout
             states.append(rho.weights if engine == "exact" else rho.dense_weights())
         np.testing.assert_allclose(states[0], states[1], rtol=1e-12, atol=0)
+
+
+class TestMeasureEqualsThreeSteps:
+    """measure(split, smap, observed, q, eps) against deform(split),
+    apply_syndrome(smap, observed, q) and truncate(eps), bit for bit."""
+
+    WEIGHTS = st.one_of(
+        st.floats(1e-3, 1.0),
+        st.floats(0.0, 1e-300),                      # subnormal or zero
+        st.sampled_from([0.0, 5e-324, 1e-322]),      # w / 2^k underflows
+    )
+
+    @staticmethod
+    def state(engine, layout, labels, weights):
+        if engine == "exact":
+            arr = np.zeros(layout.size)
+            arr[labels] = weights
+            return DenseLikelihood(layout, arr)
+        return SparseLikelihood(layout, labels.copy(), weights.copy())
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("engine", ["exact", "sparse"])
+    @pytest.mark.parametrize("split", ["base_to_c", "base_to_t"])
+    def test_random_supports(self, fam, engine, split, data):
+        dmap = getattr(fam, split)
+        smap = fam.m_c if split == "base_to_c" else fam.m_t
+        layout = dmap.old_layout
+        support = data.draw(
+            st.lists(st.integers(0, layout.size - 1), min_size=1, max_size=300, unique=True),
+            label="support",
+        )
+        labels = np.array(sorted(support), dtype=np.uint32)
+        weights = np.array(
+            data.draw(st.lists(self.WEIGHTS, min_size=len(labels), max_size=len(labels)),
+                      label="weights")
+        )
+        observed = data.draw(st.integers(0, (1 << smap.width) - 1), label="observed")
+        q = data.draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-4, 0.5)), label="q")
+        eps = data.draw(st.sampled_from([0.0, 1e-6, 1.0]), label="eps")
+
+        steps = self.state(engine, layout, labels, weights)
+        try:
+            steps.deform(dmap)
+            steps.apply_syndrome(smap, observed, q)
+            steps.truncate(eps)
+        except DegeneratePosteriorError:
+            steps = None
+        fused = self.state(engine, layout, labels, weights)
+        try:
+            fused.measure(dmap, smap, observed, q, eps)
+        except DegeneratePosteriorError:
+            fused = None
+        assert (steps is None) == (fused is None)
+        if steps is None:
+            return
+        assert fused.layout == steps.layout
+        if engine == "sparse":
+            assert fused.labels.tobytes() == steps.labels.tobytes()
+        assert fused.weights.tobytes() == steps.weights.tobytes()
+
+    @pytest.mark.parametrize("engine", ["exact", "sparse"])
+    def test_underflow_vanishes_in_both(self, fam, engine):
+        layout = fam.base_stage.layout
+        labels = np.array([3, 700], dtype=np.uint32)
+        weights = np.array([5e-324, 5e-324])
+        for split, smap in ((fam.base_to_c, fam.m_c), (fam.base_to_t, fam.m_t)):
+            with pytest.raises(DegeneratePosteriorError):
+                self.state(engine, layout, labels, weights).deform(split)
+            with pytest.raises(DegeneratePosteriorError):
+                self.state(engine, layout, labels, weights).measure(split, smap, 0, 0.01, 1e-6)
+
+    @pytest.mark.parametrize("engine", ["exact", "sparse"])
+    def test_rejects_a_merge(self, fam, engine):
+        rho = init_likelihood(fam.c_stage.layout, engine)
+        with pytest.raises(ValueError, match="split"):
+            rho.measure(fam.c_to_base, fam.m_c, 0, 0.01, 1e-6)
