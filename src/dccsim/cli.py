@@ -200,8 +200,13 @@ def cmd_verify(args) -> int:
 # decode-trace
 # ---------------------------------------------------------------------------
 
+def _is_number(value) -> bool:
+    """An int or float from JSON; true and false are bools, not numbers."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _probability(value, what: str) -> float:
-    if not isinstance(value, (int, float)) or not 0.0 <= value <= 1.0:
+    if not _is_number(value) or not 0.0 <= value <= 1.0:
         raise UsageError(f"{what} must be a number in [0, 1], got {value!r}")
     return float(value)
 
@@ -210,6 +215,7 @@ def cmd_decode_trace(args) -> int:
     fam = family15()
     stages = {"t": fam.t_stage, "base": fam.base_stage, "c": fam.c_stage}
     syndromes = {"t": fam.m_t, "c": fam.m_c}
+    needs = {"syndrome": ("t", "c"), "clifford": ("c",), "T": ("t",)}  # stages an event needs
     deforms = {
         ("t", "base"): fam.t_to_base,
         ("base", "c"): fam.base_to_c,
@@ -227,18 +233,22 @@ def cmd_decode_trace(args) -> int:
             line = line.strip()
             if not line:
                 continue
-            event = json.loads(line)
+            try:
+                event = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise UsageError(f"line {lineno}: not JSON: {exc}") from exc
             if not isinstance(event, dict) or "type" not in event:
                 raise UsageError(f"line {lineno}: an event is a JSON object with a \"type\"")
             kind = event["type"]
-            if kind == "syndrome" and stage not in syndromes:
-                raise UsageError(f"line {lineno}: syndrome events are undefined at the {stage} stage")
+            if isinstance(kind, str) and stage not in needs.get(kind, stages):
+                raise UsageError(f"line {lineno}: {kind} events need the "
+                                 f"{' or '.join(needs[kind])} stage, not {stage}")
             if kind == "memory":
                 rho.apply_memory(*rho.memory_input(stages[stage].code.coset_map, p))
             elif kind == "syndrome":
                 smap, bits = syndromes[stage], event.get("bits")
                 if not (isinstance(bits, list) and len(bits) == smap.width
-                        and all(b in (0, 1) for b in bits)):
+                        and all(_is_number(b) and b in (0, 1) for b in bits)):
                     raise UsageError(f"line {lineno}: syndrome bits must be a list of "
                                      f"{smap.width} zeros and ones at the {stage} stage")
                 observed = sum(int(b) << i for i, b in enumerate(bits))
@@ -251,7 +261,7 @@ def cmd_decode_trace(args) -> int:
                 stage = target
             elif kind == "clifford":
                 index = event.get("action")
-                if not isinstance(index, int) or index not in range(len(CLIFFORD_CLASSES)):
+                if type(index) is not int or index not in range(len(CLIFFORD_CLASSES)):  # not a bool
                     raise UsageError(f"line {lineno}: clifford action must be an index 0..5, got {index!r}")
                 rho.apply_clifford(CLIFFORD_CLASSES[index])
             elif kind == "recovery":
@@ -323,10 +333,11 @@ def _estimate(config: ProtocolConfig):
 
 
 def _note_sparse_cost(configs: list[ProtocolConfig]) -> None:
-    """Above p = 0.02 the sparse engine's support, and so its cost per
-    round, outgrows the exact engine's flat cost (see the README)."""
-    if any(config.decoder == "sparse" and config.p > 0.02 for config in configs):
-        print("note: above p = 0.02 the sparse decoder slows as p grows; "
+    """Above the measured crossover the sparse engine's support, and so its
+    cost per round, outgrows the exact engine's flat cost (see the README)."""
+    crossover = 0.04
+    if any(config.decoder == "sparse" and config.p > crossover for config in configs):
+        print(f"note: above p = {crossover} the sparse decoder slows as p grows; "
               "--decoder exact runs at a flat cost there", file=sys.stderr)
 
 

@@ -25,16 +25,17 @@ the Z-error part above (see csscode.CosetMap). Six update kinds drive it:
 
 Each round ends in one online step, measure(split, smap, observed, q, eps):
 split, syndrome and truncation, bit-identical to deform(split);
-apply_syndrome(smap, observed, q); truncate(eps). The sparse engine computes
-it on the (2^k, n) grid of dropped-bit pattern and narrow entry, and builds
-labels only for the entries that truncation keeps. It is exact for three
-reasons. The split gives every pattern the same weight, so the split's
-renormalization runs on the n narrow weights. The syndrome map is linear,
-so a wide label's syndrome is the XOR of its base label's and its pattern's.
-And the grid is placed in the sorted order of the wide labels, so the zero
-drop, maximum, sum and argmax run over the same array, in the same order, as
-the three updates do. The dense engine renormalizes the narrow vector before
-it writes the split's broadcast, for the same first reason.
+apply_syndrome(smap, observed, q); truncate(eps). The sparse engine forms
+the split's weights and the syndrome factors together on the (2^k, n) grid
+of dropped-bit pattern and narrow entry, then sorts the grid's labels and
+truncates. It is exact for two reasons. The split gives every pattern the
+same weight, so the split's renormalization runs on the n narrow weights.
+And the syndrome map is linear, so a wide label's syndrome is the XOR of its
+base label's and its pattern's. Each grid entry thus gets the weight the
+separate updates give it, and once sorted the zero drop, maximum, sum and
+argmax run over the same array in the same order. The dense engine
+renormalizes the narrow vector before it writes the split's broadcast, for
+the same first reason.
 
 Weights are renormalized to max = 1 after every update (the overall scale
 carries no information and would otherwise underflow over long runs). The
@@ -55,7 +56,10 @@ each of its updates is a few whole-array operations over the support; its
 advantage is a support far smaller than 2^c. Within a round the support
 grows before truncation cuts it back: at p = 0.005 (mean, seed 0) 26 kept
 labels become 689 after memory and 5 509 entering the syndrome, and at
-p = 0.02 132 become 1 374 and 10 995 (at most 58 496 of 65 536).
+p = 0.02 132 become 1 374 and 10 995 (at most 58 496 of 65 536). Its
+labels stay in order by two rules, a 2^c bincount where labels collide
+(memory, merge) and a radix sort where they only move (split, Clifford,
+recovery); see SparseLikelihood.
 """
 
 from __future__ import annotations
@@ -375,6 +379,15 @@ def transformed_depolarizing(coset_map, p: float) -> np.ndarray:
 # Dense engine
 # ---------------------------------------------------------------------------
 
+def _clamp_negatives(weights: np.ndarray, update: str) -> None:
+    """Set the rounding-level negative weights a transform pair leaves to
+    zero, in place; a weight below the negativity tolerance raises."""
+    floor = weights.min()
+    if floor < -NEG_TOL * max(1.0, weights.max()):
+        raise NumericError(f"negative weight {floor} after {update}")
+    np.maximum(weights, 0.0, out=weights)
+
+
 def _scale_to_max(weights: np.ndarray) -> None:
     """Divide the weights in place by their maximum, which must be positive."""
     m = weights.max()
@@ -413,10 +426,7 @@ class DenseLikelihood:
         fwht(self.weights)
         self.weights *= p_hat
         fwht(self.weights)
-        floor = self.weights.min()
-        if floor < -NEG_TOL * max(1.0, self.weights.max()):
-            raise NumericError(f"negative weight {floor} after memory update")
-        np.maximum(self.weights, 0.0, out=self.weights)
+        _clamp_negatives(self.weights, "memory update")
         _scale_to_max(self.weights)
 
     def apply_syndrome(self, smap: SyndromeMap, observed: int, q: float) -> None:
@@ -480,10 +490,7 @@ class DenseLikelihood:
         block *= update.cleanable_gamma_hat
         fwht(block, axis=0)
         block /= 1 << lay.beta_bits
-        floor = block.min()
-        if floor < -NEG_TOL * max(1.0, block.max()):
-            raise NumericError(f"negative weight {floor} after T update")
-        np.maximum(block, 0.0, out=block)
+        _clamp_negatives(block, "T update")
         _scale_to_max(block)  # the other entries are zero
         self.weights.fill(0.0)
         self.weights[entries] = block.reshape(-1)
@@ -510,9 +517,14 @@ class DenseLikelihood:
 class SparseLikelihood:
     """Likelihood vector with explicit support (label and weight arrays).
 
-    Every update leaves the labels sorted and unique. Only memory and merge
-    can map two labels onto one, so only they merge duplicates; updates that
-    permute labels sort them, and the syndrome update only filters.
+    Every update leaves the labels sorted and unique, by one of two exact
+    rules. Memory and merge map labels onto one another: `_merge` sums them
+    with a 2^c bincount, which adds each label's weights in input order as a
+    stable sort and per-run sums would, and reads the labels back from its
+    positive bins (weights are never negative, so only an all-zero label
+    drops, as renormalization would drop it). Split, Clifford and recovery
+    map labels one to one: `_sort`, a stable radix argsort, only reorders
+    them. The syndrome and T updates keep the order.
     """
 
     def __init__(
@@ -528,23 +540,16 @@ class SparseLikelihood:
     def copy(self) -> "SparseLikelihood":
         return SparseLikelihood(self.layout, self.labels.copy(), self.weights.copy())
 
-    def _order(self) -> np.ndarray:
+    def _sort(self) -> None:
         # A stable argsort of 16-bit keys is a radix sort in numpy.
         assert self.layout.c <= 16, "sparse labels are sorted as 16-bit keys"
-        return np.argsort(self.labels.astype(np.uint16), kind="stable")
-
-    def _sort(self) -> None:
-        order = self._order()
+        order = np.argsort(self.labels.astype(np.uint16), kind="stable")
         self.labels, self.weights = self.labels[order], self.weights[order]
 
-    def _merge_duplicates(self) -> None:
-        """Sort and sum the weights of equal labels, in input order."""
-        order = self._order()
-        labels = self.labels[order]
-        first = np.ones(len(labels), dtype=bool)
-        first[1:] = labels[1:] != labels[:-1]
-        self.weights = np.bincount(np.cumsum(first) - 1, weights=self.weights[order])
-        self.labels = labels[first]
+    def _merge(self, labels: np.ndarray, weights: np.ndarray) -> None:
+        sums = np.bincount(labels, weights=weights, minlength=self.layout.size)
+        kept = np.flatnonzero(sums > 0.0)
+        self.labels, self.weights = kept.astype(np.uint32), sums.take(kept)
 
     def _renormalize(self) -> None:
         """Drop zero weights and rescale to max = 1."""
@@ -571,9 +576,8 @@ class SparseLikelihood:
         return shifts, shift_weights
 
     def apply_memory(self, shifts: np.ndarray, shift_weights: np.ndarray) -> None:
-        self.labels = (self.labels[:, None] ^ shifts[None, :]).reshape(-1)
-        self.weights = (self.weights[:, None] * shift_weights[None, :]).reshape(-1)
-        self._merge_duplicates()
+        self._merge((self.labels[:, None] ^ shifts).reshape(-1),
+                    (self.weights[:, None] * shift_weights).reshape(-1))
         self._renormalize()
 
     def apply_syndrome(self, smap: SyndromeMap, observed: int, q: float) -> None:
@@ -586,93 +590,46 @@ class SparseLikelihood:
         if dmap.direction == "split":
             self._split(dmap)
             return
-        self.labels = dmap.dense_index.take(self.labels)
         self.layout = dmap.new_layout
-        self._merge_duplicates()
+        self._merge(dmap.dense_index.take(self.labels), self.weights)
         self._renormalize()
 
     def measure(self, split: DeformationMap, smap: SyndromeMap, observed: int, q: float,
                 eps: float) -> None:
         """deform(split); apply_syndrome(smap, observed, q); truncate(eps),
-        with labels built only for the entries truncate keeps."""
+        with the syndrome factors applied to the split's (2^k, n) grid before
+        its labels are sorted (see the module docstring for why each entry
+        gets the same weight)."""
         if split.direction != "split":
             raise ValueError("measure follows a split")
-        self._split(split, (smap, observed, q, eps))
+        self._split(split, (smap, observed, q))
+        self._renormalize()
+        self.truncate(eps)
 
-    def _split(self, dmap: DeformationMap, measured: tuple | None = None) -> None:
-        """The split, then, when `measured` = (smap, observed, q, eps) is
-        given, the syndrome update and the truncation, all computed on the
-        (2^k, n) grid of dropped-bit pattern j and narrow entry i.
-
-        Entry (j, i) stands for wide label patterns[j] ^ base[labels[i]], with
-        the weight w[i] / 2^k / max(w / 2^k) the split gives every j. Its
-        syndrome is s_patterns[j] ^ s_base[labels[i]]. The grid is placed in
-        the sorted order of the wide labels, so every zero test, maximum, sum
-        and argmax runs over the array the three separate updates would hold.
-        Narrow labels must be sorted and unique, as every update leaves them.
-        """
+    def _split(self, dmap: DeformationMap, syndrome: tuple | None = None) -> None:
+        """The split, with the factors of `syndrome` = (smap, observed, q)
+        if given. Wide label patterns[j] ^ base[labels[i]] has weight
+        w[i] / 2^k / max(w / 2^k) for every j, and syndrome
+        s_patterns[j] ^ s_base[labels[i]]."""
         base, patterns = dmap.split_tables
-        expansion = len(patterns)
-        self.weights = self.weights / expansion
-        self._renormalize()  # the split's, as every j carries these weights
-        narrow = self.labels
-        n = len(narrow)
-        if measured is None:
-            grid = np.tile(self.weights, (expansion, 1))
+        self.weights = self.weights / len(patterns)
+        self._renormalize()  # the split's, as every pattern carries these weights
+        bases = base.take(self.labels)
+        if syndrome is None:
+            grid = np.tile(self.weights, (len(patterns), 1))
         else:
-            smap, observed, q, eps = measured
+            smap, observed, q = syndrome
             s_base, s_patterns = _split_syndromes(dmap, smap)
             mismatch = np.bitwise_count(
-                (s_patterns ^ np.uint32(observed))[:, None] ^ s_base.take(narrow))
+                (s_patterns ^ np.uint32(observed))[:, None] ^ s_base.take(self.labels))
             hit, miss = _mismatch_factors(smap.width, q)
             grid = hit.take(mismatch)
             grid *= self.weights
             grid *= miss.take(mismatch)
-
-        # Runs of narrow labels that share their bits above the dropped ones.
-        # The sorted wide labels are ordered by those bits, then the dropped
-        # bits, then the bits below: entry (j, i) of a run that starts at s
-        # and holds r entries sorts to 2^k s + j r + (i - s).
-        high_size, _, low_size = dmap.run_shape
-        if high_size == 1:  # one run: the pattern-major grid is sorted
-            weights = grid.reshape(-1)
-        else:
-            high = narrow >> np.uint32(low_size.bit_length() - 1)
-            lengths = np.bincount(high, minlength=high_size)
-            starts = np.cumsum(lengths) - lengths
-            position = np.multiply.outer(np.arange(expansion), lengths.take(high))
-            position += np.arange(n) + (expansion - 1) * starts.take(high)
-            weights = np.empty(expansion * n, dtype=np.float64)
-            weights[position] = grid
-
-        # Sorted positions of the entries that survive, and their weights.
-        if measured is None:
-            kept = np.arange(len(weights))
-        else:
-            kept = None
-            if not weights.min() > 0.0:  # q is 0 or 1, or a weight underflowed
-                kept = np.flatnonzero(weights > 0.0)
-                weights = weights[kept]
-                if len(weights) == 0:
-                    raise DegeneratePosteriorError("all coset weights vanished")
-            weights /= weights.max()
-            total = weights.sum()
-            keep = weights / total >= eps
-            if 1.0 / total < eps:  # truncate keeps the maximum, which is 1
-                keep[np.argmax(weights)] = True
-            survivors = np.flatnonzero(keep)
-            weights = weights[survivors]
-            kept = survivors if kept is None else kept[survivors]
-
-        if high_size == 1:
-            pattern, entry = np.divmod(kept, n)
-        else:
-            run = np.searchsorted(starts * expansion, kept, side="right") - 1
-            pattern, offset = np.divmod(kept - starts[run] * expansion, lengths[run])
-            entry = starts[run] + offset
-        self.labels = patterns.take(pattern) ^ base.take(narrow.take(entry))
-        self.weights = weights
+        self.labels = (patterns[:, None] ^ bases).reshape(-1)
+        self.weights = grid.reshape(-1)
         self.layout = dmap.new_layout
+        self._sort()
 
     def apply_clifford(self, action: CliffordAction) -> None:
         if action == CLIFFORD_CLASSES[0]:  # the identity class
@@ -707,7 +664,7 @@ class SparseLikelihood:
         block *= update.gamma_hat[:, alphas]
         fwht(block)
         block /= 1 << lay.beta_bits
-        np.maximum(block, 0.0, out=block)
+        _clamp_negatives(block, "T update")
         # Row-major readout over (beta, ascending alpha) yields sorted labels.
         beta, column = np.nonzero(block)
         self.labels = alphas[column] | (beta.astype(np.uint32) << np.uint32(lay.alpha_bits))

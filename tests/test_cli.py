@@ -142,7 +142,7 @@ class TestSimulate:
         assert run(["simulate", "--p", "0", "--trials", "1", "--max-gates", "2",
                     "--threads", "1", *flags]) == EXIT_USAGE
 
-    @pytest.mark.parametrize("p, noted", [(0.05, True), (0.01, False)])
+    @pytest.mark.parametrize("p, noted", [(0.05, True), (0.04, False)])
     def test_sparse_high_p_note(self, tmp_path, capsys, p, noted):
         assert run(["simulate", "--p", str(p), "--trials", "1", "--max-gates", "1",
                     "--decoder", "sparse", "--threads", "1",
@@ -287,13 +287,25 @@ class TestDecodeTrace:
         pytest.param([{"type": "memory"}], ["--p", "2"], id="p-above-one"),
         pytest.param(TO_C[:1] + [{"type": "syndrome", "bits": [0] * 9}], ["--decoder", "sparse"],
                      id="syndrome-at-base"),
+        # JSON true and false are not the numbers 1 and 0.
+        pytest.param(TO_C + [{"type": "clifford", "action": True}], [], id="clifford-index-true"),
+        pytest.param([{"type": "syndrome", "bits": [True] + [0] * 8}], [], id="bits-true"),
+        pytest.param([{"type": "syndrome", "bits": [0] * 9, "q": True}], [], id="q-true"),
+        pytest.param([{"type": "truncate", "eps": False}], [], id="eps-false"),
+        pytest.param([{"type": "memory"}, "{type: memory}"], [], id="not-json"),
+        pytest.param([{"type": "clifford", "action": 1}], [], id="clifford-at-t"),
+        pytest.param(TO_C + [{"type": "T"}], [], id="t-at-c"),
+        pytest.param([{"type": ["T"]}], [], id="type-not-a-string"),
     ])
     def test_malformed_input_is_a_usage_error(self, tmp_path, capsys, events, flags):
         path = tmp_path / "events.jsonl"
         path.write_text("\n".join(e if isinstance(e, str) else json.dumps(e) for e in events) + "\n")
         code = run(["decode-trace", "--events", str(path), "--out", str(tmp_path / "out.jsonl")] + flags)
         assert code == EXIT_USAGE
-        assert "usage error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "usage error:" in err
+        if "--p" not in flags:  # otherwise the last event is at fault, and named
+            assert f"usage error: line {len(events)}:" in err
 
 
 class TestFileErrors:

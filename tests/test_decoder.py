@@ -9,8 +9,10 @@ from dccsim.decoder import (
     DegeneratePosteriorError,
     DenseLikelihood,
     LabelLayout,
+    NumericError,
     SparseLikelihood,
     SyndromeMap,
+    TGateUpdate,
     _mismatch_factors,
     gamma_hat_direct,
     init_likelihood,
@@ -637,6 +639,19 @@ class TestTGate:
         with pytest.raises(DegeneratePosteriorError):
             rho.apply_t_gate(fam.t_update)
 
+    @pytest.mark.parametrize("engine", ["exact", "sparse"])
+    def test_negative_weight_raises(self, engine):
+        # Gamma column [1, 1, 1, -1] maps the unit vector to
+        # [0.5, 0.5, 0.5, -0.5]: no stochastic update gives that, so both
+        # engines reject it rather than clamp the -0.5 away.
+        layout = LabelLayout(1, 2)
+        gamma_hat = np.zeros((4, 2))
+        gamma_hat[:, 0] = [1.0, 1.0, 1.0, -1.0]
+        update = TGateUpdate(layout, np.array([True, False]), gamma_hat)
+        rho = init_likelihood(layout, engine)
+        with pytest.raises(NumericError, match="negative weight -0.5 after T update"):
+            rho.apply_t_gate(update)
+
     def test_sparse_matches_dense(self, fam):
         rng = np.random.default_rng(14)
         layout = fam.t_stage.layout
@@ -791,7 +806,7 @@ class TestSparseAgainstDenseStreams:
 
     CYCLE = ("t", "base", "c", "base")
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=40)
     @given(data=st.data())
     def test_random_streams(self, fam, data):
         maps = (fam.t_to_base, fam.base_to_c, fam.c_to_base, fam.base_to_t)
@@ -857,7 +872,7 @@ class TestMemoryCommutesWithSplit:
     """Memory at the base code then a split equals the split then memory at
     the wide code: the protocol applies memory between merge and split."""
 
-    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=30)
     @given(data=st.data())
     @pytest.mark.parametrize("engine", ["exact", "sparse"])
     @pytest.mark.parametrize("direction", ["t-base-c", "c-base-t"])
@@ -914,7 +929,7 @@ class TestMeasureEqualsThreeSteps:
             return DenseLikelihood(layout, arr)
         return SparseLikelihood(layout, labels.copy(), weights.copy())
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(data=st.data())
     @pytest.mark.parametrize("engine", ["exact", "sparse"])
     @pytest.mark.parametrize("split", ["base_to_c", "base_to_t"])
@@ -971,3 +986,72 @@ class TestMeasureEqualsThreeSteps:
         rho = init_likelihood(fam.c_stage.layout, engine)
         with pytest.raises(ValueError, match="split"):
             rho.measure(fam.c_to_base, fam.m_c, 0, 0.01, 1e-6)
+
+
+class TestCollisionRule:
+    """Memory and merge map labels onto one another. Their weights must sum,
+    bit for bit, as np.add.at sums the expanded entries (in input order),
+    divided by the maximum sum."""
+
+    WEIGHT = st.floats(2.0 ** -40, 1.0)
+
+    @staticmethod
+    def added(size, labels, weights):
+        out = np.zeros(size)
+        np.add.at(out, labels, weights)
+        return out / out.max()
+
+    @staticmethod
+    def draw_state(data, layout, patterns=None):
+        """A sorted, unique support; with `patterns`, a pool of labels each
+        XORed with some of them, so that a merge collides."""
+        pool = data.draw(st.lists(st.integers(0, layout.size - 1), min_size=1, max_size=40),
+                         label="pool")
+        labels = np.array(pool, dtype=np.uint32)
+        if patterns is not None:
+            chosen = data.draw(st.lists(st.sampled_from(list(patterns)), min_size=1, max_size=8),
+                               label="patterns")
+            labels = (labels[:, None] ^ np.array(chosen, dtype=np.uint32)).reshape(-1)
+        labels = np.unique(labels)
+        weights = np.array(data.draw(st.lists(TestCollisionRule.WEIGHT, min_size=len(labels),
+                                              max_size=len(labels)), label="weights"))
+        return SparseLikelihood(layout, labels, weights / weights.max())
+
+    def check_memory(self, rho, shifts, shift_weights):
+        expanded = (rho.labels[:, None] ^ shifts).reshape(-1)
+        expanded_weights = (rho.weights[:, None] * shift_weights).reshape(-1)
+        rho.apply_memory(shifts, shift_weights)
+        assert np.array_equal(rho.dense_weights(),
+                              self.added(rho.layout.size, expanded, expanded_weights))
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_memory_on_small_layouts(self, data):
+        c = data.draw(st.integers(1, 8), label="c")
+        layout = LabelLayout(c - c // 2, c // 2)
+        rho = self.draw_state(data, layout)
+        shifts = np.array(data.draw(st.lists(st.integers(0, layout.size - 1), min_size=1,
+                                             max_size=12), label="shifts"), dtype=np.uint32)
+        shift_weights = np.array(data.draw(st.lists(self.WEIGHT, min_size=len(shifts),
+                                                    max_size=len(shifts)), label="shift weights"))
+        self.check_memory(rho, shifts, shift_weights)
+
+    @settings(max_examples=30)
+    @given(data=st.data())
+    @pytest.mark.parametrize("p", [0.005, 0.3])
+    def test_memory_at_base(self, fam, p, data):
+        layout = fam.base_stage.layout
+        shifts, shift_weights = SparseLikelihood.memory_input(fam.base_stage.code.coset_map, p)
+        # Labels a few shifts apart collide under the 46 shifts.
+        rho = self.draw_state(data, layout, patterns=shifts)
+        self.check_memory(rho, shifts, shift_weights)
+
+    @settings(max_examples=30)
+    @given(data=st.data())
+    @pytest.mark.parametrize("merge", ["t_to_base", "c_to_base"])
+    def test_merge(self, fam, merge, data):
+        dmap = getattr(fam, merge)
+        rho = self.draw_state(data, dmap.old_layout, patterns=dmap.split_tables[1])
+        expected = self.added(dmap.new_layout.size, dmap.dense_index[rho.labels], rho.weights)
+        rho.deform(dmap)
+        assert np.array_equal(rho.dense_weights(), expected)

@@ -211,16 +211,18 @@ class TestDeterminism:
         digest = "58339a6723d42fa66e4bfc681fd0e470e741240dd46342399d167ee095631005"
         assert self.results_digest("exact", 0.02, 2) == digest
 
-    @pytest.mark.parametrize("decoder, p, max_gates, digest", [
-        ("sparse", 0.005, 20, "1512d731c75012be7f0f2246f3032ba69ac63c3308bc741c4aca626f605b846b"),
-        ("sparse", 0.02, 2, "2942d2459d2f8bb33b8e6ae3acbc3314e800409c8a81ef408a8ee34895c91b9b"),
-        ("exact", 0.02, 2, "6fa80df8ffa0b0c5a3c46bcbcee19f9c6a46e03a1f58835a21adfbdd156e9d3e"),
+    @pytest.mark.parametrize("decoder, p, max_gates, digest, trials", [
+        ("sparse", 0.005, 20, "1512d731c75012be7f0f2246f3032ba69ac63c3308bc741c4aca626f605b846b", 30),
+        ("sparse", 0.02, 2, "2942d2459d2f8bb33b8e6ae3acbc3314e800409c8a81ef408a8ee34895c91b9b", 30),
+        # Memory's shifts collide on most labels at this p.
+        ("sparse", 0.3, 20, "2c0780cf93898a71177a987a97eb62975d374da242b7b8b574efc79c337165c5", 3),
+        ("exact", 0.02, 2, "6fa80df8ffa0b0c5a3c46bcbcee19f9c6a46e03a1f58835a21adfbdd156e9d3e", 30),
     ])
-    def test_decoder_states_pinned(self, decoder, p, max_gates, digest):
+    def test_decoder_states_pinned(self, decoder, p, max_gates, digest, trials):
         """sha256 over the layout, labels and weight bytes of the decoder at
-        every observer point of the first 30 trials at seed 0. A change that
-        moves a weight without flipping a decision leaves the result pins
-        alone but changes this one."""
+        every observer point of the first `trials` trials at seed 0. A change
+        that moves a weight without flipping a decision leaves the result
+        pins alone but changes this one."""
         h = hashlib.sha256()
 
         def observe(kind, stage, rho, frame):
@@ -229,7 +231,7 @@ class TestDeterminism:
                 h.update(rho.labels.tobytes())
             h.update(rho.weights.tobytes())
 
-        cfg = ProtocolConfig(p=p, trials=30, max_gates=max_gates, decoder=decoder, seed=0)
+        cfg = ProtocolConfig(p=p, trials=trials, max_gates=max_gates, decoder=decoder, seed=0)
         for i in range(cfg.trials):
             run_trial(cfg, i, observe)
         assert h.hexdigest() == digest
