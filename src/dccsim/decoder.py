@@ -27,15 +27,19 @@ Each round ends in one online step, measure(split, smap, observed, q, eps):
 split, syndrome and truncation, bit-identical to deform(split);
 apply_syndrome(smap, observed, q); truncate(eps). The sparse engine forms
 the split's weights and the syndrome factors together on the (2^k, n) grid
-of dropped-bit pattern and narrow entry, then sorts the grid's labels and
-truncates. It is exact for two reasons. The split gives every pattern the
-same weight, so the split's renormalization runs on the n narrow weights.
-And the syndrome map is linear, so a wide label's syndrome is the XOR of its
-base label's and its pattern's. Each grid entry thus gets the weight the
-separate updates give it, and once sorted the zero drop, maximum, sum and
-argmax run over the same array in the same order. The dense engine
+of dropped-bit pattern and narrow entry, selects the entries truncation
+keeps while the grid is unsorted, and sorts only those. It is exact for
+three reasons. The split gives every pattern the same weight, so the split's
+renormalization runs on the n narrow weights. The syndrome map is linear, so
+a wide label's syndrome is the XOR of its base label's and its pattern's.
+Each grid entry thus gets the weight the separate updates give it. And the
+truncation rule sums the weights in label order, but weights are never
+negative, so a sum in grid order differs from it by so little that both
+decide alike outside a band of relative width (2N + 8) 2^-53 around the cut
+for N grid entries; where an entry falls in the band, the grid is sorted and
+the rule runs as written (SparseLikelihood._preselect). The dense engine
 renormalizes the narrow vector before it writes the split's broadcast, for
-the same first reason.
+the first reason.
 
 Weights are renormalized to max = 1 after every update (the overall scale
 carries no information and would otherwise underflow over long runs). The
@@ -524,7 +528,8 @@ class SparseLikelihood:
     positive bins (weights are never negative, so only an all-zero label
     drops, as renormalization would drop it). Split, Clifford and recovery
     map labels one to one: `_sort`, a stable radix argsort, only reorders
-    them. The syndrome and T updates keep the order.
+    them; measure leaves its split grid unsorted until truncation has
+    selected from it. The syndrome and T updates keep the order.
     """
 
     def __init__(
@@ -589,6 +594,7 @@ class SparseLikelihood:
     def deform(self, dmap: DeformationMap) -> None:
         if dmap.direction == "split":
             self._split(dmap)
+            self._sort()
             return
         self.layout = dmap.new_layout
         self._merge(dmap.dense_index.take(self.labels), self.weights)
@@ -597,20 +603,19 @@ class SparseLikelihood:
     def measure(self, split: DeformationMap, smap: SyndromeMap, observed: int, q: float,
                 eps: float) -> None:
         """deform(split); apply_syndrome(smap, observed, q); truncate(eps),
-        with the syndrome factors applied to the split's (2^k, n) grid before
-        its labels are sorted (see the module docstring for why each entry
-        gets the same weight)."""
+        with the syndrome factors applied to the split's (2^k, n) grid, which
+        truncate selects from before it sorts what it keeps (see the module
+        docstring for why each entry gets the same weight)."""
         if split.direction != "split":
             raise ValueError("measure follows a split")
         self._split(split, (smap, observed, q))
-        self._renormalize()
         self.truncate(eps)
 
     def _split(self, dmap: DeformationMap, syndrome: tuple | None = None) -> None:
         """The split, with the factors of `syndrome` = (smap, observed, q)
-        if given. Wide label patterns[j] ^ base[labels[i]] has weight
-        w[i] / 2^k / max(w / 2^k) for every j, and syndrome
-        s_patterns[j] ^ s_base[labels[i]]."""
+        if given, leaving the grid's labels in grid order. Wide label
+        patterns[j] ^ base[labels[i]] has weight w[i] / 2^k / max(w / 2^k)
+        for every j, and syndrome s_patterns[j] ^ s_base[labels[i]]."""
         base, patterns = dmap.split_tables
         self.weights = self.weights / len(patterns)
         self._renormalize()  # the split's, as every pattern carries these weights
@@ -629,7 +634,6 @@ class SparseLikelihood:
         self.labels = (patterns[:, None] ^ bases).reshape(-1)
         self.weights = grid.reshape(-1)
         self.layout = dmap.new_layout
-        self._sort()
 
     def apply_clifford(self, action: CliffordAction) -> None:
         if action == CLIFFORD_CLASSES[0]:  # the identity class
@@ -672,12 +676,57 @@ class SparseLikelihood:
         self._renormalize()
 
     def truncate(self, eps: float) -> None:
-        total = self.weights.sum()
-        probs = self.weights / total
-        keep = probs >= eps
-        keep[np.argmax(self.weights)] = True
+        """Keep the labels whose probability is at least eps, and the
+        smallest label among the maxima; leave the labels sorted and the
+        weights at max 1. The entries may come unsorted and unscaled, as
+        measure's grid does.
+
+        The rule runs on the sorted, rescaled weights: probability
+        (w / max) / T, with T summed in label order. _preselect finds the same
+        entries without sorting or rescaling; where it cannot tell, the rule
+        itself runs.
+        """
+        keep = self._preselect(eps)
+        if keep is None:
+            self._sort()
+            self._renormalize()
+            probs = self.weights / self.weights.sum()
+            keep = probs >= eps
+            keep[np.argmax(self.weights)] = True
         self.labels, self.weights = self.labels[keep], self.weights[keep]
+        self._sort()
         self.weights /= self.weights.max()
+
+    def _preselect(self, eps: float) -> np.ndarray | None:
+        """Indices of the entries truncate(eps) keeps, found on the weights
+        as they come, or None if an entry lies too close to the cut.
+
+        The rule keeps w where (w / max) / T >= eps, with T summed over the
+        rescaled weights in label order; this keeps w >= eps * S, with S
+        summed over the weights in their present order. The weights are not
+        negative, so a sum of N of them in any order lies within a relative
+        (N - 1) 2^-53 of the exact sum (to first order), and T * max and S
+        differ by at most 2 (N - 1) 2^-53. The rescaling, the two divisions,
+        eps * S and the band's own products add fewer than ten units of
+        2^-53 more. So outside a band of relative width (2N + 8) 2^-53
+        around eps * S both decide alike, provided eps and eps * S are
+        normal numbers (a subnormal one has fewer bits).
+        """
+        w = self.weights
+        top, total = w.max(), w.sum()
+        if not (top > 0.0 and np.isfinite(total) and w.min() >= 0.0):
+            return None
+        if eps <= 0.0:
+            return np.flatnonzero(w)
+        cut, tiny = eps * total, np.finfo(np.float64).tiny
+        if not (eps >= tiny and cut >= tiny):
+            return None
+        band = (2 * len(w) + 8) * 2.0 ** -53
+        near = np.flatnonzero(w >= cut * (1.0 - band))
+        if len(near) == 0:  # only the first maximum, as np.argmax on sorted labels
+            tops = np.flatnonzero(w == top)
+            return tops[[np.argmin(self.labels.take(tops))]]
+        return near if w.take(near).min() >= cut * (1.0 + band) else None
 
     def final_coset(self) -> int:
         return int(self.labels[_tied(self.weights)].min())

@@ -68,6 +68,15 @@ class TestBuildVerify:
         report = capsys.readouterr().out
         assert "exceeds budget 3" in report
 
+    def test_negative_budget_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "t1.json"
+        run(["build", "--t", "1", "--stage", "final", "--out", str(out)])
+        capsys.readouterr()
+        assert run(["verify", str(out), "--distance-budget", "-1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "--distance-budget" in captured.err
+        assert "PASS" not in captured.out
+
     def test_unsupported_t(self, tmp_path):
         assert run(["build", "--t", "9", "--out", str(tmp_path / "x.json")]) == EXIT_USAGE
 
@@ -129,6 +138,12 @@ class TestSimulate:
              "--threads", "1", "--out", str(out)])
         assert "777" in out.read_text().splitlines()[0]
 
+    def test_env_seed_must_be_an_integer(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("DCC_SEED", "abc")
+        assert run(["simulate", "--p", "0", "--trials", "1", "--max-gates", "10",
+                    "--threads", "1", "--out", str(tmp_path / "env.csv")]) == EXIT_USAGE
+        assert "DCC_SEED" in capsys.readouterr().err
+
     def test_rejects_bad_p(self):
         assert run(["simulate", "--p", "1.5", "--trials", "1"]) == EXIT_USAGE
 
@@ -142,7 +157,7 @@ class TestSimulate:
         assert run(["simulate", "--p", "0", "--trials", "1", "--max-gates", "2",
                     "--threads", "1", *flags]) == EXIT_USAGE
 
-    @pytest.mark.parametrize("p, noted", [(0.05, True), (0.04, False)])
+    @pytest.mark.parametrize("p, noted", [(0.06, True), (0.05, False)])
     def test_sparse_high_p_note(self, tmp_path, capsys, p, noted):
         assert run(["simulate", "--p", str(p), "--trials", "1", "--max-gates", "1",
                     "--decoder", "sparse", "--threads", "1",

@@ -517,6 +517,19 @@ class TestFinalCoset:
         assert rho.final_coset() == 3
 
 
+def truncated_by_rule(rho: SparseLikelihood, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Reference truncation: the labels sorted, zero weights dropped and the
+    rest divided by their maximum; keep (w / max) / T >= eps with T summed in
+    label order, and the first maximum."""
+    order = np.argsort(rho.labels, kind="stable")
+    labels, weights = rho.labels[order], rho.weights[order]
+    labels, weights = labels[weights > 0.0], weights[weights > 0.0]
+    weights = weights / weights.max()
+    keep = weights / weights.sum() >= eps
+    keep[np.argmax(weights)] = True
+    return labels[keep], weights[keep] / weights[keep].max()
+
+
 class TestTruncate:
     def test_keeps_entries_above_cutoff(self):
         layout = LabelLayout(3, 0)
@@ -545,6 +558,25 @@ class TestTruncate:
         rho.truncate(eps)
         kept = weights[weights / total >= eps].sum()
         assert total - kept <= eps * total * 200
+
+    @pytest.mark.parametrize("labels, weights, eps, falls_back", [
+        pytest.param([6, 2], [1.0, 1.0], 0.5, True, id="tie-at-the-cut"),
+        pytest.param([6, 4, 2], [0.5, 1.0, 1.0], 0.9, False, id="eps-above-every-probability"),
+        pytest.param([6, 2, 4], [1e-310, 3e-310, 0.0], 0.25, True, id="subnormal-cut"),
+        pytest.param([6, 2, 4], [0.5, 1.0, 0.25], 5e-324, True, id="subnormal-eps"),
+        pytest.param([6, 2, 4], [0.5, 0.0, 0.25], 0.0, False, id="eps-zero-drops-zeros"),
+        pytest.param([6, 2, 4], [0.5, 0.0, 0.25], 0.2, False, id="unscaled"),
+        pytest.param([6, 2, 4], [1.0, -0.5, 0.5], 0.4, True, id="negative-weight"),
+    ])
+    def test_unsorted_entries_follow_the_rule(self, truncation_fallbacks, labels, weights, eps,
+                                              falls_back):
+        rho = SparseLikelihood(LabelLayout(3, 0), np.array(labels, dtype=np.uint32),
+                               np.array(weights))
+        expected_labels, expected_weights = truncated_by_rule(rho, eps)
+        rho.truncate(eps)
+        assert truncation_fallbacks == [falls_back]
+        assert np.array_equal(rho.labels, expected_labels)
+        assert np.array_equal(rho.weights, expected_weights)
 
 
 def full_block_t_update(weights: np.ndarray, update) -> np.ndarray:
@@ -948,15 +980,27 @@ class TestMeasureEqualsThreeSteps:
         )
         observed = data.draw(st.integers(0, (1 << smap.width) - 1), label="observed")
         q = data.draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-4, 0.5)), label="q")
-        eps = data.draw(st.sampled_from([0.0, 1e-6, 1.0]), label="eps")
 
         steps = self.state(engine, layout, labels, weights)
         try:
             steps.deform(dmap)
             steps.apply_syndrome(smap, observed, q)
-            steps.truncate(eps)
         except DegeneratePosteriorError:
             steps = None
+        eps = st.sampled_from([0.0, 1e-6, 1.0])
+        if steps is not None and engine == "sparse":
+            # The probability of one entry, or the next float either side: an
+            # entry right at the cut.
+            probs = steps.weights / steps.weights.sum()
+            eps = st.one_of(eps, st.sampled_from(probs.tolist()).flatmap(
+                lambda x: st.sampled_from([x, np.nextafter(x, 0.0), np.nextafter(x, 1.0)])))
+        eps = data.draw(eps, label="eps")
+        if steps is not None:
+            expected = truncated_by_rule(steps, eps) if engine == "sparse" else None
+            steps.truncate(eps)
+            if expected is not None:
+                assert np.array_equal(steps.labels, expected[0])
+                assert np.array_equal(steps.weights, expected[1])
         fused = self.state(engine, layout, labels, weights)
         try:
             fused.measure(dmap, smap, observed, q, eps)
@@ -969,6 +1013,33 @@ class TestMeasureEqualsThreeSteps:
         if engine == "sparse":
             assert fused.labels.tobytes() == steps.labels.tobytes()
         assert fused.weights.tobytes() == steps.weights.tobytes()
+
+    @pytest.mark.parametrize("eps, falls_back", [
+        pytest.param(0.125, True, id="at-the-cut"),
+        pytest.param(np.nextafter(0.125, 1.0), True, id="one-step-above"),
+        pytest.param(0.5, False, id="above-every-probability"),
+    ])
+    @pytest.mark.parametrize("split", ["base_to_c", "base_to_t"])
+    def test_equal_entries(self, fam, truncation_fallbacks, split, eps, falls_back):
+        """At q = 1/2 every syndrome is equally likely, so one label splits
+        into 8 entries of probability exactly 1/8."""
+        dmap = getattr(fam, split)
+        smap = fam.m_c if split == "base_to_c" else fam.m_t
+        steps, fused = (SparseLikelihood(dmap.old_layout, np.array([5], dtype=np.uint32), np.ones(1))
+                        for _ in range(2))
+        steps.deform(dmap)
+        wide = steps.labels.copy()
+        steps.apply_syndrome(smap, 0, 0.5)
+        steps.truncate(eps)
+        fused.measure(dmap, smap, 0, 0.5, eps)
+        assert truncation_fallbacks == [falls_back, falls_back]
+        assert np.array_equal(fused.labels, steps.labels)
+        assert fused.weights.tobytes() == steps.weights.tobytes()
+        assert len(wide) == 8
+        if eps > 0.125:
+            assert fused.labels.tolist() == [wide.min()]
+        else:
+            assert np.array_equal(fused.labels, wide)
 
     @pytest.mark.parametrize("engine", ["exact", "sparse"])
     def test_underflow_vanishes_in_both(self, fam, engine):

@@ -207,6 +207,15 @@ class TestDeterminism:
     def test_sparse_results_pinned(self, p, max_gates, digest):
         assert self.results_digest("sparse", p, max_gates) == digest
 
+    @pytest.mark.parametrize("p, max_gates", [(0.005, 20), (0.02, 2)])
+    def test_sparse_truncation_selects_before_sorting(self, truncation_fallbacks, p, max_gates):
+        """On the pinned sparse configurations no kept entry lies so close to
+        the cut that the whole grid must be sorted first."""
+        cfg = ProtocolConfig(p=p, trials=30, max_gates=max_gates, decoder="sparse", seed=0)
+        for i in range(cfg.trials):
+            run_trial(cfg, i)
+        assert truncation_fallbacks and not any(truncation_fallbacks)
+
     def test_exact_results_pinned(self):
         digest = "58339a6723d42fa66e4bfc681fd0e470e741240dd46342399d167ee095631005"
         assert self.results_digest("exact", 0.02, 2) == digest
