@@ -145,8 +145,9 @@ def cmd_verify(args) -> int:
     with open(args.code_json) as fh:
         obj = json.load(fh)
     try:
-        n, t_space, dot_t, _ = spaces_from_json(obj)
-        w_t = EvennessWitness.from_json(obj["witness"])
+        n, t_space, dot_t, w_t = spaces_from_json(obj)
+        if w_t is None:
+            raise KeyError("witness")
         c_space = Subspace(n, [f2.hex_to_row(r, n) for r in obj["C"]])
         w_c = EvennessWitness.from_json(obj["c_witness"])
         gen_rows = [f2.vector_from_support(g["support"]) for g in obj["generators"]]
@@ -224,15 +225,7 @@ def _probability(value, what: str) -> float:
 
 def cmd_decode_trace(args) -> int:
     fam = family15()
-    stages = {"t": fam.t_stage, "base": fam.base_stage, "c": fam.c_stage}
-    syndromes = {"t": fam.m_t, "c": fam.m_c}
     needs = {"syndrome": ("t", "c"), "clifford": ("c",), "T": ("t",)}  # stages an event needs
-    deforms = {
-        ("t", "base"): fam.t_to_base,
-        ("base", "c"): fam.base_to_c,
-        ("c", "base"): fam.c_to_base,
-        ("base", "t"): fam.base_to_t,
-    }
     p = _probability(args.p, "--p")
     stage = "t"
     rho = init_likelihood(fam.t_stage.layout, args.decoder)
@@ -251,13 +244,13 @@ def cmd_decode_trace(args) -> int:
             if not isinstance(event, dict) or "type" not in event:
                 raise UsageError(f"line {lineno}: an event is a JSON object with a \"type\"")
             kind = event["type"]
-            if isinstance(kind, str) and stage not in needs.get(kind, stages):
+            if isinstance(kind, str) and stage not in needs.get(kind, fam.stages):
                 raise UsageError(f"line {lineno}: {kind} events need the "
                                  f"{' or '.join(needs[kind])} stage, not {stage}")
             if kind == "memory":
-                rho.apply_memory(*rho.memory_input(stages[stage].code.coset_map, p))
+                rho.apply_memory(*rho.memory_input(fam.stages[stage].code.coset_map, p))
             elif kind == "syndrome":
-                smap, bits = syndromes[stage], event.get("bits")
+                smap, bits = fam.syndromes[stage], event.get("bits")
                 if not (isinstance(bits, list) and len(bits) == smap.width
                         and all(_is_number(b) and b in (0, 1) for b in bits)):
                     raise UsageError(f"line {lineno}: syndrome bits must be a list of "
@@ -266,9 +259,9 @@ def cmd_decode_trace(args) -> int:
                 rho.apply_syndrome(smap, observed, _probability(event.get("q", p), f"line {lineno}: q"))
             elif kind == "deform":
                 target = event.get("to")
-                if not isinstance(target, str) or (stage, target) not in deforms:
+                if not isinstance(target, str) or (stage, target) not in fam.deformations:
                     raise UsageError(f"line {lineno}: no deformation from {stage!r} to {target!r}")
-                rho.deform(deforms[(stage, target)])
+                rho.deform(fam.deformations[stage, target])
                 stage = target
             elif kind == "clifford":
                 index = event.get("action")

@@ -112,41 +112,6 @@ def nullspace(rows: Sequence[int], n: int) -> tuple[int, ...]:
     return rref(kernel, n)[0]
 
 
-class SpanSolver:
-    """Incremental row reducer that can express vectors as row combinations."""
-
-    def __init__(self, rows: Sequence[int], n: int):
-        self.n = n
-        self._rows: list[int] = []      # echelon rows
-        self._combos: list[int] = []    # combo masks over the original rows
-        self._pivots: list[int] = []
-        for i, row in enumerate(rows):
-            self._feed(row, 1 << i)
-
-    def _feed(self, row: int, combo: int) -> None:
-        for p, b, c in zip(self._pivots, self._rows, self._combos):
-            if (row >> p) & 1:
-                row ^= b
-                combo ^= c
-        if row:
-            self._pivots.append((row & -row).bit_length() - 1)
-            self._rows.append(row)
-            self._combos.append(combo)
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    def express(self, v: int) -> int | None:
-        """Combo mask c with XOR(rows[i] for i in c) == v, or None."""
-        combo = 0
-        for p, b, c in zip(self._pivots, self._rows, self._combos):
-            if (v >> p) & 1:
-                v ^= b
-                combo ^= c
-        return combo if v == 0 else None
-
-
 def solve_linear(rows: Sequence[int], rhs: Sequence[int], n: int) -> tuple[int | None, tuple[int, ...]]:
     """Solve row_i . x = rhs_i over F2.
 
@@ -174,6 +139,13 @@ def columns(rows: Sequence[int], n: int) -> list[int]:
             cols[low.bit_length() - 1] |= 1 << i
             row ^= low
     return cols
+
+
+def express(rows: Sequence[int], v: int, n: int) -> int | None:
+    """Combo mask c with XOR(rows[i] for i in c) == v, or None when v is
+    outside the span; c is unique when the rows are independent."""
+    combo, _ = solve_linear(columns(rows, n), [(v >> j) & 1 for j in range(n)], len(rows))
+    return combo
 
 
 def xor_at_sites(cols: Sequence[int], x: int) -> int:

@@ -12,6 +12,12 @@ frame, the frame's X coset must be cleanable, and the transversal T gate is
 applied (decoder Gamma update, frame propagation, stabilizer twirl); on
 failure the pair implements no gate and another pair is requested.
 
+Both round kinds are stated once, as the `Round` records in
+`Family15.rounds` (stage, merge map, split map, syndrome map); `run_trial`
+plays each half of a pair through one round function, and `decode-trace`
+reads its stage graph (`stages`, `deformations`, `syndromes`) off the same
+records.
+
 Memory before the split gives exactly the posterior of memory after it
 (memory commutes with split; see decoder) on 1/8 of the labels, and
 deformations draw no random numbers, so each trial's RNG stream is drawn
@@ -26,10 +32,11 @@ T-code adding three X-side (double-edge) rows.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -79,11 +86,23 @@ class StageContext:
         return self.code.coset_map.label(frame.a, frame.b)
 
 
-def _express(rows: tuple[int, ...], target: int, n: int) -> int:
-    combo = f2.SpanSolver(rows, n).express(target)
+def _express(rows: tuple[int, ...], target: int) -> int:
+    combo = f2.express(rows, target, N_QUBITS)
     if combo is None:
         raise AssertionError("vector not expressible in the chosen label rows")
     return combo
+
+
+@dataclass(frozen=True)
+class Round:
+    """One round kind of the cycle: merge the previous round's code into the
+    base code, split the base code to `stage`, and measure `syndrome` there."""
+
+    kind: str                # "C" or "T"
+    stage: StageContext
+    merge: DeformationMap
+    split: DeformationMap
+    syndrome: SyndromeMap
 
 
 class Family15:
@@ -97,24 +116,19 @@ class Family15:
         t_space, c_space, dot_t = doubled.t_space, doubled.c_space, doubled.dot_t_space
         ones = (1 << N_QUBITS) - 1
 
-        faces_a = [f.bits << layout.offset("A1") for f in lat.faces]
-        faces_b = [f.bits << layout.offset("B1") for f in lat.faces]
+        def generators(kind: str) -> list[int]:
+            return [g.bits for g in doubled.generators if g.kind == kind]
+
+        faces_a, faces_b, edges = generators("face_a"), generators("face_b"), generators("edge_double")
         double_faces = [a | b for a, b in zip(faces_a, faces_b)]
         bc = layout.embed((1 << 7) - 1, "B1") | layout.embed(1, "A0")
-        omega_face = layout.embed(lat.boundary_bits(1), "B1") | layout.embed(1, "A0")
-        edges = [
-            (lat.edge_bits(e) << layout.offset("A1")) | (lat.edge_bits(e) << layout.offset("B1"))
-            for e in lat.edges
-        ]
 
         rows_t = tuple(double_faces) + (bc, ones)
         rows_c = rows_t + tuple(faces_a)
         extra_edges = []
-        solver = f2.SpanSolver(rows_c, N_QUBITS)
         for e in edges:
-            if solver.express(e) is None:
+            if f2.express(rows_c + tuple(extra_edges), e, N_QUBITS) is None:
                 extra_edges.append(e)
-                solver = f2.SpanSolver(rows_c + tuple(extra_edges), N_QUBITS)
         if len(extra_edges) != 3:
             raise AssertionError("expected exactly three independent extra edge rows")
         rows_dot_t = rows_c + tuple(extra_edges)
@@ -148,19 +162,28 @@ class Family15:
 
         # Measured generators. C-round: xi and zeta of the seven faces;
         # T-round: zeta of the nine double edges.
-        self.faces_measured = tuple(faces_a + faces_b + [omega_face])
+        self.faces_measured = tuple(faces_a + faces_b + generators("omega_link"))
         self.edges_measured = tuple(edges)
-        xi_rows = tuple(
-            _express(rows_c, g, N_QUBITS) << lay_c.alpha_bits for g in self.faces_measured
-        )
-        zeta_rows = tuple(_express(rows_c, g, N_QUBITS) for g in self.faces_measured)
+        zeta_rows = tuple(_express(rows_c, g) for g in self.faces_measured)
+        xi_rows = tuple(z << lay_c.alpha_bits for z in zeta_rows)
         self.m_c = SyndromeMap(xi_rows + zeta_rows, lay_c)
-        self.m_t = SyndromeMap(
-            tuple(_express(rows_dot_t, g, N_QUBITS) for g in self.edges_measured), lay_t
+        self.m_t = SyndromeMap(tuple(_express(rows_dot_t, g) for g in self.edges_measured), lay_t)
+
+        self.rounds = (
+            Round("C", self.c_stage, self.t_to_base, self.base_to_c, self.m_c),
+            Round("T", self.t_stage, self.c_to_base, self.base_to_t, self.m_t),
         )
-        for smap, ctx in ((self.m_c, self.c_stage), (self.m_t, self.t_stage)):
-            for label in (ctx.logical_x, ctx.logical_z):
-                if any((row & label).bit_count() & 1 for row in smap.rows):
+        # The stage graph decode-trace walks: each round merges out of the
+        # stage of the round before it.
+        self.stages = {ctx.name: ctx for ctx in (self.t_stage, self.base_stage, self.c_stage)}
+        self.syndromes = {rnd.stage.name: rnd.syndrome for rnd in self.rounds}
+        self.deformations = {}
+        for prev, rnd in zip(self.rounds[-1:] + self.rounds[:-1], self.rounds):
+            self.deformations[prev.stage.name, "base"] = rnd.merge
+            self.deformations["base", rnd.stage.name] = rnd.split
+        for rnd in self.rounds:
+            for label in (rnd.stage.logical_x, rnd.stage.logical_z):
+                if any((row & label).bit_count() & 1 for row in rnd.syndrome.rows):
                     raise AssertionError("a measured generator reads the logical qubit")
 
         # Opposite-edge pairs (l, l') with l + l' = face, per square face.
@@ -237,21 +260,13 @@ class ProtocolConfig:
             raise ValueError("eps must lie in [0, 1]")
         if self.max_retry_rounds < 0:
             raise ValueError("max_retry_rounds must be at least 0")
+        if self.seed < 0:
+            raise ValueError("seed must be at least 0")
         if self.decoder not in ENGINES:
             raise ValueError(f"decoder must be one of {', '.join(map(repr, ENGINES))}")
 
     def to_json(self) -> dict:
-        return {
-            "t": self.t,
-            "p": self.p,
-            "trials": self.trials,
-            "max_gates": self.max_gates,
-            "decoder": self.decoder,
-            "eps": self.eps,
-            "seed": self.seed,
-            "max_retry_rounds": self.max_retry_rounds,
-            "threads": self.threads,
-        }
+        return asdict(self)
 
     def hash(self) -> str:
         """Hash of the settings that fix the results; the worker count does not."""
@@ -312,19 +327,27 @@ def run_trial(config: ProtocolConfig, trial_index: int, observer=None) -> TrialR
     consecutive_fails = 0
     last_pass = True
     identity = CLIFFORD_CLASSES[0]
+    c_round, t_round = fam.rounds
 
-    while True:
-        # ---- C-round ----
-        rounds += 1
-        rho.deform(fam.t_to_base)
+    def play(rnd: Round) -> int | None:
+        """Run one round; its observed syndrome, or None on a logical error."""
+        rho.deform(rnd.merge)
         a, b = sample_memory_error(config.p, N_QUBITS, rng)
         frame.apply(a, b)
         rho.apply_memory(*mem)
-        observed_c = flip_syndrome(config.p, fam.ideal_c_syndromes(frame), fam.m_c.width, rng)
-        rho.measure(fam.base_to_c, fam.m_c, observed_c, config.p, config.eps)
+        ideal = fam.ideal_c_syndromes(frame) if rnd.kind == "C" else fam.ideal_t_syndromes(frame)
+        observed = flip_syndrome(config.p, ideal, rnd.syndrome.width, rng)
+        rho.measure(rnd.split, rnd.syndrome, observed, config.p, config.eps)
         if observer is not None:
-            observer("C", fam.c_stage, rho, frame)
-        if not logical_error_test(rho.final_coset(), fam.c_stage.frame_label(frame), fam.c_stage):
+            observer(rnd.kind, rnd.stage, rho, frame)
+        if not logical_error_test(rho.final_coset(), rnd.stage.frame_label(frame), rnd.stage):
+            return None
+        return observed
+
+    while True:
+        rounds += 1
+        observed_c = play(c_round)
+        if observed_c is None:
             return TrialResult(gates, "logical_error", retries, rounds)
         if last_pass:
             action = sample_clifford(rng)
@@ -336,17 +359,9 @@ def run_trial(config: ProtocolConfig, trial_index: int, observer=None) -> TrialR
         if gates >= config.max_gates:
             return TrialResult(gates, "max_gates_reached", retries, rounds)
 
-        # ---- T-round ----
         rounds += 1
-        rho.deform(fam.c_to_base)
-        a, b = sample_memory_error(config.p, N_QUBITS, rng)
-        frame.apply(a, b)
-        rho.apply_memory(*mem)
-        observed_t = flip_syndrome(config.p, fam.ideal_t_syndromes(frame), fam.m_t.width, rng)
-        rho.measure(fam.base_to_t, fam.m_t, observed_t, config.p, config.eps)
-        if observer is not None:
-            observer("T", fam.t_stage, rho, frame)
-        if not logical_error_test(rho.final_coset(), fam.t_stage.frame_label(frame), fam.t_stage):
+        observed_t = play(t_round)
+        if observed_t is None:
             return TrialResult(gates, "logical_error", retries, rounds)
         if syndrome_test(fam, observed_c, observed_t, action):
             last_pass = True
@@ -370,20 +385,18 @@ def run_trial(config: ProtocolConfig, trial_index: int, observer=None) -> TrialR
                 return TrialResult(gates, "retry_limit", retries, rounds)
 
 
-def _run_trial_star(args: tuple) -> TrialResult:
-    config_json, trial_index = args
-    config = ProtocolConfig(**config_json)
-    return run_trial(config, trial_index)
-
-
 def run_trials(config: ProtocolConfig) -> list[TrialResult]:
-    if config.threads <= 1:
+    workers = min(config.threads, config.trials)
+    if workers <= 1:
         return [run_trial(config, i) for i in range(config.trials)]
     from concurrent.futures import ProcessPoolExecutor
 
-    args = [(config.to_json(), i) for i in range(config.trials)]
-    with ProcessPoolExecutor(max_workers=config.threads) as pool:
-        return list(pool.map(_run_trial_star, args, chunksize=8))
+    # About four chunks per worker, as multiprocessing.Pool.map chooses, so
+    # every worker gets trials and a slow chunk leaves little idle time.
+    chunksize = -(-config.trials // (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run_trial, itertools.repeat(config), range(config.trials),
+                             chunksize=chunksize))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from dccsim import cli
+from dccsim import cli, noise, protocol
 from dccsim.cli import EXIT_CAPACITY, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
-from dccsim.protocol import ProtocolConfig
+from dccsim.protocol import ProtocolConfig, family15, run_trial
 
 
 def run(argv):
@@ -77,6 +77,15 @@ class TestBuildVerify:
         assert "--distance-budget" in captured.err
         assert "PASS" not in captured.out
 
+    def test_code_json_without_witness(self, tmp_path, capsys):
+        out = tmp_path / "code.json"
+        run(["build", "--t", "1", "--stage", "final", "--out", str(out)])
+        obj = json.loads(out.read_text())
+        del obj["witness"]
+        out.write_text(json.dumps(obj))
+        assert run(["verify", str(out)]) == EXIT_USAGE
+        assert "is not a code JSON: KeyError 'witness'" in capsys.readouterr().err
+
     def test_unsupported_t(self, tmp_path):
         assert run(["build", "--t", "9", "--out", str(tmp_path / "x.json")]) == EXIT_USAGE
 
@@ -143,6 +152,22 @@ class TestSimulate:
         assert run(["simulate", "--p", "0", "--trials", "1", "--max-gates", "10",
                     "--threads", "1", "--out", str(tmp_path / "env.csv")]) == EXIT_USAGE
         assert "DCC_SEED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, env", [
+        pytest.param(["simulate", "--p", "0", "--seed", "-1"], None, id="simulate-flag"),
+        pytest.param(["sweep", "--p-list", "0,0.01", "--seed", "-1"], None, id="sweep-flag"),
+        pytest.param(["simulate", "--p", "0"], "-3", id="simulate-env"),
+    ])
+    def test_negative_seed_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, env):
+        if env is not None:
+            monkeypatch.setenv("DCC_SEED", env)
+        out = tmp_path / "run.csv"
+        assert run(argv + ["--trials", "1", "--max-gates", "2", "--threads", "1",
+                           "--out", str(out)]) == EXIT_USAGE
+        printed = capsys.readouterr()
+        assert "usage error: seed must be at least 0" in printed.err
+        assert "config:" not in printed.out
+        assert not out.exists()
 
     def test_rejects_bad_p(self):
         assert run(["simulate", "--p", "1.5", "--trials", "1"]) == EXIT_USAGE
@@ -277,6 +302,61 @@ class TestDecodeTrace:
         assert first["argmax"] == second["argmax"]
         assert first["support"] == second["support"] > 1
         assert first["entropy"] == pytest.approx(second["entropy"], abs=1e-9)
+
+    @pytest.mark.parametrize("decoder", ["exact", "sparse"])
+    def test_replays_simulated_trials(self, tmp_path, monkeypatch, decoder):
+        """Simulated trials written out as events and replayed through
+        decode-trace reach the decoder state the protocol observed after
+        every round. A round is a merge to the base code, memory, then the
+        split, noisy syndrome and truncation that measure fuses."""
+        config = ProtocolConfig(p=0.02, trials=3, max_gates=20, decoder=decoder, seed=4)
+        fam = family15()
+        events, observed, measured = [], [], []
+
+        def flip(q, bits, width, rng):
+            measured.append(noise.flip_syndrome(q, bits, width, rng))
+            return measured[-1]
+
+        def clifford(rng):
+            action = noise.sample_clifford(rng)
+            events.append({"type": "clifford", "action": noise.CLIFFORD_CLASSES.index(action)})
+            return action
+
+        def t_gate(frame, prop, rng):
+            events.extend([{"type": "recovery"}, {"type": "T"}])
+            noise.propagate_through_t(frame, prop, rng)
+
+        def observer(kind, stage, rho, frame):
+            width = fam.syndromes[stage.name].width
+            events.extend([
+                {"type": "deform", "to": "base"},
+                {"type": "memory"},
+                {"type": "deform", "to": stage.name},
+                {"type": "syndrome", "bits": [(measured[-1] >> i) & 1 for i in range(width)],
+                 "q": config.p},
+                {"type": "truncate", "eps": config.eps},
+            ])
+            observed.append((len(events), stage.name, rho.final_coset(), rho.support_size()))
+
+        monkeypatch.setattr(protocol, "flip_syndrome", flip)
+        monkeypatch.setattr(protocol, "sample_clifford", clifford)
+        monkeypatch.setattr(protocol, "propagate_through_t", t_gate)
+        rounds = 0
+        for i in range(config.trials):
+            events.clear()
+            observed.clear()
+            rounds += run_trial(config, i, observer).rounds
+            path, out = tmp_path / "events.jsonl", tmp_path / "trace.jsonl"
+            path.write_text("".join(json.dumps(e) + "\n" for e in events))
+            assert run(["decode-trace", "--events", str(path), "--p", str(config.p),
+                        "--decoder", decoder, "--out", str(out)]) == EXIT_OK
+            records = [json.loads(line) for line in out.read_text().splitlines()]
+            assert len(records) == len(events)
+            for step, stage, argmax, support in observed:
+                record = records[step - 1]
+                assert record["type"] == "truncate"
+                assert (record["stage"], record["argmax"], record["support"]) == (stage, argmax, support)
+        assert rounds >= 20
 
     def test_unknown_event(self, tmp_path):
         events = tmp_path / "bad.jsonl"

@@ -245,10 +245,10 @@ class TestCompleteSyndrome:
         cm = code.coset_map
         rows = []
         for g in code.a_space.basis:
-            combo = f2.SpanSolver(cm.mat_a, 15).express(g)
+            combo = f2.express(cm.mat_a, g, 15)
             rows.append(combo << cm.alpha_bits)
         for g in code.b_space.basis:
-            rows.append(f2.SpanSolver(cm.mat_b, 15).express(g))
+            rows.append(f2.express(cm.mat_b, g, 15))
         smap = SyndromeMap(tuple(rows), fam.t_stage.layout)
         rho = DenseLikelihood(fam.t_stage.layout, np.ones(fam.t_stage.layout.size))
         rho.apply_syndrome(smap, 0, 0.0)
@@ -807,11 +807,9 @@ class TestEnginesAgree:
                 observed = int(rng.integers(0, 1 << smap.width))
                 dense.apply_syndrome(smap, observed, 0.05)
                 sparse.apply_syndrome(smap, observed, 0.05)
-            elif choice == 2:
-                if stage == "t":
-                    maps, stage = (fam.t_to_base, fam.base_to_c), "c"
-                else:
-                    maps, stage = (fam.c_to_base, fam.base_to_t), "t"
+            elif choice == 2:  # the round into the other measured stage
+                rnd = next(r for r in fam.rounds if r.stage.name != stage)
+                maps, stage = (rnd.merge, rnd.split), rnd.stage.name
                 for m in maps:
                     dense.deform(m)
                     sparse.deform(m)
@@ -841,7 +839,7 @@ class TestSparseAgainstDenseStreams:
     @settings(max_examples=40)
     @given(data=st.data())
     def test_random_streams(self, fam, data):
-        maps = (fam.t_to_base, fam.base_to_c, fam.c_to_base, fam.base_to_t)
+        maps = tuple(m for rnd in fam.rounds for m in (rnd.merge, rnd.split))
         layout = fam.t_stage.layout
         support = data.draw(
             st.lists(st.integers(0, layout.size - 1), min_size=1, max_size=40, unique=True),

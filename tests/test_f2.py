@@ -283,24 +283,21 @@ class TestSolvers:
         x, _ = f2.solve_linear([0b1, 0b1], [0, 1], 2)
         assert x is None
 
-    def test_span_solver_express(self):
+    def test_express(self):
+        """express finds a combination exactly for the vectors of the span,
+        and for independent rows it is the one that made the vector."""
         rng = random.Random(13)
-        rows = [rng.getrandbits(10) for _ in range(6)]
-        solver = f2.SpanSolver(rows, 10)
-        for _ in range(20):
-            mask = rng.getrandbits(6)
-            v = 0
-            for i in range(6):
-                if (mask >> i) & 1:
-                    v ^= rows[i]
-            combo = solver.express(v)
-            assert combo is not None
-            rebuilt = 0
-            for i in range(6):
-                if (combo >> i) & 1:
-                    rebuilt ^= rows[i]
-            assert rebuilt == v
-        assert solver.express(1 << 9 | 1) is None or True  # may or may not be in span
+        for k in (4, 6, 12):
+            rows = [rng.getrandbits(10) for _ in range(k)]
+            span = Subspace(10, rows)
+            for v in range(1 << 10):
+                combo = f2.express(rows, v, 10)
+                assert (combo is None) == (v not in span)
+                if combo is not None:
+                    assert f2.xor_at_sites(rows, combo) == v
+            basis = list(span.basis)
+            for mask in range(1 << len(basis)):
+                assert f2.express(basis, f2.xor_at_sites(basis, mask), 10) == mask
 
 
 class TestHexRows:

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import os
 import time
 
 import numpy as np
@@ -25,6 +26,13 @@ IDENTITY = CLIFFORD_CLASSES[0]
 FULL_MIX = next(c for c in CLIFFORD_CLASSES if c.p == 1 and c.r == 1)
 
 
+def _run_trial_with_pid(config, trial_index):
+    """run_trial and the id of the process that ran it. The pause keeps one
+    worker from taking every trial before the other has started."""
+    time.sleep(0.05)
+    return os.getpid(), run_trial(config, trial_index)
+
+
 @pytest.fixture(scope="module")
 def fam():
     return family15()
@@ -39,6 +47,21 @@ class TestFamilyWiring:
     def test_syndrome_widths(self, fam):
         assert fam.m_c.width == 14
         assert fam.m_t.width == 9
+
+    def test_rounds_form_the_stage_graph(self, fam):
+        c_round, t_round = fam.rounds
+        assert (c_round.kind, c_round.stage, c_round.merge, c_round.split, c_round.syndrome) == (
+            "C", fam.c_stage, fam.t_to_base, fam.base_to_c, fam.m_c)
+        assert (t_round.kind, t_round.stage, t_round.merge, t_round.split, t_round.syndrome) == (
+            "T", fam.t_stage, fam.c_to_base, fam.base_to_t, fam.m_t)
+        assert fam.deformations == {
+            ("t", "base"): fam.t_to_base,
+            ("base", "c"): fam.base_to_c,
+            ("c", "base"): fam.c_to_base,
+            ("base", "t"): fam.base_to_t,
+        }
+        assert fam.syndromes == {"c": fam.m_c, "t": fam.m_t}
+        assert fam.stages == {"t": fam.t_stage, "base": fam.base_stage, "c": fam.c_stage}
 
     def test_measured_generators_match_maps(self, fam):
         # The decoder-side syndrome rows must reproduce the frame-side
@@ -183,11 +206,14 @@ class TestDeterminism:
         second = run_trials(cfg)
         assert first == second
 
-    def test_parallel_equals_serial(self):
+    def test_parallel_equals_serial(self, monkeypatch):
         cfg = ProtocolConfig(p=0.02, trials=6, max_gates=100, decoder="sparse", seed=21)
         serial = run_trials(cfg)
-        parallel = run_trials(dataclasses.replace(cfg, threads=2))
-        assert serial == parallel
+        family15()  # forked workers inherit the tables
+        monkeypatch.setattr(protocol, "run_trial", _run_trial_with_pid)
+        pids, parallel = zip(*run_trials(dataclasses.replace(cfg, threads=2)))
+        assert list(parallel) == serial
+        assert len(set(pids)) == 2, "the trials did not reach both workers"
 
     @staticmethod
     def results_digest(decoder: str, p: float, max_gates: int) -> str:
@@ -380,6 +406,9 @@ class TestEstimator:
             ProtocolConfig(p=0.1, trials=1, eps=-1.0)
         with pytest.raises(ValueError, match="max_retry_rounds"):
             ProtocolConfig(p=0.1, trials=1, max_retry_rounds=-1)
+        with pytest.raises(ValueError, match="seed must be at least 0"):
+            ProtocolConfig(p=0.1, trials=1, seed=-1)
+        assert ProtocolConfig(p=0.1, trials=1, seed=0).seed == 0
 
 
 class TestRetryPath:
