@@ -18,7 +18,6 @@ import sys
 
 from . import __version__, f2
 from .csscode import (
-    CapacityError,
     EvennessWitness,
     build_cleanability_table,
     check_evenness,
@@ -30,7 +29,7 @@ from .csscode import (
 )
 from .codefamily import build_gadget_codes, cached_doubled, qubit_counts
 from .decoder import ENGINES, DegeneratePosteriorError, NumericError, init_likelihood
-from .f2 import Subspace, min_odd_weight
+from .f2 import CapacityError, Subspace, min_odd_weight
 from .noise import CLIFFORD_CLASSES
 from .protocol import ProtocolConfig, estimate_pl, family15
 

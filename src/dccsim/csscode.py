@@ -22,17 +22,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import f2
-from .f2 import Subspace
+from .f2 import CapacityError, Subspace
 
 CLEANABILITY_QUBIT_LIMIT = 25
 
 
 class CodeConstructionError(ValueError):
     """A make_code precondition failed; the message names the condition."""
-
-
-class CapacityError(ValueError):
-    """The requested table or enumeration exceeds the supported size."""
 
 
 @dataclass(frozen=True)
@@ -269,8 +265,7 @@ def clean_system_solvable(a_space: Subspace, e: int) -> bool:
     rows = [f2.restrict(row, positions) for row in a_space.basis]
     rows.append((1 << k) - 1)
     rhs = [0] * a_space.dim + [1]
-    g, _ = f2.solve_linear(rows, rhs, k)
-    return g is not None
+    return f2.solve_linear(rows, rhs, k) is not None
 
 
 @dataclass(frozen=True)
@@ -292,33 +287,65 @@ class CleanabilityTable:
     def rep(self, alpha: int) -> int:
         return self.representative[alpha]
 
+    @cached_property
+    def at_beta(self) -> np.ndarray:
+        """A^T beta for every Z label beta: the elements of A + <1>."""
+        return f2.enumerate_span(self.code.coset_map.mat_a, self.code.n)
+
+    @cached_property
+    def gamma_hat(self) -> np.ndarray:
+        """The T gate's Gamma, (2^beta_bits, 2^alpha_bits), read-only; the
+        columns of non-cleanable alpha are zero.
+
+        Entry (beta, alpha) is (-1)^(|g|/2) when g = A^T beta & e(alpha) lies
+        in the radical of B_e = {b in B : b inside e}, and zero otherwise.
+        That radical test is the test g in B: A^T beta lies in A + <1>, which
+        is orthogonal to B (make_code checks A against B, and B is even), and
+        g agrees with A^T beta on e, so g is orthogonal to all of B_e. A g in
+        B is thus in B_e and in its radical, and the radical lies in B.
+        """
+        alphas = sorted(self.cleanable)
+        reps = np.array([self.representative[alpha] for alpha in alphas], dtype=np.uint64)
+        g = self.at_beta[:, np.newaxis] & reps
+        in_b = np.ones(g.shape, dtype=bool)
+        for check in self.code.b_space.parity_checks:
+            in_b &= (np.bitwise_count(g & np.uint64(check)) & 1) == 0
+        sign = np.where(np.bitwise_count(g) & 2, -1.0, 1.0)
+        gamma = np.zeros((len(g), 1 << self.code.coset_map.alpha_bits), dtype=np.float64)
+        gamma[:, alphas] = np.where(in_b, sign, 0.0)
+        gamma.flags.writeable = False
+        return gamma
+
 
 def build_cleanability_table(code: SubsystemCode) -> CleanabilityTable:
     """Scan all of F2^n, marking cosets of A that admit a clean representative.
 
-    A vector is unclean when it contains an odd dual vector. Marking the odd
-    dual vectors and then closing the marks under supersets, one bit at a
-    time (v with bit j set inherits the mark of v without it), marks exactly
-    the unclean vectors. The vectors, in value order, are stably sorted by
-    weight, so the first clean vector of each label is its minimum-weight,
-    smallest-pattern representative.
+    A vector e is clean when it contains no odd vector of A-perp: when no g
+    inside e has |g| odd and g.a = 0 for every a in A. That system has no
+    solution exactly when the ones on e are the restriction to e of some a
+    in A, i.e. when e lies inside an element of A. So marking A's elements
+    and closing the marks under subsets, one bit at a time (v without bit j
+    inherits the mark of v with it), marks exactly the clean vectors. The
+    vectors, in value order, are stably sorted by weight, so the first clean
+    vector of each label is its minimum-weight, smallest-pattern
+    representative.
     """
     n = code.n
     if not code.is_regular:
         raise CodeConstructionError("cleanability table requires a regular code")
     if n > CLEANABILITY_QUBIT_LIMIT:
         raise CapacityError(f"cleanability scan over 2^{n} vectors is not supported")
-    unclean = np.zeros(1 << n, dtype=bool)
-    unclean[odd_dual_vectors(code.a_space)] = True
+    clean = np.zeros(1 << n, dtype=bool)
+    clean[code.a_space.element_array()] = True
     for j in range(n):
-        halves = unclean.reshape(-1, 2, 1 << j)
-        halves[:, 1, :] |= halves[:, 0, :]
+        halves = clean.reshape(-1, 2, 1 << j)
+        halves[:, 0, :] |= halves[:, 1, :]
     labels = f2.enumerate_span([code.coset_map.label_x(1 << j) for j in range(n)], n)
     weights = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
     order = np.argsort(weights, kind="stable")
-    clean = order[~unclean[order]]
-    alphas, first = np.unique(labels[clean], return_index=True)
-    alphas, reps = alphas.tolist(), clean[first].tolist()
+    order = order[clean[order]]
+    alphas, first = np.unique(labels[order], return_index=True)
+    alphas, reps = alphas.tolist(), order[first].tolist()
     return CleanabilityTable(code, frozenset(alphas), dict(zip(alphas, reps)))
 
 

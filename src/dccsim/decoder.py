@@ -320,33 +320,14 @@ class TGateUpdate:
 def build_t_gate_update(
     code: SubsystemCode, table: CleanabilityTable, layout: LabelLayout
 ) -> TGateUpdate:
-    """Gamma for every cleanable alpha and every beta, in one array pass.
-
-    Entry (beta, alpha) is (-1)^(|g|/2) when g = A^T beta & e(alpha) lies in
-    the radical of B_e = {b in B : b inside e}, and zero otherwise. That
-    radical test is the test g in B: A^T beta lies in A + <1>, which is
-    orthogonal to B (make_code checks A against B, and B is even), and g
-    agrees with A^T beta on e, so g is orthogonal to all of B_e. A g in B is
-    thus in B_e and in its radical, and the radical lies in B.
-    """
+    """The table's Gamma (CleanabilityTable.gamma_hat) with its cleanable
+    mask, for a layout that matches the code's labels."""
     cm = code.coset_map
     if (cm.alpha_bits, cm.beta_bits) != (layout.alpha_bits, layout.beta_bits):
         raise ValueError("layout does not match the code's coset map")
-    n_alpha, n_beta = 1 << layout.alpha_bits, 1 << layout.beta_bits
-    alphas = sorted(table.cleanable)
-    mask = np.zeros(n_alpha, dtype=bool)
-    mask[alphas] = True
-    reps = np.array([table.rep(alpha) for alpha in alphas], dtype=np.uint64)
-    # A^T beta for every beta, as packed qubit-line vectors.
-    at_beta = f2.enumerate_span(cm.mat_a, code.n)
-    g = at_beta[:, np.newaxis] & reps
-    in_b = np.ones(g.shape, dtype=bool)
-    for check in code.b_space.parity_checks:
-        in_b &= (np.bitwise_count(g & np.uint64(check)) & 1) == 0
-    sign = np.where(np.bitwise_count(g) & 2, -1.0, 1.0)
-    gamma = np.zeros((n_beta, n_alpha), dtype=np.float64)
-    gamma[:, alphas] = np.where(in_b, sign, 0.0)
-    return TGateUpdate(layout=layout, cleanable_mask=mask, gamma_hat=gamma)
+    mask = np.zeros(1 << layout.alpha_bits, dtype=bool)
+    mask[sorted(table.cleanable)] = True
+    return TGateUpdate(layout=layout, cleanable_mask=mask, gamma_hat=table.gamma_hat)
 
 
 def gamma_hat_direct(

@@ -9,6 +9,7 @@ two subspaces are equal iff their canonical bases compare equal.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -17,6 +18,15 @@ import numpy as np
 # Largest dim(S-perp) for which min_odd_weight searches without a weight
 # bound, and largest subspace elements and element_array enumerate.
 FULL_ENUM_DIM_LIMIT = 25
+# Largest number of column sums min_odd_weight keeps for a weight budget. The
+# join at the largest odd weight w within the budget holds every
+# floor(w/2)-subset sum in lists and a set, about 190 bytes a sum (C(279, 3)
+# sums took 683 MB), so 2^22 sums stay under 1 GB.
+JOIN_SUM_LIMIT = 1 << 22
+
+
+class CapacityError(ValueError):
+    """The requested table or enumeration exceeds the supported size."""
 
 
 class DimensionMismatchError(ValueError):
@@ -112,21 +122,19 @@ def nullspace(rows: Sequence[int], n: int) -> tuple[int, ...]:
     return rref(kernel, n)[0]
 
 
-def solve_linear(rows: Sequence[int], rhs: Sequence[int], n: int) -> tuple[int | None, tuple[int, ...]]:
-    """Solve row_i . x = rhs_i over F2.
-
-    Returns (particular solution or None, kernel basis of the system).
-    """
+def solve_linear(rows: Sequence[int], rhs: Sequence[int], n: int) -> int | None:
+    """A solution x of row_i . x = rhs_i over F2, or None when there is none;
+    nullspace(rows, n) gives the others."""
     # Augment each row with its rhs bit at position n.
     aug = [r | (b << n) for r, b in zip(rows, rhs)]
     basis, pivots = rref(aug, n + 1)
     if n in pivots:
-        return None, nullspace(rows, n)
+        return None
     x = 0
     for p, b in zip(pivots, basis):
         if (b >> n) & 1:
             x |= 1 << p
-    return x, nullspace(rows, n)
+    return x
 
 
 def columns(rows: Sequence[int], n: int) -> list[int]:
@@ -144,8 +152,7 @@ def columns(rows: Sequence[int], n: int) -> list[int]:
 def express(rows: Sequence[int], v: int, n: int) -> int | None:
     """Combo mask c with XOR(rows[i] for i in c) == v, or None when v is
     outside the span; c is unique when the rows are independent."""
-    combo, _ = solve_linear(columns(rows, n), [(v >> j) & 1 for j in range(n)], len(rows))
-    return combo
+    return solve_linear(columns(rows, n), [(v >> j) & 1 for j in range(n)], len(rows))
 
 
 def xor_at_sites(cols: Sequence[int], x: int) -> int:
@@ -275,7 +282,9 @@ def min_odd_weight(s: Subspace, max_weight: int | None = None) -> int | None:
     in it. Two overlapping subsets never match first: their symmetric
     difference would be an odd vector lighter than w, found at a smaller w.
     Without max_weight the search runs up to n, which needs dim(S-perp) <=
-    FULL_ENUM_DIM_LIMIT. Raises NoOddVectorsError when S-perp is purely even.
+    FULL_ENUM_DIM_LIMIT. Raises NoOddVectorsError when S-perp is purely even,
+    and CapacityError before the search when max_weight needs a join of more
+    than JOIN_SUM_LIMIT sums.
     """
     n = s.n
     if (1 << n) - 1 in s:
@@ -285,6 +294,9 @@ def min_odd_weight(s: Subspace, max_weight: int | None = None) -> int | None:
         if n - s.dim > FULL_ENUM_DIM_LIMIT:
             raise ValueError("max_weight is required when dim(S-perp) exceeds the enumeration limit")
         max_weight = n
+    elif (sums := math.comb(n, max(min(max_weight, n) - 1, 0) // 2)) > JOIN_SUM_LIMIT:
+        raise CapacityError(f"a distance budget of {max_weight} at n = {n} needs {sums} "
+                            f"column sums, above the limit of {JOIN_SUM_LIMIT}")
     cols = columns(s.basis, n)
     half: set[int] = {0}
     level: Iterable[list[int]] = [[c] for c in cols]

@@ -13,8 +13,11 @@ is drawn from the distribution
 
     P(f|e) = 2^-|e| * prod_a [1 + (-1)^(f.g^a + |g^a|/2)]
 
-over the self-orthogonal part of the Z-stabilizers supported inside e, and
-XORed into the Z part.
+over a basis g^a of the radical of B_e = {b in B : b inside e}, and XORed
+into the Z part. The vectors inside e orthogonal to B_e are the restrictions
+to e of B-perp = A + <1> (B is even and A = dot(B)), the vectors
+g = A^T beta & e; the radical is those g in B, the nonzero entries of the T
+gate's Gamma in the column of e's coset.
 """
 
 from __future__ import annotations
@@ -159,8 +162,10 @@ class CosetPropagation:
 class TPropagator:
     """Per-coset propagation tables for a regular T-transversal code.
 
-    A coset's table is built the first time coset() or sample_f asks for it,
-    then cached: a run meets only a few of the cleanable cosets.
+    A coset's radical is spanned by the A^T beta & e(alpha) at the nonzero
+    entries of Gamma's column alpha (see the module docstring). Its table is
+    built the first time coset() or sample_f asks for it, then cached: a run
+    meets only a few of the cleanable cosets.
     """
 
     def __init__(self, code: SubsystemCode, table: CleanabilityTable):
@@ -168,7 +173,6 @@ class TPropagator:
             raise ValueError("propagation requires a regular code")
         self.code = code
         self.table = table
-        self._b_elements = code.b_space.element_array()
         self._cosets: dict[int, CosetPropagation] = {}
 
     def coset(self, alpha: int) -> CosetPropagation:
@@ -179,20 +183,19 @@ class TPropagator:
 
     def _build(self, alpha: int) -> CosetPropagation:
         e = self.table.rep(alpha)
-        outside = np.uint64(((1 << self.code.n) - 1) ^ e)
-        inside = self._b_elements[(self._b_elements & outside) == 0]
-        radical = _radical_basis(f2.Subspace(self.code.n, inside.tolist()))
+        members = self.table.at_beta[self.table.gamma_hat[:, alpha] != 0] & np.uint64(e)
+        radical = f2.Subspace(self.code.n, members.tolist()).basis
         positions = f2.support(e)
         rows = [f2.restrict(g, positions) for g in radical]
         rhs = [(g.bit_count() // 2) & 1 for g in radical]
-        particular, kernel = f2.solve_linear(rows, rhs, len(positions))
+        particular = f2.solve_linear(rows, rhs, len(positions))
         if particular is None:
             raise AssertionError("propagation constraints are inconsistent")
         return CosetPropagation(
             positions=positions,
-            radical=tuple(radical),
+            radical=radical,
             particular=particular,
-            kernel=kernel,
+            kernel=f2.nullspace(rows, len(positions)),
         )
 
     def sample_f(self, alpha: int, rng: np.random.Generator) -> int:
@@ -205,28 +208,6 @@ class TPropagator:
                 if take:
                     x ^= k
         return f2.embed(x, cp.positions)
-
-
-def _radical_basis(space: f2.Subspace) -> list[int]:
-    """Basis of the intersection of a subspace with its orthogonal complement."""
-    basis = space.basis
-    k = len(basis)
-    gram_rows = []
-    for i in range(k):
-        row = 0
-        for j in range(k):
-            if f2.dot(basis[i], basis[j]):
-                row |= 1 << j
-        gram_rows.append(row)
-    combos = f2.nullspace(gram_rows, k)
-    out = []
-    for combo in combos:
-        v = 0
-        for j in range(k):
-            if (combo >> j) & 1:
-                v ^= basis[j]
-        out.append(v)
-    return out
 
 
 def p_f_given_e(prop: TPropagator, alpha: int) -> dict[int, float]:

@@ -152,9 +152,12 @@ class Family15:
         self.c_stage = stage("c", c_code)
 
         lay_t, lay_b, lay_c = self.t_stage.layout, self.base_stage.layout, self.c_stage.layout
-        # Base labels are T-label bits 0-7 and 11-15, and C-label bits 0-12.
-        base_bits_in_t = 0b1111100011111111
-        base_bits_in_c = (1 << 13) - 1
+        # A base label nests in a wider one: its X bits are the lowest, and its
+        # Z bits start at the wide label's Z offset.
+        base_bits_in_t, base_bits_in_c = (
+            ((1 << lay_b.alpha_bits) - 1) | (((1 << lay_b.beta_bits) - 1) << wide.alpha_bits)
+            for wide in (lay_t, lay_c)
+        )
         self.t_to_base = DeformationMap("merge", base_bits_in_t, lay_t, lay_b)
         self.base_to_c = DeformationMap("split", base_bits_in_c, lay_b, lay_c)
         self.c_to_base = DeformationMap("merge", base_bits_in_c, lay_c, lay_b)
@@ -200,7 +203,7 @@ class Family15:
         section = []
         for k in range(lay_t.alpha_bits):
             rhs = [1 if i == k else 0 for i in range(len(rows_dot_t))]
-            x, _ = f2.solve_linear(list(rows_dot_t), rhs, N_QUBITS)
+            x = f2.solve_linear(list(rows_dot_t), rhs, N_QUBITS)
             if x is None:
                 raise AssertionError("label map is not surjective")
             section.append(x)
@@ -238,7 +241,6 @@ def family15() -> Family15:
 class ProtocolConfig:
     p: float
     trials: int
-    t: int = 1
     max_gates: int = 100_000
     decoder: str = "sparse"        # "exact" | "sparse"
     eps: float = 1e-6
@@ -247,9 +249,6 @@ class ProtocolConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
-        if self.t != 1:
-            raise ValueError("only the 15-qubit family (t = 1) runs end to end; "
-                             "higher levels lack a measurement-repetition schedule")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
         if self.trials < 1:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -96,6 +97,22 @@ class TestBuildVerify:
         monkeypatch.setattr("dccsim.csscode.CLEANABILITY_QUBIT_LIMIT", 14)
         assert run(["verify", str(out)]) == EXIT_CAPACITY
         assert "capacity:" in capsys.readouterr().err
+
+    def test_distance_budget_above_join_limit_exits_3(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "t2.json"
+        assert run(["build", "--t", "2", "--stage", "final", "--out", str(out)]) == EXIT_OK
+        monkeypatch.setattr("dccsim.f2.JOIN_SUM_LIMIT", 58)  # budget 3 keeps all 59 columns
+        assert run(["verify", str(out), "--distance-budget", "3"]) == EXIT_CAPACITY
+        assert "capacity: a distance budget of 3 at n = 59" in capsys.readouterr().err
+
+    def test_t4_budget_9_exits_3_without_searching(self, tmp_path, capsys):
+        # Budget 9 at n = 279 would keep C(279, 4), about 2.5e8 column sums.
+        out = tmp_path / "t4.json"
+        assert run(["build", "--t", "4", "--stage", "final", "--out", str(out)]) == EXIT_OK
+        start = time.perf_counter()
+        assert run(["verify", str(out), "--distance-budget", "9"]) == EXIT_CAPACITY
+        assert time.perf_counter() - start < 30
+        assert "capacity: a distance budget of 9 at n = 279" in capsys.readouterr().err
 
     def test_t2_gadget_roundtrip(self, tmp_path):
         out = tmp_path / "t2g.json"

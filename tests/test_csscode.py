@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from dccsim import csscode, f2
@@ -266,7 +267,40 @@ def table(t_code):
     return build_cleanability_table(t_code)
 
 
+def superset_closure_table(code):
+    """Cleanable labels and representatives by the dual scan: mark the odd
+    vectors of A-perp, close the marks under supersets, and take the first
+    unmarked vector of each label in (weight, value) order."""
+    n = code.n
+    unclean = np.zeros(1 << n, dtype=bool)
+    unclean[odd_dual_vectors(code.a_space)] = True
+    for j in range(n):
+        halves = unclean.reshape(-1, 2, 1 << j)
+        halves[:, 1, :] |= halves[:, 0, :]
+    reps = {}
+    for e in sorted(range(1 << n), key=lambda v: (v.bit_count(), v)):
+        if not unclean[e]:
+            reps.setdefault(code.coset_map.label_x(e), e)
+    return reps
+
+
+@pytest.fixture(scope="module")
+def c_code():
+    _, c_space, _ = fifteen_qubit_spaces()
+    return make_code(c_space, c_space)
+
+
 class TestCleanability:
+
+    @pytest.mark.parametrize("name, count", [("t_code", 996), ("c_code", 240)])
+    def test_subset_closure_of_a_matches_odd_dual_scan(self, request, name, count):
+        # e lies inside an element of A exactly when it contains no odd
+        # vector of A-perp, so both scans give the same table.
+        code = request.getfixturevalue(name)
+        assert code.is_regular
+        table = build_cleanability_table(code)
+        assert len(table.cleanable) == count
+        assert table.representative == superset_closure_table(code)
 
     def test_count_is_996(self, table):
         assert len(table.cleanable) == 996

@@ -187,6 +187,17 @@ class TestMinOddWeight:
         s = Subspace(7, STEANE_FACES)
         assert min_odd_weight(s, max_weight=1) is None
 
+    def test_budget_above_join_limit_raises_before_searching(self, monkeypatch):
+        # Budgets 5 and 6 keep the C(7, 2) = 21 sums of 2-subsets at weight 5.
+        s = Subspace(7, STEANE_FACES)
+        monkeypatch.setattr(f2, "JOIN_SUM_LIMIT", 20)
+        assert min_odd_weight(s, max_weight=4) == 3
+        for budget in (5, 6, 100):
+            with pytest.raises(f2.CapacityError, match=f"budget of {budget}"):
+                min_odd_weight(s, max_weight=budget)
+        assert min_odd_weight(s, max_weight=3) == 3
+        assert min_odd_weight(s) == 3  # no budget: the search stops at d
+
 
 def radix2_fwht(values: np.ndarray) -> np.ndarray:
     """Reference transform along axis 0: the plain in-place radix-2 loop,
@@ -273,15 +284,14 @@ class TestSolvers:
             rows = [rng.getrandbits(n) for _ in range(rng.randrange(0, n + 2))]
             x_true = rng.getrandbits(n)
             rhs = [(row & x_true).bit_count() & 1 for row in rows]
-            x, kernel = f2.solve_linear(rows, rhs, n)
+            x = f2.solve_linear(rows, rhs, n)
             assert x is not None
             assert all((row & x).bit_count() & 1 == b for row, b in zip(rows, rhs))
-            for k in kernel:
+            for k in f2.nullspace(rows, n):
                 assert all((row & k).bit_count() % 2 == 0 for row in rows)
 
     def test_solve_linear_inconsistent(self):
-        x, _ = f2.solve_linear([0b1, 0b1], [0, 1], 2)
-        assert x is None
+        assert f2.solve_linear([0b1, 0b1], [0, 1], 2) is None
 
     def test_express(self):
         """express finds a combination exactly for the vectors of the span,

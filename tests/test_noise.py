@@ -6,6 +6,7 @@ import pytest
 from dccsim import f2, noise
 from dccsim.csscode import build_cleanability_table, make_code
 from dccsim.f2 import Subspace
+from dccsim.protocol import family15
 from dccsim.noise import (
     CLIFFORD_CLASSES,
     CLIFFORD_GROUP,
@@ -131,6 +132,20 @@ class TestPropagation:
             for g in cp.radical:
                 for h in cp.radical:
                     assert f2.dot(g, h) == 0
+
+    @pytest.mark.parametrize("which", ["doubled_steane", "c_code"])
+    def test_radical_is_radical_of_b_inside_e(self, which, t_code):
+        # Oracle independent of Gamma: B_e from B's elements inside e, and
+        # its radical as the elements of B_e orthogonal to all of B_e.
+        code = t_code if which == "doubled_steane" else family15().c_stage.code
+        propagator = TPropagator(code, build_cleanability_table(code))
+        b_elements = code.b_space.element_array()
+        for alpha in sorted(propagator.table.cleanable):
+            e = propagator.table.rep(alpha)
+            inside = b_elements[(b_elements & np.uint64(~e & ((1 << code.n) - 1))) == 0].tolist()
+            b_e = Subspace(code.n, inside)
+            radical = [g for g in inside if not any(f2.dot(g, h) for h in b_e.basis)]
+            assert Subspace(code.n, propagator.coset(alpha).radical) == Subspace(code.n, radical)
 
     def test_distribution_normalized_nonnegative(self, propagator):
         for alpha in propagator.table.cleanable:

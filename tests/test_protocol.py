@@ -398,8 +398,6 @@ class TestEstimator:
             ProtocolConfig(p=0.1, trials=0)
         with pytest.raises(ValueError):
             ProtocolConfig(p=0.1, trials=1, decoder="magic")
-        with pytest.raises(ValueError, match="t = 1"):
-            ProtocolConfig(p=0.1, trials=1, t=2)
         with pytest.raises(ValueError, match="max_gates"):
             ProtocolConfig(p=0.1, trials=1, max_gates=0)
         with pytest.raises(ValueError, match="eps"):
