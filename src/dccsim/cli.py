@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -62,7 +63,9 @@ def _seed_default() -> int:
         raise UsageError(f"DCC_SEED must be an integer, got {env!r}") from None
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser, built once: parse_args leaves it unchanged."""
     parser = _Parser(prog="dccsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -13,7 +13,6 @@ gauge element, which is what the decoder and the Monte Carlo both rely on.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -85,19 +84,30 @@ def check_evenness(s: Subspace, witness: EvennessWitness) -> bool:
     the pairwise intersection conditions mod order/2 and, for order 8, the
     triple intersection conditions mod 2 are necessary and sufficient for
     the whole space.
+
+    The signed overlaps of all basis pairs are one integer matrix product
+    over the packed words: entry (i, j) is |x_i & x_j & M+| - |x_i & x_j & M-|,
+    so the diagonal holds the basis conditions and the rest the pairwise
+    ones. The triple conditions are parities: for each pair i < j, one XOR
+    of the basis columns at the sites of x_i & x_j & (M+ | M-) gives the
+    triple parities against every basis row at once.
     """
-    w = witness
-    basis = s.basis
-    if any(w.signed_overlap(b) % w.order for b in basis):
+    w, n, basis = witness, s.n, s.basis
+    ones = (1 << n) - 1  # sites at or above n meet no basis vector
+    rows = f2.word_array(basis, n)
+    plus, minus = f2.word_array([w.plus & ones, w.minus & ones], n)
+    both = rows[:, np.newaxis, :] & rows
+    overlaps = (np.bitwise_count(both & plus).sum(axis=2, dtype=np.int64)
+                - np.bitwise_count(both & minus).sum(axis=2, dtype=np.int64))
+    if np.any(np.diagonal(overlaps) % w.order) or np.any(np.triu(overlaps, 1) % (w.order // 2)):
         return False
-    half = w.order // 2
-    for i, j in itertools.combinations(range(len(basis)), 2):
-        if w.signed_overlap(basis[i] & basis[j]) % half:
-            return False
     if w.order == 8:
-        for i, j, k in itertools.combinations(range(len(basis)), 3):
-            if w.signed_overlap(basis[i] & basis[j] & basis[k]) % 2:
-                return False
+        cols = f2.columns(basis, n)
+        sites = w.plus | w.minus
+        for i, x in enumerate(basis):
+            for j in range(i + 1, len(basis)):
+                if f2.xor_at_sites(cols, x & basis[j] & sites) >> (j + 1):
+                    return False
     return True
 
 

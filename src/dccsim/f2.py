@@ -3,7 +3,9 @@
 Vectors over GF(2) are stored as Python ints (bit j = coordinate j) with an
 explicit length. Subspaces keep their basis in reduced row echelon form with
 the leftmost-pivot convention (pivot columns scanned from bit 0 upward), so
-two subspaces are equal iff their canonical bases compare equal.
+two subspaces are equal iff their canonical bases compare equal. The kernels
+loop over the set bits of a vector (x & -x) or over its pivot hits
+(x & pivot mask), never over all n coordinates.
 """
 
 from __future__ import annotations
@@ -51,12 +53,10 @@ def vector_from_support(support: Iterable[int]) -> int:
 
 def support(x: int) -> tuple[int, ...]:
     out = []
-    j = 0
     while x:
-        if x & 1:
-            out.append(j)
-        x >>= 1
-        j += 1
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
     return tuple(out)
 
 
@@ -66,12 +66,10 @@ def embed(bits: int, positions: Sequence[int]) -> int:
     positions[i] receives bit i; all other coordinates are zero.
     """
     out = 0
-    i = 0
     while bits:
-        if bits & 1:
-            out |= 1 << positions[i]
-        bits >>= 1
-        i += 1
+        low = bits & -bits
+        out |= 1 << positions[low.bit_length() - 1]
+        bits ^= low
     return out
 
 
@@ -84,42 +82,74 @@ def restrict(x: int, positions: Sequence[int]) -> int:
     return out
 
 
+def _reduced(rows: Iterable[int], top: bool = False) -> dict[int, int]:
+    """{pivot bit: row} for the reduced echelon form of the row set. A row's
+    pivot is its lowest set bit, or its highest when top is set; "past" a
+    bit means above it, or below it when top is set.
+
+    An incoming row is reduced at its pivot hits (row & pivot mask), nearest
+    first: the row of pivot h changes only bits past h, so the hits are met
+    in order. Once every row is in, the rows are cleared at the other pivots
+    they hold, all past their own, from the farthest pivot back: the rows
+    used are then fully reduced and change no pivot bit but their own, so
+    each row's hits are read once.
+    """
+    by_pivot: dict[int, int] = {}
+    mask = 0
+    for row in rows:
+        hits = row & mask
+        while hits:
+            row ^= by_pivot[(1 << hits.bit_length() - 1) if top else hits & -hits]
+            hits = row & mask
+        if row:
+            lead = (1 << row.bit_length() - 1) if top else row & -row
+            by_pivot[lead] = row
+            mask |= lead
+    for lead in sorted(by_pivot, reverse=not top):
+        row = by_pivot[lead]
+        hits = (row & mask) ^ lead
+        while hits:
+            low = hits & -hits
+            row ^= by_pivot[low]
+            hits ^= low
+        by_pivot[lead] = row
+    return by_pivot
+
+
 def rref(rows: Iterable[int], n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Reduced row echelon form of the row set.
 
     Returns (rows, pivot columns), rows sorted by ascending pivot column.
     """
-    basis: list[int] = []
-    pivots: list[int] = []
-    for row in rows:
-        for p, b in zip(pivots, basis):
-            if (row >> p) & 1:
-                row ^= b
-        if row == 0:
-            continue
-        p = (row & -row).bit_length() - 1
-        # Keep earlier rows reduced against the new pivot.
-        basis = [b ^ row if (b >> p) & 1 else b for b in basis]
-        basis.append(row)
-        pivots.append(p)
-    order = sorted(range(len(pivots)), key=pivots.__getitem__)
-    return tuple(basis[i] for i in order), tuple(pivots[i] for i in order)
+    by_pivot = _reduced(rows)
+    order = sorted(by_pivot)
+    return tuple(by_pivot[low] for low in order), tuple(low.bit_length() - 1 for low in order)
 
 
 def nullspace(rows: Sequence[int], n: int) -> tuple[int, ...]:
-    """Basis (RREF) of the kernel of the map v -> (row.v for each row)."""
-    basis, pivots = rref(rows, n)
-    pivot_set = set(pivots)
-    kernel = []
-    for col in range(n):
-        if col in pivot_set:
-            continue
-        v = 1 << col
-        for p, b in zip(pivots, basis):
-            if (b >> col) & 1:
-                v |= 1 << p
-        kernel.append(v)
-    return rref(kernel, n)[0]
+    """Basis (RREF) of the kernel of the map v -> (row.v for each row).
+
+    The rows are reduced with each pivot at its row's highest bit. A free
+    (non-pivot) column q then gives the kernel vector with bit q and the
+    pivots of the rows that have bit q, all above q. Its lowest bit is q and
+    it has no other free bit, so these vectors, by ascending q, are already
+    the kernel's RREF; they are built from the free bits of each row.
+    """
+    by_pivot = _reduced(rows, top=True)
+    free = ((1 << n) - 1) & ~sum(by_pivot)
+    kernel: dict[int, int] = {}  # free bit -> kernel vector, by ascending bit
+    rest = free
+    while rest:
+        low = rest & -rest
+        kernel[low] = low
+        rest ^= low
+    for high, row in by_pivot.items():
+        hits = row & free
+        while hits:
+            low = hits & -hits
+            kernel[low] |= high
+            hits ^= low
+    return tuple(kernel.values())
 
 
 def solve_linear(rows: Sequence[int], rhs: Sequence[int], n: int) -> int | None:
@@ -166,6 +196,14 @@ def xor_at_sites(cols: Sequence[int], x: int) -> int:
     return acc
 
 
+def word_array(rows: Sequence[int], n: int) -> np.ndarray:
+    """The rows packed as a (len(rows), ceil(n/64)) uint64 array, coordinate
+    j at bit j % 64 of word j // 64; every row must fit in n bits."""
+    width = (n + 63) // 64
+    packed = b"".join(row.to_bytes(8 * width, "little") for row in rows)
+    return np.frombuffer(packed, dtype="<u8").astype(np.uint64).reshape(len(rows), width)
+
+
 def enumerate_span(rows: Sequence[int], n: int) -> np.ndarray:
     """All 2^k elements of the span as a uint64 array (requires n <= 63).
 
@@ -203,10 +241,21 @@ class Subspace:
         """Rows whose common kernel is exactly this subspace."""
         return nullspace(self.basis, self.n)
 
+    @cached_property
+    def _by_pivot(self) -> tuple[int, dict[int, int]]:
+        """The pivot mask and the basis row of each pivot bit."""
+        rows = {1 << p: b for p, b in zip(self.pivots, self.basis)}
+        return sum(rows), rows
+
     def contains(self, v: int) -> bool:
-        for p, b in zip(self.pivots, self.basis):
-            if (v >> p) & 1:
-                v ^= b
+        # The basis is fully reduced: a row clears its own pivot bit and
+        # changes no other, so v's pivot hits are read once.
+        mask, rows = self._by_pivot
+        hits = v & mask
+        while hits:
+            low = hits & -hits
+            v ^= rows[low]
+            hits ^= low
         return v == 0
 
     def __contains__(self, v: int) -> bool:
@@ -372,27 +421,34 @@ def fwht_direct(values: np.ndarray) -> np.ndarray:
     return out
 
 
+_HEX_DIGITS = "0123456789abcdef"
+
+
 def row_to_hex(bits: int, n: int) -> str:
     """Serialize an n-bit row as lowercase hex, most significant nibble first.
 
-    Coordinate 0 maps to the most significant bit of the padded hex string.
+    Coordinate 0 maps to the most significant bit of the padded hex string,
+    and the padding bits below coordinate n - 1 are zero. Raises ValueError
+    for a row with bits at or above n, or a negative one.
     """
+    if bits >> n:
+        raise ValueError(f"row {bits:#x} does not fit in n={n} bits")
     digits = (n + 3) // 4
-    rev = 0
-    for j in range(n):
-        if (bits >> j) & 1:
-            rev |= 1 << (n - 1 - j)
-    rev <<= 4 * digits - n
+    rev = int(format(bits, f"0{n}b")[::-1], 2) << (4 * digits - n)
     return format(rev, f"0{digits}x")
 
 
 def hex_to_row(text: str, n: int) -> int:
+    """Inverse of row_to_hex: accepts exactly ceil(n/4) lowercase hex digits
+    with zero padding bits, and raises ValueError on anything else (a 0x
+    prefix, a sign, an underscore, white space, upper case)."""
+    if not isinstance(text, str):
+        raise TypeError(f"a hex row is a string, got {type(text).__name__}")
     digits = (n + 3) // 4
-    if len(text) != digits:
-        raise ValueError(f"expected {digits} hex digits for n={n}")
-    rev = int(text, 16) >> (4 * digits - n)
-    bits = 0
-    for j in range(n):
-        if (rev >> (n - 1 - j)) & 1:
-            bits |= 1 << j
-    return bits
+    pad = 4 * digits - n
+    # The strip is empty exactly when every character is a digit.
+    well_formed = len(text) == digits and not text.strip(_HEX_DIGITS)
+    value = int(text, 16) if well_formed else 0
+    if not well_formed or value & ((1 << pad) - 1):
+        raise ValueError(f"{text!r} is not {digits} lowercase hex digits of an n={n} row")
+    return int(format(value >> pad, f"0{n}b")[::-1], 2)

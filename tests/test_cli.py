@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -87,6 +88,25 @@ class TestBuildVerify:
         assert run(["verify", str(out)]) == EXIT_USAGE
         assert "is not a code JSON: KeyError 'witness'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["A", "B", "C", "distance_witness"])
+    @pytest.mark.parametrize("text", ["0xaa", " aaa", "-aaa", "a_aa", "aaab"])
+    def test_malformed_hex_row_exits_4(self, tmp_path, capsys, field, text):
+        # n = 15: a row is four lowercase hex digits whose last bit is zero.
+        out = tmp_path / "code.json"
+        run(["build", "--t", "1", "--stage", "final", "--out", str(out)])
+        obj = json.loads(out.read_text())
+        assert obj["n"] == 15
+        if field == "distance_witness":
+            obj[field] = text
+        else:
+            obj[field][0] = text
+        out.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert run(["verify", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"{text!r} is not 4 lowercase hex digits of an n=15 row" in captured.err
+        assert "PASS" not in captured.out
+
     def test_unsupported_t(self, tmp_path):
         assert run(["build", "--t", "9", "--out", str(tmp_path / "x.json")]) == EXIT_USAGE
 
@@ -126,6 +146,22 @@ class TestBuildVerify:
         obj = json.loads(out.read_text())
         assert obj["n"] == 2 * 27 + 8 * 9 + 6 * 3 - 1
         assert run(["verify", str(out)]) == EXIT_OK
+
+
+    def test_outputs_pinned(self, tmp_path, capsys):
+        """sha256 over the build JSON bytes and the verify stdout of every
+        stage at t = 1..3 and the final stage at t = 4, at the default
+        budget. A faster kernel must leave every byte unchanged."""
+        h = hashlib.sha256()
+        runs = [(t, stage) for t in (1, 2, 3) for stage in ("doubled", "gadget", "final")]
+        for t, stage in runs + [(4, "final")]:
+            out = tmp_path / f"t{t}-{stage}.json"
+            assert run(["build", "--t", str(t), "--stage", stage, "--out", str(out)]) == EXIT_OK
+            h.update(out.read_bytes())
+            capsys.readouterr()
+            assert run(["verify", str(out)]) == EXIT_OK
+            h.update(capsys.readouterr().out.encode())
+        assert h.hexdigest() == "83fd55196dc6610d57ddae8905fd41f1e3a2b51c400ad7abf654bdbcc1a2861b"
 
 
 class TestSimulate:

@@ -1,0 +1,206 @@
+"""The GF(2) and evenness kernels against the plain loops in oracles.py, on
+random inputs at lengths around the 64-bit word boundary and at t = 4's n."""
+
+import random
+
+import pytest
+
+import oracles
+from dccsim import f2
+from dccsim.codefamily import build_doubled
+from dccsim.csscode import EvennessWitness, check_evenness
+from dccsim.f2 import Subspace
+
+SIZES = (1, 15, 64, 65, 279)
+
+
+def row_sets(rng: random.Random, n: int):
+    """Row lists with empty, zero, duplicate and dependent rows, and sparse
+    and dense random ones."""
+    yield []
+    yield [0, 0]
+    yield [1 << (n - 1)] * 3
+    yield [(1 << n) - 1]
+    for _ in range(25):
+        k = rng.randrange(1, min(2 * n, 90) + 1)
+        density = rng.choice((0.03, 0.5))
+        rows = [sum(1 << j for j in range(n) if rng.random() < density) for _ in range(k)]
+        if rng.random() < 0.5:
+            rows.append(0)
+        if rng.random() < 0.5:
+            rows.append(rows[0])
+        if len(rows) > 1 and rng.random() < 0.5:
+            rows.append(rows[0] ^ rows[1])
+        rng.shuffle(rows)
+        yield rows
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_rref_and_nullspace(n):
+    rng = random.Random(n)
+    for rows in row_sets(rng, n):
+        assert f2.rref(rows, n) == oracles.rref(rows, n)
+        assert f2.nullspace(rows, n) == oracles.nullspace(rows, n)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_contains(n):
+    rng = random.Random(100 + n)
+    for rows in row_sets(rng, n):
+        s = Subspace(n, rows)
+        probes = [0, (1 << n) - 1] + rows + [rng.getrandbits(n) for _ in range(10)]
+        probes += [v ^ (1 << rng.randrange(n)) for v in rows[:5]]
+        for v in probes:
+            assert s.contains(v) == oracles.contains(s, v)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_bit_maps(n):
+    rng = random.Random(200 + n)
+    for x in [0, 1, (1 << n) - 1, 1 << (n - 1)] + [rng.getrandbits(n) for _ in range(200)]:
+        positions = sorted(rng.sample(range(2 * n), n))
+        assert f2.support(x) == oracles.support(x)
+        assert f2.embed(x, positions) == oracles.embed(x, positions)
+        text = f2.row_to_hex(x, n)
+        assert text == oracles.row_to_hex(x, n)
+        assert f2.hex_to_row(text, n) == oracles.hex_to_row(text, n) == x
+
+
+class TestHexRows:
+    @pytest.mark.parametrize("text", ["0xaa", " aaa", "aaa ", "-aaa", "+aaa", "a_aa", "AAAA",
+                                      "aaa\n", "aaab", "aaa", "aaaaa", "", "aaag"])
+    def test_malformed_row_is_rejected(self, text):
+        # n = 15: four digits, the last bit of the last one padding.
+        with pytest.raises(ValueError):
+            f2.hex_to_row(text, 15)
+
+    def test_non_string_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            f2.hex_to_row(0xAAAA, 15)
+        with pytest.raises(TypeError):
+            f2.hex_to_row(list("aaaa"), 15)
+
+    @pytest.mark.parametrize("bits", [1 << 15, (1 << 16) - 1, -1])
+    def test_row_outside_n_bits_is_rejected(self, bits):
+        with pytest.raises(ValueError):
+            f2.row_to_hex(bits, 15)
+
+    def test_every_digit_string_is_one_row(self):
+        # n = 6: two digits and two padding bits, so 64 rows, 64 strings.
+        texts = [f"{v:02x}" for v in range(256)]
+        rows = {}
+        for text in texts:
+            try:
+                rows[text] = f2.hex_to_row(text, 6)
+            except ValueError:
+                continue
+        assert sorted(rows.values()) == list(range(64))
+        assert all(f2.row_to_hex(row, 6) == text for text, row in rows.items())
+
+
+# ---------------------------------------------------------------------------
+# Evenness
+# ---------------------------------------------------------------------------
+
+def failing_stage(s: Subspace, w: EvennessWitness) -> str | None:
+    """The first group of conditions the oracle's loops reject on s.basis."""
+    basis = s.basis
+    if any(w.signed_overlap(b) % w.order for b in basis):
+        return "basis"
+    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    if any(w.signed_overlap(basis[i] & basis[j]) % (w.order // 2) for i, j in pairs):
+        return "pair"
+    if w.order == 8 and not oracles.check_evenness(s, w):
+        return "triple"
+    return None
+
+
+def planted(rng: random.Random, n: int, blocks: list[list[int]], order: int):
+    """The span of rows given as lists of abstract sites 0..m-1, placed at
+    random coordinates of F2^n in the same order, with a witness of sign +1
+    on those sites and -1 on some of the others. Each row's lowest site is
+    in no other row, so the rows are their span's RREF basis."""
+    m = 1 + max(max(block) for block in blocks)
+    where = sorted(rng.sample(range(n), m))
+    rows = [f2.vector_from_support(where[site] for site in block) for block in blocks]
+    plus = f2.vector_from_support(where)
+    minus = ((1 << n) - 1) & ~plus & rng.getrandbits(n)
+    s = Subspace(n, rows)
+    assert s.basis == tuple(rows)
+    return s, EvennessWitness(plus, minus, order)
+
+
+# Rows whose weights pass; their overlaps of 1 (order 4) and 2 (order 8) do
+# not.
+PAIR_FAILURES = {
+    4: [[0, 2, 3, 4], [1, 4, 5, 6]],
+    8: [[0, 2, 3, 4, 5, 6, 7, 8], [1, 7, 8, 9, 10, 11, 12, 13]],
+}
+# Three rows of weight 8 with pairwise overlaps of 4 and one common site:
+# every basis and pair condition holds, and the XOR of all three has
+# weight 8 + 8 + 8 - 2 * 12 + 4 = 4.
+TRIPLE_FAILURE = [
+    [0, 3, 4, 5, 9, 10, 11, 12],
+    [1, 3, 4, 5, 6, 7, 8, 12],
+    [2, 6, 7, 8, 9, 10, 11, 12],
+]
+
+
+@pytest.mark.parametrize("n", [15, 64, 65, 279])
+def test_evenness_on_planted_failures(n):
+    rng = random.Random(300 + n)
+    for _ in range(20):
+        cases = [(planted(rng, n, PAIR_FAILURES[order], order), "pair") for order in (4, 8)]
+        cases.append((planted(rng, n, TRIPLE_FAILURE, 8), "triple"))
+        for (s, w), stage in cases:
+            assert failing_stage(s, w) == stage
+            assert not check_evenness(s, w)
+            assert not oracles.check_evenness(s, w)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_evenness_on_random_spaces(n):
+    rng = random.Random(400 + n)
+    for rows in row_sets(rng, n):
+        s = Subspace(n, rows)
+        for order in (4, 8):
+            plus = rng.getrandbits(n) | 1
+            w = EvennessWitness(plus, rng.getrandbits(n) & ~plus, order)
+            assert check_evenness(s, w) == oracles.check_evenness(s, w)
+
+
+@pytest.fixture(scope="module")
+def doubled_codes():
+    return [build_doubled(t) for t in (1, 2)]
+
+
+@pytest.mark.parametrize("n", [15, 64, 65, 279])
+def test_evenness_on_perturbed_codes(n, doubled_codes):
+    """The doubled codes' T and C sides with their witnesses, placed at
+    random coordinates, then spoiled by a moved witness site or an extra
+    row, so that every stage decides some cases."""
+    rng = random.Random(500 + n)
+    seen = set()
+    for _ in range(60):
+        code = rng.choice([d for d in doubled_codes if d.n <= n])
+        where = sorted(rng.sample(range(n), code.n))
+        for space, w in ((code.t_space, code.witness_t), (code.c_space, code.witness_c)):
+            rows = [f2.embed(row, where) for row in space.basis]
+            plus, minus = f2.embed(w.plus, where), f2.embed(w.minus, where)
+            spoil = rng.randrange(3)
+            if spoil == 1:  # a site leaves M+, or joins it from M- or from neither
+                site = 1 << where[rng.randrange(code.n)]
+                plus, minus = plus ^ site, minus & ~site
+            elif spoil == 2:
+                rows.append(f2.embed(rng.getrandbits(code.n), where))
+            s, spoiled = Subspace(n, rows), EvennessWitness(plus, minus, w.order)
+            assert check_evenness(s, spoiled) == oracles.check_evenness(s, spoiled)
+            seen.add((w.order, failing_stage(s, spoiled)))
+    assert {(4, None), (8, None), (4, "basis"), (8, "basis")} <= seen
+
+
+def test_evenness_ignores_witness_sites_beyond_n():
+    s = Subspace(7, [0b1010101, 0b1100110, 0b1111000])
+    for order in (4, 8):
+        w = EvennessWitness(((1 << 7) - 1) | (1 << 300), 1 << 9, order)
+        assert check_evenness(s, w) == oracles.check_evenness(s, w) == (order == 4)

@@ -5,6 +5,7 @@ import pytest
 
 from dccsim import f2, noise
 from dccsim.csscode import build_cleanability_table, make_code
+from dccsim.decoder import gamma_hat_direct
 from dccsim.f2 import Subspace
 from dccsim.protocol import family15
 from dccsim.noise import (
@@ -240,6 +241,43 @@ class TestPropagation:
         frame = PauliFrame(15, a=e, b=0)
         with pytest.raises(ValueError, match="cleanable"):
             propagate_through_t(frame, propagator, np.random.default_rng(10))
+
+
+class TestSignTerm:
+    """The 5-qubit regular code B = <17, 18, 24>, A = dot(B) = <27>: unlike
+    the protocol's codes, some coset radicals hold a vector of weight 2 mod
+    4, so Gamma has -1 entries and some particular solutions are nonzero."""
+
+    @pytest.fixture(scope="class")
+    def prop(self):
+        b_space = Subspace(5, [17, 18, 24])
+        code = make_code(b_space.dot_space(), b_space)
+        return TPropagator(code, build_cleanability_table(code))
+
+    def test_code_carries_the_sign_term(self, prop):
+        assert prop.code.a_space.basis == (27,)
+        assert (prop.table.gamma_hat < 0).any()
+        assert any(prop.coset(alpha).particular for alpha in prop.table.cleanable)
+
+    def test_gamma_hat_matches_direct_sum(self, prop):
+        gamma = prop.table.gamma_hat
+        for alpha in sorted(prop.table.cleanable):
+            for beta in range(gamma.shape[0]):
+                assert abs(gamma[beta, alpha] - gamma_hat_direct(prop.code, prop, alpha, beta)) <= 1e-12
+
+    def test_product_equals_character_sum(self, prop):
+        for alpha in sorted(prop.table.cleanable):
+            prod = p_f_given_e(prop, alpha)
+            char = p_f_given_e_charsum(prop, alpha)
+            assert prod.keys() == char.keys()
+            assert all(abs(prod[f] - char[f]) <= 1e-12 for f in prod)
+
+    def test_samples_lie_in_the_support(self, prop):
+        # sample_f starts from the particular solution of f.g = |g|/2.
+        rng = np.random.default_rng(14)
+        for alpha in sorted(prop.table.cleanable):
+            dist = p_f_given_e(prop, alpha)
+            assert all(prop.sample_f(alpha, rng) in dist for _ in range(20))
 
 
 class TestTwirls:
