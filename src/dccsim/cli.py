@@ -98,10 +98,10 @@ def _simulate_flags(parser: argparse.ArgumentParser, with_p: bool = True) -> Non
     if with_p:
         parser.add_argument("--p", type=float, required=True)
     parser.add_argument("--trials", type=int, default=400)
-    parser.add_argument("--decoder", choices=list(ENGINES), default="sparse")
+    parser.add_argument("--decoder", choices=list(ENGINES), default=ProtocolConfig.decoder)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--max-gates", type=int, default=100_000)
-    parser.add_argument("--eps", type=float, default=1e-6)
+    parser.add_argument("--max-gates", type=int, default=ProtocolConfig.max_gates)
+    parser.add_argument("--eps", type=float, default=ProtocolConfig.eps)
     parser.add_argument("--threads", type=int, default=0, help="0 = available parallelism")
     parser.add_argument("--out", default="-")
 
@@ -275,7 +275,7 @@ def cmd_decode_trace(args) -> int:
             elif kind == "T":
                 rho.apply_t_gate(fam.t_update)
             elif kind == "truncate":
-                rho.truncate(_probability(event.get("eps", 1e-6), f"line {lineno}: eps"))
+                rho.truncate(_probability(event.get("eps", ProtocolConfig.eps), f"line {lineno}: eps"))
             else:
                 raise UsageError(f"line {lineno}: unknown event type {kind!r}")
             step += 1

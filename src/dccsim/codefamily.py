@@ -187,35 +187,6 @@ def build_doubled(t: int) -> DoubledCodes:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class GadgetLevel:
-    """Boundary data of the level-r gadget.
-
-    u: global positions of the side of the level-r lattice facing level r-1
-       (on the B_r block), u[0] .. u[2r]; the twisted corner is u[2r].
-    v: global positions of the facing side of level r-1 (on A_{r-1}), length
-       2r-1; for r = 1 the single final-block qubit.
-    w: global positions of the 2r ancillas; wbar: subdivision ancillas
-       (empty unless the stage is subdivided and r >= 2).
-    g, h: the added generators, g[i] weight two, h[i] weight at most six.
-       In subdivided stages the last g row (the long link) is kept here for
-       reference but replaced by the chain rows in the generator list.
-    b_faces / c_faces: spoiled faces of the level-r / level-(r-1) lattice
-       (local face indices), i = 1..r-1.
-    """
-
-    r: int
-    u: tuple[int, ...]
-    v: tuple[int, ...]
-    w: tuple[int, ...]
-    wbar: tuple[int, ...]
-    g: tuple[int, ...]
-    h: tuple[int, ...]
-    chain: tuple[int, ...]
-    b_faces: tuple[int, ...]
-    c_faces: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class GadgetCodes:
     """One gadget-extended stage (gadget, local, or final)."""
 
@@ -230,7 +201,6 @@ class GadgetCodes:
     witness_t: EvennessWitness
     witness_c: EvennessWitness
     generators: tuple[Generator, ...]
-    levels: dict[int, GadgetLevel]
 
     @property
     def n(self) -> int:
@@ -282,7 +252,6 @@ def build_gadget_codes(t: int, stage: str = "gadget") -> GadgetCodes:
         for g in doubled.generators
         if g.kind != "omega_link"
     ]
-    levels: dict[int, GadgetLevel] = {}
     gadget_rs = [r for r in range(1, t + 1) if layout.has(f"D{r}")]
     for r in gadget_rs:
         lat = lattices[r]
@@ -322,46 +291,20 @@ def build_gadget_codes(t: int, stage: str = "gadget") -> GadgetCodes:
         if acc != link:
             raise AssertionError(f"gadget level {r}: generators do not sum to the link")
 
-        b_faces, c_faces = [], []
-        side_u = lat.boundary(1)
-        for i in range(1, r):
-            idx = lat.face_containing(side_u[2 * i - 1], side_u[2 * i])
-            if (lat.faces[idx].bits & lat.boundary_bits(1)).bit_count() != 2:
-                raise AssertionError("spoiled face touches the boundary beyond its pair")
-            b_faces.append(idx)
-        if r >= 2:
-            side_v = lattices[r - 1].boundary(2)
-            for i in range(1, r):
-                idx = lattices[r - 1].face_containing(side_v[2 * i - 1], side_v[2 * i])
-                bits = lattices[r - 1].faces[idx].bits & lattices[r - 1].boundary_bits(2)
-                if bits.bit_count() != 2:
-                    raise AssertionError("spoiled face touches the boundary beyond its pair")
-                c_faces.append(idx)
-
         chain_rows: list[int] = []
-        if subdivide and r >= 2:
+        if wbar:  # subdivided: the long-range row becomes a chain through wbar
             path = [w[0], *wbar, w[2 * r - 1]]
-            chain_rows = [
-                (1 << path[k]) | (1 << path[k + 1]) for k in range(len(path) - 1)
-            ]
-            g_keep = g_rows[:-1]
-        else:
-            g_keep = g_rows
-
-        for row in g_keep:
+            chain_rows = [(1 << a) | (1 << b) for a, b in zip(path, path[1:])]
+            g_rows.pop()
+        for row in g_rows:
             gens.append(Generator("gadget_g", r, row))
         for row in h_rows:
             gens.append(Generator("gadget_h", r, row))
         for row in chain_rows:
             gens.append(Generator("subdivision", r, row))
-        levels[r] = GadgetLevel(
-            r=r, u=u, v=v, w=w, wbar=wbar,
-            g=tuple(g_rows), h=tuple(h_rows), chain=tuple(chain_rows),
-            b_faces=tuple(b_faces), c_faces=tuple(c_faces),
-        )
 
     for r in range(1, t + 1):
-        if r not in levels:
+        if r not in gadget_rs:
             gens.append(Generator("omega_link", r, f2.embed(link_row(doubled.layout, lattices, r), emb)))
 
     n = layout.n
@@ -382,101 +325,7 @@ def build_gadget_codes(t: int, stage: str = "gadget") -> GadgetCodes:
         witness_t=doubled.witness_t.embed(emb),
         witness_c=doubled.witness_c.embed(emb),
         generators=tuple(gens),
-        levels=levels,
     )
-
-
-def subdivide_link(dot_u: Subspace, i: int, j: int) -> Subspace:
-    """Generic subdivision gadget: replace the weight-2 row e_i + e_j of a
-    dot space by a chain through two fresh ancillas appended at the end."""
-    n = dot_u.n
-    if not dot_u.contains((1 << i) | (1 << j)):
-        raise ValueError("dot space does not contain the requested weight-2 row")
-    a, b = n, n + 1
-    rows = list(dot_u.basis)
-    rows += [(1 << i) | (1 << a), (1 << a) | (1 << b), (1 << b) | (1 << j)]
-    return Subspace(n + 2, rows)
-
-
-# ---------------------------------------------------------------------------
-# Membership certificates
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CertificateReport:
-    checks: tuple[tuple[str, bool], ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(passed for _, passed in self.checks)
-
-    def failures(self) -> list[str]:
-        return [name for name, passed in self.checks if not passed]
-
-
-def membership_certificates(codes: GadgetCodes) -> CertificateReport:
-    """Verify the structural identities of the gadget extension.
-
-    Checks, per level r: the total ancilla row sum g_r lies in the extended
-    triply-even space; each weight-2 generator combines with its adjacent
-    spoiled face (below on level r, above on level r-1) to a member; and the
-    generating set built from unspoiled double faces, block links, g_r, and
-    the spoiled-face combinations spans the space exactly.
-    """
-    t_space = codes.t_space
-    layout = codes.layout
-    checks: list[tuple[str, bool]] = []
-    rhs_rows: list[int] = []
-    spoiled: dict[int, set[int]] = {r: set() for r in range(1, codes.t + 1)}
-
-    for r, lev in sorted(codes.levels.items()):
-        g_total = 0
-        for row in lev.g[:-1]:
-            g_total ^= row
-        if lev.chain:
-            # Subdivided long link: the member vector runs through the path.
-            g_total ^= (1 << lev.w[0]) | (1 << lev.w[2 * r - 1])
-            g_total |= f2.vector_from_support(lev.wbar)
-        else:
-            g_total ^= lev.g[-1]
-        checks.append((f"level {r}: ancilla row sum in code space", g_total in t_space))
-        rhs_rows.append(g_total)
-        lat = codes.lattices[r]
-        a_off, b_off = layout.offset(f"A{r}"), layout.offset(f"B{r}")
-        for i, face_idx in enumerate(lev.b_faces, start=1):
-            face = lat.faces[face_idx].bits
-            beta = lev.g[i - 1] ^ (face << a_off) ^ (face << b_off)
-            checks.append((f"level {r}: g[{i}] + double face below in code space", beta in t_space))
-            rhs_rows.append(beta)
-            spoiled[r].add(face_idx)
-        if r >= 2:
-            lat_below = codes.lattices[r - 1]
-            a2_off = layout.offset(f"A{r-1}")
-            b2_off = layout.offset(f"B{r-1}")
-            for i, face_idx in enumerate(lev.c_faces, start=1):
-                face = lat_below.faces[face_idx].bits
-                gamma = lev.g[i - 1] ^ (face << a2_off) ^ (face << b2_off)
-                checks.append((f"level {r}: g[{i}] + double face above in code space", gamma in t_space))
-                rhs_rows.append(gamma)
-                spoiled[r - 1].add(face_idx)
-
-    for r in range(1, codes.t + 1):
-        lat = codes.lattices[r]
-        a_off, b_off = layout.offset(f"A{r}"), layout.offset(f"B{r}")
-        for idx, face in enumerate(lat.faces):
-            if idx in spoiled[r]:
-                continue
-            rhs_rows.append((face.bits << a_off) | (face.bits << b_off))
-        ones = (1 << lat.m) - 1
-        next_block = "A0" if r == 1 else f"A{r-1}"
-        rhs_rows.append(
-            (ones << b_off)
-            | layout.embed((1 << layout.size(next_block)) - 1, next_block)
-        )
-
-    rebuilt = Subspace(codes.n, rhs_rows)
-    checks.append(("generating set reproduces the code space", rebuilt == t_space))
-    return CertificateReport(tuple(checks))
 
 
 @lru_cache(maxsize=None)

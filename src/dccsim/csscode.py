@@ -55,9 +55,6 @@ class EvennessWitness:
         """Signed size |M+| - |M-|."""
         return self.plus.bit_count() - self.minus.bit_count()
 
-    def signed_overlap(self, v: int) -> int:
-        return (v & self.plus).bit_count() - (v & self.minus).bit_count()
-
     def embed(self, positions: Sequence[int]) -> "EvennessWitness":
         """Witness with sites remapped by an index embedding (site i -> positions[i])."""
         return EvennessWitness(
@@ -175,13 +172,6 @@ class SubsystemCode:
     def is_regular(self) -> bool:
         return self.a_space == self.dot_b
 
-    def distance(self, max_weight: int | None = None) -> int | None:
-        da = f2.min_odd_weight(self.a_space, max_weight)
-        db = f2.min_odd_weight(self.b_space, max_weight)
-        if da is None or db is None:
-            return None
-        return min(da, db)
-
 
 def make_code(
     a_space: Subspace,
@@ -248,35 +238,6 @@ def verify_transversality(
 # ---------------------------------------------------------------------------
 # Cleanability
 # ---------------------------------------------------------------------------
-
-def odd_dual_vectors(a_space: Subspace) -> list[int]:
-    """All odd-weight vectors of A-perp (undetectable non-trivial Z errors)."""
-    perp = a_space.orthogonal_complement()
-    if perp.dim > f2.FULL_ENUM_DIM_LIMIT:
-        raise CapacityError("A-perp too large to enumerate")
-    return [v for v in perp.elements() if v.bit_count() & 1]
-
-
-def is_clean_representative(a_space: Subspace, e: int, odd_duals: Sequence[int] | None = None) -> bool:
-    """No odd-weight vector of A-perp has support inside e."""
-    if odd_duals is None:
-        odd_duals = odd_dual_vectors(a_space)
-    return all(g & ~e for g in odd_duals)
-
-
-def clean_system_solvable(a_space: Subspace, e: int) -> bool:
-    """Linear-system version of the representative test.
-
-    Solves for g odd with g supported in e and g orthogonal to A; returns
-    True when such g exists (so e fails the cleanability support test).
-    """
-    positions = f2.support(e)
-    k = len(positions)
-    rows = [f2.restrict(row, positions) for row in a_space.basis]
-    rows.append((1 << k) - 1)
-    rhs = [0] * a_space.dim + [1]
-    return f2.solve_linear(rows, rhs, k) is not None
-
 
 @dataclass(frozen=True)
 class CleanabilityTable:

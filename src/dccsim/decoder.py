@@ -77,7 +77,7 @@ import numpy as np
 from . import f2
 from .csscode import CleanabilityTable, CosetMap, SubsystemCode
 from .f2 import fwht
-from .noise import CLIFFORD_CLASSES, CliffordAction, TPropagator
+from .noise import CLIFFORD_CLASSES, CliffordAction
 
 
 class DegeneratePosteriorError(RuntimeError):
@@ -328,23 +328,6 @@ def build_t_gate_update(
     mask = np.zeros(1 << layout.alpha_bits, dtype=bool)
     mask[sorted(table.cleanable)] = True
     return TGateUpdate(layout=layout, cleanable_mask=mask, gamma_hat=table.gamma_hat)
-
-
-def gamma_hat_direct(
-    code: SubsystemCode, prop: TPropagator, alpha: int, beta: int
-) -> float:
-    """Reference evaluation: direct sum over f inside e(alpha)."""
-    from .noise import p_f_given_e
-
-    cm = code.coset_map
-    v = 0
-    for i, row in enumerate(cm.mat_a):
-        if (beta >> i) & 1:
-            v ^= row
-    acc = 0.0
-    for fvec, pf in p_f_given_e(prop, alpha).items():
-        acc += pf * (-1.0) ** f2.dot(v, fvec)
-    return acc
 
 
 def transformed_depolarizing(coset_map, p: float) -> np.ndarray:
@@ -718,11 +701,6 @@ class SparseLikelihood:
 
     def support_size(self) -> int:
         return len(self.labels)
-
-    def dense_weights(self) -> np.ndarray:
-        out = np.zeros(self.layout.size, dtype=np.float64)
-        out[self.labels] = self.weights
-        return out
 
 
 ENGINES = {"exact": DenseLikelihood, "sparse": SparseLikelihood}

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 # Largest dim(S-perp) for which min_odd_weight searches without a weight
-# bound, and largest subspace elements and element_array enumerate.
+# bound, and largest subspace element_array enumerates.
 FULL_ENUM_DIM_LIMIT = 25
 # Largest number of column sums min_odd_weight keeps for a weight budget. The
 # join at the largest odd weight w within the budget holds every
@@ -285,35 +285,13 @@ class Subspace:
             raise DimensionMismatchError("ambient lengths differ")
         return Subspace(self.n, self.basis + other.basis)
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        if self.n != other.n:
-            raise DimensionMismatchError("ambient lengths differ")
-        return Subspace(self.n, nullspace(self.parity_checks + other.parity_checks, self.n))
-
-    def orthogonal_complement(self) -> "Subspace":
-        return Subspace(self.n, nullspace(self.basis, self.n))
-
     def dot_space(self) -> "Subspace":
         """Even-weight vectors orthogonal to this subspace."""
         ones = (1 << self.n) - 1
         return Subspace(self.n, nullspace(self.basis + (ones,), self.n))
 
-    def elements(self) -> Iterator[int]:
-        """All 2^dim elements; guard the dimension before calling."""
-        if self.dim > FULL_ENUM_DIM_LIMIT:
-            raise ValueError(f"refusing to enumerate 2^{self.dim} elements")
-        for combo in range(1 << self.dim):
-            v = 0
-            c = combo
-            i = 0
-            while c:
-                if c & 1:
-                    v ^= self.basis[i]
-                c >>= 1
-                i += 1
-            yield v
-
     def element_array(self) -> np.ndarray:
+        """All 2^dim elements; bit i of an element's index selects basis[i]."""
         if self.n > 63:
             raise ValueError("element_array requires n <= 63")
         if self.dim > FULL_ENUM_DIM_LIMIT:
@@ -407,18 +385,6 @@ def fwht(values: np.ndarray, axis: int = 0) -> np.ndarray:
     if c & 1:
         a[...] = b
     return values
-
-
-def fwht_direct(values: np.ndarray) -> np.ndarray:
-    """O(4^c) reference transform, for cross-checking fwht."""
-    m = len(values)
-    out = np.zeros(m, dtype=np.float64)
-    for f in range(m):
-        acc = 0.0
-        for g in range(m):
-            acc += values[g] if (f & g).bit_count() % 2 == 0 else -values[g]
-        out[f] = acc
-    return out
 
 
 _HEX_DIGITS = "0123456789abcdef"

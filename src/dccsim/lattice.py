@@ -112,17 +112,6 @@ class ColorLattice:
     def boundary_bits(self, i: int) -> int:
         return f2.vector_from_support(self.boundary(i))
 
-    def face_containing(self, a: int, b: int) -> int:
-        """Index of the unique face whose sites include both a and b."""
-        hits = [
-            i
-            for i, face in enumerate(self.faces)
-            if (face.bits >> a) & 1 and (face.bits >> b) & 1
-        ]
-        if len(hits) != 1:
-            raise ValueError(f"sites {a},{b} lie on {len(hits)} faces, expected 1")
-        return hits[0]
-
 
 def build_lattice(t: int) -> ColorLattice:
     if t < 1:

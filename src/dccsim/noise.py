@@ -210,40 +210,6 @@ class TPropagator:
         return f2.embed(x, cp.positions)
 
 
-def p_f_given_e(prop: TPropagator, alpha: int) -> dict[int, float]:
-    """Exact distribution of f inside e(alpha), by the product formula."""
-    cp = prop.coset(alpha)
-    k = len(cp.positions)
-    out: dict[int, float] = {}
-    r_loc = [(f2.restrict(g, cp.positions), (g.bit_count() // 2) & 1) for g in cp.radical]
-    for x in range(1 << k):
-        p = 2.0 ** -k
-        for g, half in r_loc:
-            p *= 1.0 + (-1.0) ** ((f2.dot(x, g) + half) % 2)
-        if p:
-            out[f2.embed(x, cp.positions)] = p
-    return out
-
-
-def p_f_given_e_charsum(prop: TPropagator, alpha: int) -> dict[int, float]:
-    """Same distribution by the character sum over the full self-orthogonal
-    subgroup inside e; independent route for cross-checking."""
-    cp = prop.coset(alpha)
-    k = len(cp.positions)
-    sub = f2.Subspace(prop.code.n, cp.radical)
-    elements = [int(v) for v in sub.element_array()]
-    out: dict[int, float] = {}
-    for x in range(1 << k):
-        fvec = f2.embed(x, cp.positions)
-        acc = 0.0
-        for g in elements:
-            acc += (-1.0) ** ((f2.dot(fvec, g) + (g.bit_count() // 2)) % 2)
-        val = acc * 2.0 ** -k
-        if abs(val) > 1e-15:
-            out[fvec] = val
-    return out
-
-
 def propagate_through_t(frame: PauliFrame, prop: TPropagator, rng: np.random.Generator) -> None:
     """Replace the X part by its clean representative and add the sampled
     Z error; raises if the X coset is not cleanable."""

@@ -35,6 +35,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import time
 from dataclasses import asdict, dataclass
 from functools import lru_cache
@@ -385,7 +386,8 @@ def run_trial(config: ProtocolConfig, trial_index: int, observer=None) -> TrialR
 
 
 def run_trials(config: ProtocolConfig) -> list[TrialResult]:
-    workers = min(config.threads, config.trials)
+    # The pool may start all of its workers at once: at most one per core.
+    workers = min(config.threads, config.trials, os.cpu_count() or 1)
     if workers <= 1:
         return [run_trial(config, i) for i in range(config.trials)]
     from concurrent.futures import ProcessPoolExecutor
@@ -409,7 +411,6 @@ class Estimate:
     mean_gates: float
     p_l: float | None
     stderr: float | None
-    p_l_upper: float | None
     n_logical: int
     n_cleanability: int
     n_censored: int
@@ -478,17 +479,14 @@ def estimate_pl(config: ProtocolConfig, results: list[TrialResult] | None = None
         mean_fail = sum(failing) / len(failing)
         p_l = float("inf") if mean_fail == 0 else 1.0 / mean_fail
         stderr = jackknife_inverse_mean(failing)
-        upper = None
     else:
         p_l, stderr = None, None
-        upper = 1.0 / mean_gates if mean_gates else None
     return Estimate(
         p=config.p,
         trials=config.trials,
         mean_gates=mean_gates,
         p_l=p_l,
         stderr=stderr,
-        p_l_upper=upper,
         n_logical=counts["logical_error"],
         n_cleanability=counts["cleanability_failure"],
         n_censored=counts["max_gates_reached"],

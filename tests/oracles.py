@@ -1,16 +1,27 @@
-"""Reference implementations that the tests compare the library kernels with.
+"""Reference implementations that the tests compare the library with.
 
-Each one is the plain loop a kernel in `dccsim` replaced: it walks every bit
-position or every pivot, which makes it slow but easy to check by eye.
+The first group is the plain loops the kernels in `dccsim` replaced: each
+walks every bit position or every pivot, which makes it slow but easy to
+check by eye. The rest are second routes to results the package computes
+once: subspace operations, distances, cleanability by odd dual vectors, the
+T gate's P(f|e) and Gamma by direct sums, and the gadget extension's
+membership certificates.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from dccsim.csscode import EvennessWitness
+import numpy as np
+
+from dccsim import f2
+from dccsim.codefamily import GadgetCodes
+from dccsim.csscode import EvennessWitness, SubsystemCode
+from dccsim.decoder import SparseLikelihood
 from dccsim.f2 import Subspace
+from dccsim.lattice import ColorLattice
+from dccsim.noise import TPropagator
 
 
 def support(x: int) -> tuple[int, ...]:
@@ -103,14 +114,246 @@ def check_evenness(s: Subspace, witness: EvennessWitness) -> bool:
     """The basis, pair and triple conditions, one signed overlap at a time."""
     w = witness
     basis = s.basis
-    if any(w.signed_overlap(b) % w.order for b in basis):
+    if any(signed_overlap(w, b) % w.order for b in basis):
         return False
     half = w.order // 2
     for i, j in itertools.combinations(range(len(basis)), 2):
-        if w.signed_overlap(basis[i] & basis[j]) % half:
+        if signed_overlap(w, basis[i] & basis[j]) % half:
             return False
     if w.order == 8:
         for i, j, k in itertools.combinations(range(len(basis)), 3):
-            if w.signed_overlap(basis[i] & basis[j] & basis[k]) % 2:
+            if signed_overlap(w, basis[i] & basis[j] & basis[k]) % 2:
                 return False
     return True
+
+
+def signed_overlap(witness: EvennessWitness, v: int) -> int:
+    """|v & M+| - |v & M-|."""
+    return (v & witness.plus).bit_count() - (v & witness.minus).bit_count()
+
+
+# ---------------------------------------------------------------------------
+# Subspaces and distances
+# ---------------------------------------------------------------------------
+
+def elements(s: Subspace) -> Iterator[int]:
+    """All 2^dim elements of s: element i is the XOR of the basis rows at
+    the set bits of i."""
+    for combo in range(1 << s.dim):
+        v = 0
+        c = combo
+        i = 0
+        while c:
+            if c & 1:
+                v ^= s.basis[i]
+            c >>= 1
+            i += 1
+        yield v
+
+
+def orthogonal_complement(s: Subspace) -> Subspace:
+    return Subspace(s.n, nullspace(s.basis, s.n))
+
+
+def intersect(s: Subspace, t: Subspace) -> Subspace:
+    """The common kernel of the parity checks of s and of t."""
+    return Subspace(s.n, nullspace(nullspace(s.basis, s.n) + nullspace(t.basis, t.n), s.n))
+
+
+def distance(code: SubsystemCode, max_weight: int | None = None) -> int | None:
+    """min(d(A), d(B)), or None when either exceeds max_weight."""
+    da = f2.min_odd_weight(code.a_space, max_weight)
+    db = f2.min_odd_weight(code.b_space, max_weight)
+    if da is None or db is None:
+        return None
+    return min(da, db)
+
+
+# ---------------------------------------------------------------------------
+# Cleanability and the T gate
+# ---------------------------------------------------------------------------
+
+def odd_dual_vectors(a_space: Subspace) -> list[int]:
+    """All odd-weight vectors of A-perp (undetectable non-trivial Z errors)."""
+    return [v for v in elements(orthogonal_complement(a_space)) if v.bit_count() & 1]
+
+
+def is_clean_representative(a_space: Subspace, e: int, odd_duals: Sequence[int] | None = None) -> bool:
+    """No odd-weight vector of A-perp has support inside e."""
+    if odd_duals is None:
+        odd_duals = odd_dual_vectors(a_space)
+    return all(g & ~e for g in odd_duals)
+
+
+def p_f_given_e(prop: TPropagator, alpha: int) -> dict[int, float]:
+    """Exact distribution of f inside e(alpha), by the product formula."""
+    cp = prop.coset(alpha)
+    k = len(cp.positions)
+    out: dict[int, float] = {}
+    r_loc = [(f2.restrict(g, cp.positions), (g.bit_count() // 2) & 1) for g in cp.radical]
+    for x in range(1 << k):
+        p = 2.0 ** -k
+        for g, half in r_loc:
+            p *= 1.0 + (-1.0) ** ((f2.dot(x, g) + half) % 2)
+        if p:
+            out[f2.embed(x, cp.positions)] = p
+    return out
+
+
+def p_f_given_e_charsum(prop: TPropagator, alpha: int) -> dict[int, float]:
+    """Same distribution by the character sum over the full self-orthogonal
+    subgroup inside e; independent route for cross-checking."""
+    cp = prop.coset(alpha)
+    k = len(cp.positions)
+    sub = Subspace(prop.code.n, cp.radical)
+    out: dict[int, float] = {}
+    for x in range(1 << k):
+        fvec = f2.embed(x, cp.positions)
+        acc = 0.0
+        for g in elements(sub):
+            acc += (-1.0) ** ((f2.dot(fvec, g) + (g.bit_count() // 2)) % 2)
+        val = acc * 2.0 ** -k
+        if abs(val) > 1e-15:
+            out[fvec] = val
+    return out
+
+
+def gamma_hat_direct(code: SubsystemCode, prop: TPropagator, alpha: int, beta: int) -> float:
+    """Gamma's entry (beta, alpha) as the direct sum over f inside e(alpha)."""
+    v = 0
+    for i, row in enumerate(code.coset_map.mat_a):
+        if (beta >> i) & 1:
+            v ^= row
+    acc = 0.0
+    for fvec, pf in p_f_given_e(prop, alpha).items():
+        acc += pf * (-1.0) ** f2.dot(v, fvec)
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# Decoder
+# ---------------------------------------------------------------------------
+
+def fwht_direct(values: np.ndarray) -> np.ndarray:
+    """O(4^c) Walsh-Hadamard transform, straight from its definition."""
+    m = len(values)
+    out = np.zeros(m, dtype=np.float64)
+    for f in range(m):
+        acc = 0.0
+        for g in range(m):
+            acc += values[g] if (f & g).bit_count() % 2 == 0 else -values[g]
+        out[f] = acc
+    return out
+
+
+def dense_weights(rho: SparseLikelihood) -> np.ndarray:
+    """The sparse support written out over all 2^c labels."""
+    out = np.zeros(rho.layout.size, dtype=np.float64)
+    out[rho.labels] = rho.weights
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Code family
+# ---------------------------------------------------------------------------
+
+def face_containing(lat: ColorLattice, a: int, b: int) -> int:
+    """Index of the unique face whose sites include both a and b."""
+    hits = [i for i, face in enumerate(lat.faces) if (face.bits >> a) & 1 and (face.bits >> b) & 1]
+    if len(hits) != 1:
+        raise ValueError(f"sites {a},{b} lie on {len(hits)} faces, expected 1")
+    return hits[0]
+
+
+def subdivide_link(dot_u: Subspace, i: int, j: int) -> Subspace:
+    """Generic subdivision gadget: replace the weight-2 row e_i + e_j of a
+    dot space by a chain through two fresh ancillas appended at the end."""
+    n = dot_u.n
+    if not dot_u.contains((1 << i) | (1 << j)):
+        raise ValueError("dot space does not contain the requested weight-2 row")
+    a, b = n, n + 1
+    rows = list(dot_u.basis)
+    rows += [(1 << i) | (1 << a), (1 << a) | (1 << b), (1 << b) | (1 << j)]
+    return Subspace(n + 2, rows)
+
+
+def _spoiled_faces(lat: ColorLattice, side: int, r: int, checks: list[tuple[str, bool]]) -> list[int]:
+    """Local indices of the faces on the site pairs (2i-1, 2i), i = 1..r-1,
+    of a boundary side of the lattice, each checked to touch the side at its
+    pair only."""
+    sites = lat.boundary(side)
+    faces = []
+    for i in range(1, r):
+        idx = face_containing(lat, sites[2 * i - 1], sites[2 * i])
+        touched = (lat.faces[idx].bits & lat.boundary_bits(side)).bit_count()
+        checks.append((f"level {lat.t}, side {side}: spoiled face {idx} meets the side in 2 sites",
+                       touched == 2))
+        faces.append(idx)
+    return faces
+
+
+def membership_certificates(codes: GadgetCodes) -> list[str]:
+    """The structural identities of the gadget extension that fail (none
+    on a correct build), read off the layout and the lattices.
+
+    Checks, per level r with an ancilla block D_r: the total ancilla row sum
+    g_r lies in the extended triply-even space; each weight-2 generator
+    combines with its adjacent spoiled face (below on level r, above on
+    level r-1) to a member; and the generating set built from unspoiled
+    double faces, block links, g_r, and the spoiled-face combinations spans
+    the space exactly.
+    """
+    t_space = codes.t_space
+    layout = codes.layout
+    checks: list[tuple[str, bool]] = []
+    rhs_rows: list[int] = []
+    spoiled: dict[int, set[int]] = {r: set() for r in range(1, codes.t + 1)}
+
+    for r in range(1, codes.t + 1):
+        if not layout.has(f"D{r}"):
+            continue
+        d_pos = layout.positions(f"D{r}")
+        w, wbar = d_pos[:2 * r], d_pos[2 * r:]
+        g = [(1 << w[2 * i - 1]) | (1 << w[2 * i]) for i in range(1, r)]
+        # The long-range row, or the path through wbar that subdivides it.
+        g_total = f2.vector_from_support(w[:1] + wbar + w[2 * r - 1:])
+        for row in g:
+            g_total ^= row
+        checks.append((f"level {r}: ancilla row sum in code space", g_total in t_space))
+        rhs_rows.append(g_total)
+        lat = codes.lattices[r]
+        a_off, b_off = layout.offset(f"A{r}"), layout.offset(f"B{r}")
+        for i, face_idx in enumerate(_spoiled_faces(lat, 1, r, checks), start=1):
+            face = lat.faces[face_idx].bits
+            beta = g[i - 1] ^ (face << a_off) ^ (face << b_off)
+            checks.append((f"level {r}: g[{i}] + double face below in code space", beta in t_space))
+            rhs_rows.append(beta)
+            spoiled[r].add(face_idx)
+        if r >= 2:
+            lat_below = codes.lattices[r - 1]
+            a2_off = layout.offset(f"A{r-1}")
+            b2_off = layout.offset(f"B{r-1}")
+            for i, face_idx in enumerate(_spoiled_faces(lat_below, 2, r, checks), start=1):
+                face = lat_below.faces[face_idx].bits
+                gamma = g[i - 1] ^ (face << a2_off) ^ (face << b2_off)
+                checks.append((f"level {r}: g[{i}] + double face above in code space", gamma in t_space))
+                rhs_rows.append(gamma)
+                spoiled[r - 1].add(face_idx)
+
+    for r in range(1, codes.t + 1):
+        lat = codes.lattices[r]
+        a_off, b_off = layout.offset(f"A{r}"), layout.offset(f"B{r}")
+        for idx, face in enumerate(lat.faces):
+            if idx in spoiled[r]:
+                continue
+            rhs_rows.append((face.bits << a_off) | (face.bits << b_off))
+        ones = (1 << lat.m) - 1
+        next_block = "A0" if r == 1 else f"A{r-1}"
+        rhs_rows.append(
+            (ones << b_off)
+            | layout.embed((1 << layout.size(next_block)) - 1, next_block)
+        )
+
+    rebuilt = Subspace(codes.n, rhs_rows)
+    checks.append(("generating set reproduces the code space", rebuilt == t_space))
+    return [name for name, passed in checks if not passed]

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import time
@@ -306,6 +307,31 @@ class TestSweep:
 
     def test_empty_list_usage_error(self):
         assert run(["sweep", "--p-list", ",", "--trials", "1"]) == EXIT_USAGE
+
+
+class TestDefaults:
+    CONFIG = {field.name: field.default for field in dataclasses.fields(ProtocolConfig)}
+
+    @pytest.mark.parametrize("argv", [["simulate", "--p", "0.01"], ["sweep", "--p-list", "0.01"]])
+    def test_flags_default_to_the_config(self, argv):
+        args = cli.build_parser().parse_args(argv)
+        for name in ("decoder", "max_gates", "eps"):
+            assert getattr(args, name) == self.CONFIG[name]
+
+    def test_decode_trace_defaults_to_the_exact_engine(self):
+        assert cli.build_parser().parse_args(["decode-trace"]).decoder == "exact"
+
+    def test_truncate_without_eps_uses_the_config_eps(self, tmp_path):
+        prefix = [{"type": "memory"}, {"type": "syndrome", "bits": [1] + [0] * 8, "q": 0.05}]
+        supports = []
+        for truncate in ({}, {"eps": self.CONFIG["eps"]}, {"eps": 0.01}):
+            events, out = tmp_path / "events.jsonl", tmp_path / "out.jsonl"
+            stream = prefix + [{"type": "truncate", **truncate}]
+            events.write_text("".join(json.dumps(e) + "\n" for e in stream))
+            assert run(["decode-trace", "--events", str(events), "--p", "0.02",
+                        "--decoder", "sparse", "--out", str(out)]) == EXIT_OK
+            supports.append(json.loads(out.read_text().splitlines()[-1])["support"])
+        assert supports[0] == supports[1] != supports[2]
 
 
 class TestDecodeTrace:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import oracles
 from dccsim import f2
 from dccsim.csscode import EvennessWitness, check_evenness
 from dccsim.f2 import Subspace, min_odd_weight
@@ -10,16 +11,14 @@ from dccsim.codefamily import (
     build_gadget_codes,
     double,
     double_witness,
-    membership_certificates,
     qubit_counts,
-    subdivide_link,
 )
 from dccsim.lattice import build_lattice, face_space
 
 
 def brute_distance(s: Subspace) -> int:
     """Independent oracle: full enumeration of S-perp."""
-    perp = s.orthogonal_complement()
+    perp = oracles.orthogonal_complement(s)
     best = None
     for v in perp.element_array():
         v = int(v)
@@ -122,7 +121,7 @@ class TestDoubledCodes:
         assert d.n == 15
         assert d.t_space.dim == 4
         assert d.c_space.dim == 7
-        assert all(v.bit_count() % 8 == 0 for v in d.t_space.elements())
+        assert all(v.bit_count() % 8 == 0 for v in d.t_space.element_array().tolist())
         assert min_odd_weight(d.t_space) == 3
         assert min_odd_weight(d.dot_t_space) == 7
         assert min_odd_weight(d.c_space) == 3
@@ -219,13 +218,13 @@ class TestGadgetCodes:
 
     @pytest.mark.parametrize("t", [1, 2])
     def test_membership_certificates(self, t):
-        report = membership_certificates(build_gadget_codes(t, "gadget"))
-        assert report.ok, report.failures()
+        failures = oracles.membership_certificates(build_gadget_codes(t, "gadget"))
+        assert not failures, failures
 
     @pytest.mark.parametrize("stage", ["local", "final"])
     def test_membership_certificates_subdivided(self, stage):
-        report = membership_certificates(build_gadget_codes(2, stage))
-        assert report.ok, report.failures()
+        failures = oracles.membership_certificates(build_gadget_codes(2, stage))
+        assert not failures, failures
 
     def test_t2_distances(self):
         for stage in ("gadget", "local", "final"):
@@ -278,8 +277,8 @@ class TestGadgetCodes:
         assert check_evenness(codes.t_space, codes.witness_t)
         assert check_evenness(codes.c_space, codes.witness_c)
         assert all(g.bits.bit_count() <= 6 for g in codes.generators)
-        report = membership_certificates(build_gadget_codes(3, "gadget"))
-        assert report.ok, report.failures()
+        failures = oracles.membership_certificates(build_gadget_codes(3, "gadget"))
+        assert not failures, failures
 
     def test_rejects_bad_stage(self):
         with pytest.raises(ValueError):
@@ -327,7 +326,7 @@ class TestSubdivisionGadget:
             du = brute_distance(u)
             if du is None or du < 3:
                 continue
-            dot_v = subdivide_link(u.dot_space(), 0, 1)
+            dot_v = oracles.subdivide_link(u.dot_space(), 0, 1)
             v = dot_v.dot_space()
             assert brute_distance(v) == du
             # Evenness with respect to the original qubits carries over when
@@ -342,9 +341,8 @@ class TestSubdivisionGadget:
         # support): use a doubled toy instead, then subdivide a chain link.
         codes = build_gadget_codes(1, "gadget")
         # g_1^1 is a weight-2 dot row on the two ancillas.
-        lev = codes.levels[1]
-        i, j = f2.support(lev.g[0])
-        dot_v = subdivide_link(codes.dot_t_space, i, j)
+        i, j = codes.layout.positions("D1")
+        dot_v = oracles.subdivide_link(codes.dot_t_space, i, j)
         v = dot_v.dot_space()
         assert v.dim == codes.t_space.dim
         w = codes.witness_t
@@ -355,7 +353,7 @@ class TestSubdivisionGadget:
     def test_requires_weight_two_member(self):
         u = Subspace(5, [0b00111 ^ 0b00001])  # even row
         with pytest.raises(ValueError):
-            subdivide_link(u, 0, 4)
+            oracles.subdivide_link(u, 0, 4)
 
 
 def brute_distance_small(s: Subspace) -> int:

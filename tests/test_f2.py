@@ -3,9 +3,10 @@ import random
 import numpy as np
 import pytest
 
+import oracles
 from dccsim import f2
 from dccsim.codefamily import build_gadget_codes
-from dccsim.f2 import Subspace, fwht, fwht_direct, min_odd_weight
+from dccsim.f2 import Subspace, fwht, min_odd_weight
 
 # Steane faces in the standard 7-qubit numbering (qubit j in face i iff bit i
 # of j+1 is set); used as a known fixture throughout.
@@ -79,34 +80,34 @@ class TestSpan:
 class TestComplementAndDot:
     def test_full_space_complement(self):
         s = Subspace.full(4)
-        assert s.orthogonal_complement().dim == 0
+        assert f2.nullspace(s.basis, 4) == ()
 
     def test_dim_sum(self):
         rng = random.Random(1)
         for _ in range(30):
             n = rng.randrange(1, 20)
             s = random_subspace(rng, n, rng.randrange(0, n + 2))
-            assert s.dim + s.orthogonal_complement().dim == n
+            assert s.dim + len(f2.nullspace(s.basis, n)) == n
 
     def test_double_complement(self):
         rng = random.Random(2)
         for _ in range(30):
             s = random_subspace(rng, 12, 5)
-            assert s.orthogonal_complement().orthogonal_complement() == s
+            assert Subspace(12, f2.nullspace(f2.nullspace(s.basis, 12), 12)) == s
 
     def test_sum_perp_is_intersection_of_perps(self):
         rng = random.Random(3)
         for _ in range(20):
             s = random_subspace(rng, 10, 4)
             t = random_subspace(rng, 10, 4)
-            lhs = (s + t).orthogonal_complement()
-            rhs = s.orthogonal_complement().intersect(t.orthogonal_complement())
-            assert lhs == rhs
+            lhs = Subspace(10, f2.nullspace((s + t).basis, 10))
+            perp_s = Subspace(10, f2.nullspace(s.basis, 10))
+            perp_t = Subspace(10, f2.nullspace(t.basis, 10))
+            assert lhs == oracles.intersect(perp_s, perp_t)
 
     def test_even_perp_is_ones(self):
         e = Subspace.even(9)
-        perp = e.orthogonal_complement()
-        assert perp.basis == ((1 << 9) - 1,)
+        assert f2.nullspace(e.basis, 9) == ((1 << 9) - 1,)
 
     def test_steane_dot_is_self(self):
         s = Subspace(7, STEANE_FACES)
@@ -114,7 +115,7 @@ class TestComplementAndDot:
 
     def test_steane_perp(self):
         s = Subspace(7, STEANE_FACES)
-        perp = s.orthogonal_complement()
+        perp = Subspace(7, f2.nullspace(s.basis, 7))
         assert perp.dim == 4
         omega = 0b1111111 ^ STEANE_FACES[1]
         assert perp == s + Subspace(7, [omega, 0b1111111])
@@ -129,10 +130,6 @@ class TestComplementAndDot:
             n = rng.choice([3, 5, 7, 9, 11, 15])
             s = random_even_subspace(rng, n, rng.randrange(0, n))
             assert s.dot_space().dot_space() == s
-
-    def test_intersection_identities(self):
-        s = Subspace(7, STEANE_FACES)
-        assert s.intersect(s) == s
 
     def test_membership_via_parity_checks(self):
         rng = random.Random(5)
@@ -259,7 +256,7 @@ class TestFwht:
             x = rng.normal(size=1 << c)
             y = x.copy()
             fwht(y)
-            assert np.max(np.abs(y - fwht_direct(x))) <= 1e-10
+            assert np.max(np.abs(y - oracles.fwht_direct(x))) <= 1e-10
 
     def test_axis_transform(self):
         rng = np.random.default_rng(11)

@@ -66,6 +66,17 @@ def test_bit_maps(n):
         assert f2.hex_to_row(text, n) == oracles.hex_to_row(text, n) == x
 
 
+@pytest.mark.parametrize("n", (1, 15, 53, 63))
+def test_element_array_order(n):
+    # Element i is the XOR of the basis rows at the set bits of i, so a
+    # seeded draw from the array picks the vector the generator loop gave.
+    rng = random.Random(300 + n)
+    spaces = [Subspace(n)] + [Subspace(n, [rng.getrandbits(n) for _ in range(rng.randrange(1, 10))])
+                              for _ in range(10)]
+    for s in spaces:
+        assert s.element_array().tolist() == list(oracles.elements(s))
+
+
 class TestHexRows:
     @pytest.mark.parametrize("text", ["0xaa", " aaa", "aaa ", "-aaa", "+aaa", "a_aa", "AAAA",
                                       "aaa\n", "aaab", "aaa", "aaaaa", "", "aaag"])
@@ -105,10 +116,10 @@ class TestHexRows:
 def failing_stage(s: Subspace, w: EvennessWitness) -> str | None:
     """The first group of conditions the oracle's loops reject on s.basis."""
     basis = s.basis
-    if any(w.signed_overlap(b) % w.order for b in basis):
+    if any(oracles.signed_overlap(w, b) % w.order for b in basis):
         return "basis"
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-    if any(w.signed_overlap(basis[i] & basis[j]) % (w.order // 2) for i, j in pairs):
+    if any(oracles.signed_overlap(w, basis[i] & basis[j]) % (w.order // 2) for i, j in pairs):
         return "pair"
     if w.order == 8 and not oracles.check_evenness(s, w):
         return "triple"
