@@ -333,11 +333,6 @@ def _write_rows(sink, configs, estimates) -> None:
     writer.writerows(rows)
 
 
-def _estimate(config: ProtocolConfig):
-    print(f"config: {json.dumps(config.to_json(), sort_keys=True)} hash={config.hash()}")
-    return estimate_pl(config)
-
-
 def _note_sparse_cost(configs: list[ProtocolConfig]) -> None:
     """Above the measured crossover the sparse engine's support, and so its
     cost per round, outgrows the exact engine's flat cost (see the README)."""
@@ -351,7 +346,7 @@ def cmd_simulate(args) -> int:
     config = _resolve_config(args, args.p)
     _note_sparse_cost([config])
     with _csv_sink(args.out) as sink:
-        _write_rows(sink, [config], [_estimate(config)])
+        _write_rows(sink, [config], [estimate_pl(config)])
     return EXIT_OK
 
 
@@ -362,11 +357,11 @@ def cmd_sweep(args) -> int:
     configs = [_resolve_config(args, float(text)) for text in values]
     _note_sparse_cost(configs)
     with _csv_sink(args.out) as sink:
-        estimates = [_estimate(config) for config in configs]
+        estimates = [estimate_pl(config) for config in configs]
         _write_rows(sink, configs, estimates)
     for est in estimates:
         if est.p_l is not None:
-            print(f"p={est.p:g} p_L={est.p_l:.4g}")
+            print(f"p={est.p:g} p_L={est.p_l:.4g}", file=sys.stderr)
     return EXIT_OK
 
 

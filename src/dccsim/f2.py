@@ -39,11 +39,6 @@ class NoOddVectorsError(ValueError):
     """S-perp contains no odd-weight vectors, so d(S) is undefined."""
 
 
-def dot(x: int, y: int) -> int:
-    """Inner product mod 2 of two packed vectors."""
-    return (x & y).bit_count() & 1
-
-
 def vector_from_support(support: Iterable[int]) -> int:
     bits = 0
     for j in support:
@@ -223,14 +218,6 @@ class Subspace:
     def __init__(self, n: int, rows: Iterable[int] = ()):
         self.n = n
         self.basis, self.pivots = rref(rows, n)
-
-    @classmethod
-    def full(cls, n: int) -> "Subspace":
-        return cls(n, [1 << j for j in range(n)])
-
-    @classmethod
-    def even(cls, n: int) -> "Subspace":
-        return cls(n, [(1 << j) | 1 for j in range(1, n)])
 
     @property
     def dim(self) -> int:

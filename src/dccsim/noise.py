@@ -4,12 +4,16 @@ The simulator's ground truth is a phase-free Pauli frame (a, b): X on the
 support of a, Z on the support of b, composed by XOR. Memory noise is
 single-qubit depolarizing (X, Y, Z each with probability p/3), and each
 measured syndrome bit flips independently with the same probability p.
+A single-qubit Clifford acts on frames through four bits, the images of X
+and Z modulo phases; a uniform draw over the 24-element group keeps only
+its class, one of six.
 
 Transversal T gates convert X-support into random Z errors. For a frame
-whose X part lies in a cleanable coset, the X part is first replaced by the
-stored clean representative e of its coset (a gauge-equivalent substitution,
-the one place the simulator edits the true error), then a vector f inside e
-is drawn from the distribution
+whose X part lies in a cleanable coset (the caller labels the coset and
+checks it), the X part is first replaced by the stored clean
+representative e of its coset (a gauge-equivalent substitution, the one
+place the simulator edits the true error), then a vector f inside e is
+drawn from the distribution
 
     P(f|e) = 2^-|e| * prod_a [1 + (-1)^(f.g^a + |g^a|/2)]
 
@@ -80,31 +84,16 @@ def flip_syndrome(q: float, bits: int, width: int, rng: np.random.Generator) -> 
 class CliffordAction:
     """Conjugation action of a single-qubit Clifford on Pauli frames.
 
-    img_x = (p, q) with U X U^-1 ~ X^p Z^q and img_z = (r, s) with
-    U Z U^-1 ~ X^r Z^s. A transversal layer maps the frame (a, b) to
-    (p a + r b, q a + s b). The predictor of a post-gate Z(f) syndrome from
-    pre-gate records is p * zeta(f) + r * xi(f).
+    Four bits: U X U^-1 ~ X^p Z^q and U Z U^-1 ~ X^r Z^s. A transversal
+    layer maps the frame (a, b) to (p a + r b, q a + s b). The predictor of
+    a post-gate Z(f) syndrome from pre-gate records is p * zeta(f) + r * xi(f).
     """
 
     name: str
-    img_x: tuple[int, int]
-    img_z: tuple[int, int]
-
-    @property
-    def p(self) -> int:
-        return self.img_x[0]
-
-    @property
-    def q(self) -> int:
-        return self.img_x[1]
-
-    @property
-    def r(self) -> int:
-        return self.img_z[0]
-
-    @property
-    def s(self) -> int:
-        return self.img_z[1]
+    p: int
+    q: int
+    r: int
+    s: int
 
     def apply_frame(self, frame: PauliFrame) -> None:
         a = (frame.a if self.p else 0) ^ (frame.b if self.r else 0)
@@ -115,27 +104,21 @@ class CliffordAction:
 # The six conjugation classes (Clifford group modulo Paulis), i.e. the
 # permutations of {X, Y, Z}.
 CLIFFORD_CLASSES: tuple[CliffordAction, ...] = (
-    CliffordAction("I", (1, 0), (0, 1)),
-    CliffordAction("H", (0, 1), (1, 0)),          # X <-> Z
-    CliffordAction("S", (1, 1), (0, 1)),          # X -> Y
-    CliffordAction("HS", (1, 1), (1, 0)),         # X -> Y -> Z -> X
-    CliffordAction("SH", (0, 1), (1, 1)),         # X -> Z -> Y -> X
-    CliffordAction("HSH", (1, 0), (1, 1)),        # Z -> Y
-)
-
-# All 24 single-qubit Cliffords modulo phases: a Pauli layer (acting
-# trivially on frames, cosets, and syndrome predictors) times a class.
-CLIFFORD_GROUP: tuple[tuple[str, int], ...] = tuple(
-    (f"{pauli}*{cls.name}", idx)
-    for idx, cls in enumerate(CLIFFORD_CLASSES)
-    for pauli in ("I", "X", "Y", "Z")
+    CliffordAction("I", 1, 0, 0, 1),
+    CliffordAction("H", 0, 1, 1, 0),          # X <-> Z
+    CliffordAction("S", 1, 1, 0, 1),          # X -> Y
+    CliffordAction("HS", 1, 1, 1, 0),         # X -> Y -> Z -> X
+    CliffordAction("SH", 0, 1, 1, 1),         # X -> Z -> Y -> X
+    CliffordAction("HSH", 1, 0, 1, 1),        # Z -> Y
 )
 
 
 def sample_clifford(rng: np.random.Generator) -> CliffordAction:
-    """Uniform draw over the 24-element Clifford group; only the class acts."""
-    _, idx = CLIFFORD_GROUP[int(rng.integers(0, len(CLIFFORD_GROUP)))]
-    return CLIFFORD_CLASSES[idx]
+    """Uniform draw over the 24 single-qubit Cliffords modulo phases, each a
+    Pauli layer (acting trivially on frames, cosets and syndrome predictors)
+    times a class: draw k is Pauli k % 4 times class k // 4, and only the
+    class acts."""
+    return CLIFFORD_CLASSES[int(rng.integers(0, 24)) // 4]
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +193,11 @@ class TPropagator:
         return f2.embed(x, cp.positions)
 
 
-def propagate_through_t(frame: PauliFrame, prop: TPropagator, rng: np.random.Generator) -> None:
-    """Replace the X part by its clean representative and add the sampled
-    Z error; raises if the X coset is not cleanable."""
-    alpha = prop.code.coset_map.label_x(frame.a)
-    if not prop.table.is_cleanable(alpha):
-        raise ValueError("X part lies in a non-cleanable coset")
+def propagate_through_t(frame: PauliFrame, prop: TPropagator, alpha: int,
+                        rng: np.random.Generator) -> None:
+    """Replace the X part, of cleanable X label alpha, by its clean
+    representative and add the sampled Z error. A non-cleanable alpha has
+    no representative: the lookup raises KeyError before the frame changes."""
     frame.a = prop.table.rep(alpha)
     frame.b ^= prop.sample_f(alpha, rng)
 

@@ -16,7 +16,10 @@ Both round kinds are stated once, as the `Round` records in
 `Family15.rounds` (stage, merge map, split map, syndrome map); `run_trial`
 plays each half of a pair through one round function, and `decode-trace`
 reads its stage graph (`stages`, `deformations`, `syndromes`) off the same
-records.
+records. The frame side reads them too: a round's ideal syndrome is its
+syndrome map read at the frame's label, and the pair test checks the
+parities of the two rounds' concatenated outcomes against masks built once
+from the C-round's syndrome layout and the faces' opposite-edge pairs.
 
 Memory before the split gives exactly the posterior of memory after it
 (memory commutes with split; see decoder) on 1/8 of the labels, and
@@ -78,10 +81,7 @@ class StageContext:
     layout: LabelLayout
     logical_x: int
     logical_z: int
-
-    @property
-    def nontrivial_logical_labels(self) -> frozenset[int]:
-        return frozenset({self.logical_x, self.logical_z, self.logical_x ^ self.logical_z})
+    nontrivial_logical_labels: frozenset[int]
 
     def frame_label(self, frame: PauliFrame) -> int:
         return self.code.coset_map.label(frame.a, frame.b)
@@ -140,12 +140,14 @@ class Family15:
 
         def stage(name: str, code: SubsystemCode) -> StageContext:
             cm = code.coset_map
+            logical_x, logical_z = cm.label(ones, 0), cm.label(0, ones)
             return StageContext(
                 name=name,
                 code=code,
                 layout=LabelLayout(cm.alpha_bits, cm.beta_bits),
-                logical_x=cm.label(ones, 0),
-                logical_z=cm.label(0, ones),
+                logical_x=logical_x,
+                logical_z=logical_z,
+                nontrivial_logical_labels=frozenset({logical_x, logical_z, logical_x ^ logical_z}),
             )
 
         self.t_stage = stage("t", t_code)
@@ -164,14 +166,29 @@ class Family15:
         self.c_to_base = DeformationMap("merge", base_bits_in_c, lay_c, lay_b)
         self.base_to_t = DeformationMap("split", base_bits_in_t, lay_b, lay_t)
 
-        # Measured generators. C-round: xi and zeta of the seven faces;
-        # T-round: zeta of the nine double edges.
-        self.faces_measured = tuple(faces_a + faces_b + generators("omega_link"))
-        self.edges_measured = tuple(edges)
-        zeta_rows = tuple(_express(rows_c, g) for g in self.faces_measured)
+        # Measured generators. C-round: the xi block, then the zeta block, of
+        # the seven faces; T-round: zeta of the nine double edges.
+        faces_measured = faces_a + faces_b + generators("omega_link")
+        zeta_rows = tuple(_express(rows_c, g) for g in faces_measured)
         xi_rows = tuple(z << lay_c.alpha_bits for z in zeta_rows)
         self.m_c = SyndromeMap(xi_rows + zeta_rows, lay_c)
-        self.m_t = SyndromeMap(tuple(_express(rows_dot_t, g) for g in self.edges_measured), lay_t)
+        self.m_t = SyndromeMap(tuple(_express(rows_dot_t, g) for g in edges), lay_t)
+
+        # The pair test's parity checks on c_bits | t_bits << m_c.width, per
+        # Clifford (p, r): for each square face and each of its opposite-edge
+        # pairs (l, l') with l + l' = face, the two edge outcomes and the
+        # predicted post-gate Z syndrome p zeta + r xi of the face on both
+        # copies. Face k's xi bit is k and its zeta bit k + len(faces_measured).
+        self.pair_masks = {}
+        for p, r in {(cls.p, cls.r) for cls in CLIFFORD_CLASSES}:
+            masks = []
+            for i in range(len(lat.faces)):
+                face = 0
+                for k in (i, len(faces_a) + i):
+                    face |= (r << k) | (p << (k + len(faces_measured)))
+                for l, lp in lat.opposite_edge_pairs(i):
+                    masks.append(face | ((1 << l) | (1 << lp)) << self.m_c.width)
+            self.pair_masks[p, r] = tuple(masks)
 
         self.rounds = (
             Round("C", self.c_stage, self.t_to_base, self.base_to_c, self.m_c),
@@ -189,11 +206,6 @@ class Family15:
             for label in (rnd.stage.logical_x, rnd.stage.logical_z):
                 if any((row & label).bit_count() & 1 for row in rnd.syndrome.rows):
                     raise AssertionError("a measured generator reads the logical qubit")
-
-        # Opposite-edge pairs (l, l') with l + l' = face, per square face.
-        self.face_opposite_edges = tuple(
-            lat.opposite_edge_pairs(i) for i in range(len(lat.faces))
-        )
 
         self.table: CleanabilityTable = build_cleanability_table(t_code)
         self.prop = TPropagator(t_code, self.table)
@@ -216,17 +228,10 @@ class Family15:
     # -- frame-side measurements ----------------------------------------------
 
     def ideal_c_syndromes(self, frame: PauliFrame) -> int:
-        bits = 0
-        for i, g in enumerate(self.faces_measured):
-            bits |= f2.dot(g, frame.b) << i                      # xi
-            bits |= f2.dot(g, frame.a) << (i + len(self.faces_measured))  # zeta
-        return bits
+        return int(self.m_c.table[self.c_stage.frame_label(frame)])
 
     def ideal_t_syndromes(self, frame: PauliFrame) -> int:
-        bits = 0
-        for i, g in enumerate(self.edges_measured):
-            bits |= f2.dot(g, frame.a) << i
-        return bits
+        return int(self.m_t.table[self.t_stage.frame_label(frame)])
 
 
 @lru_cache(maxsize=1)
@@ -290,21 +295,9 @@ class TrialResult:
 def syndrome_test(fam: Family15, c_bits: int, t_bits: int, action: CliffordAction) -> bool:
     """Consistency of a C,T round pair: for every square face and each of its
     opposite-edge pairs, the two edge outcomes must agree with the predicted
-    post-gate Z syndromes of the face on both copies."""
-    n_faces = len(fam.faces_measured)
-    lat_faces = len(fam.face_opposite_edges)
-    for i in range(lat_faces):
-        zu = []
-        for block in (0, 1):   # face on copy A, face on copy B
-            idx = i + block * lat_faces
-            xi = (c_bits >> idx) & 1
-            zeta = (c_bits >> (idx + n_faces)) & 1
-            zu.append((action.p * zeta) ^ (action.r * xi))
-        for l, lp in fam.face_opposite_edges[i]:
-            parity = ((t_bits >> l) & 1) ^ ((t_bits >> lp) & 1) ^ zu[0] ^ zu[1]
-            if parity:
-                return False
-    return True
+    post-gate Z syndromes of the face on both copies (`Family15.pair_masks`)."""
+    word = c_bits | t_bits << fam.m_c.width
+    return not any((word & mask).bit_count() & 1 for mask in fam.pair_masks[action.p, action.r])
 
 
 def logical_error_test(final_label: int, frame_label: int, stage: StageContext) -> bool:
@@ -372,7 +365,7 @@ def run_trial(config: ProtocolConfig, trial_index: int, observer=None) -> TrialR
             if not fam.table.is_cleanable(alpha_res):
                 return TrialResult(gates, "cleanability_failure", retries, rounds)
             rho.apply_t_gate(fam.t_update)
-            propagate_through_t(frame, fam.prop, rng)
+            propagate_through_t(frame, fam.prop, alpha_res, rng)
             frame.a ^= random_element(fam.doubled.t_space, rng)
             gates += 1
             if gates >= config.max_gates:

@@ -4,8 +4,9 @@ The first group is the plain loops the kernels in `dccsim` replaced: each
 walks every bit position or every pivot, which makes it slow but easy to
 check by eye. The rest are second routes to results the package computes
 once: subspace operations, distances, cleanability by odd dual vectors, the
-T gate's P(f|e) and Gamma by direct sums, and the gadget extension's
-membership certificates.
+T gate's P(f|e) and Gamma by direct sums, the protocol's frame side at the
+qubit level (ideal syndromes, the C,T pair test and the table-based
+Clifford draw), and the gadget extension's membership certificates.
 """
 
 from __future__ import annotations
@@ -21,7 +22,13 @@ from dccsim.csscode import EvennessWitness, SubsystemCode
 from dccsim.decoder import SparseLikelihood
 from dccsim.f2 import Subspace
 from dccsim.lattice import ColorLattice
-from dccsim.noise import TPropagator
+from dccsim.noise import CLIFFORD_CLASSES, CliffordAction, PauliFrame, TPropagator
+from dccsim.protocol import Family15
+
+
+def dot(x: int, y: int) -> int:
+    """Inner product mod 2 of two packed vectors."""
+    return (x & y).bit_count() & 1
 
 
 def support(x: int) -> tuple[int, ...]:
@@ -194,7 +201,7 @@ def p_f_given_e(prop: TPropagator, alpha: int) -> dict[int, float]:
     for x in range(1 << k):
         p = 2.0 ** -k
         for g, half in r_loc:
-            p *= 1.0 + (-1.0) ** ((f2.dot(x, g) + half) % 2)
+            p *= 1.0 + (-1.0) ** ((dot(x, g) + half) % 2)
         if p:
             out[f2.embed(x, cp.positions)] = p
     return out
@@ -211,7 +218,7 @@ def p_f_given_e_charsum(prop: TPropagator, alpha: int) -> dict[int, float]:
         fvec = f2.embed(x, cp.positions)
         acc = 0.0
         for g in elements(sub):
-            acc += (-1.0) ** ((f2.dot(fvec, g) + (g.bit_count() // 2)) % 2)
+            acc += (-1.0) ** ((dot(fvec, g) + (g.bit_count() // 2)) % 2)
         val = acc * 2.0 ** -k
         if abs(val) > 1e-15:
             out[fvec] = val
@@ -226,8 +233,70 @@ def gamma_hat_direct(code: SubsystemCode, prop: TPropagator, alpha: int, beta: i
             v ^= row
     acc = 0.0
     for fvec, pf in p_f_given_e(prop, alpha).items():
-        acc += pf * (-1.0) ** f2.dot(v, fvec)
+        acc += pf * (-1.0) ** dot(v, fvec)
     return acc
+
+
+# ---------------------------------------------------------------------------
+# Protocol frame side
+# ---------------------------------------------------------------------------
+
+def measured_generators(fam: Family15, *kinds: str) -> list[int]:
+    """The code family's generators of the given kinds, kind by kind."""
+    return [g.bits for kind in kinds for g in fam.doubled.generators if g.kind == kind]
+
+
+def ideal_c_syndromes(fam: Family15, frame: PauliFrame) -> int:
+    """xi of each measured face (the Z part's parity on it), then zeta (the
+    X part's), one face at a time."""
+    faces = measured_generators(fam, "face_a", "face_b", "omega_link")
+    bits = 0
+    for i, g in enumerate(faces):
+        bits |= dot(g, frame.b) << i
+        bits |= dot(g, frame.a) << (i + len(faces))
+    return bits
+
+
+def ideal_t_syndromes(fam: Family15, frame: PauliFrame) -> int:
+    """zeta of each double edge."""
+    bits = 0
+    for i, g in enumerate(measured_generators(fam, "edge_double")):
+        bits |= dot(g, frame.a) << i
+    return bits
+
+
+def syndrome_test(fam: Family15, c_bits: int, t_bits: int, action: CliffordAction) -> bool:
+    """The C,T pair test face by face: for each square face, the predicted
+    post-gate Z syndromes p zeta + r xi of the face on both copies, and
+    then each of its opposite-edge pairs against them."""
+    lat = fam.doubled.lattices[1]
+    n_faces = len(measured_generators(fam, "face_a", "face_b", "omega_link"))
+    for i in range(len(lat.faces)):
+        zu = []
+        for block in (0, 1):   # face on copy A, face on copy B
+            idx = i + block * len(lat.faces)
+            xi = (c_bits >> idx) & 1
+            zeta = (c_bits >> (idx + n_faces)) & 1
+            zu.append((action.p * zeta) ^ (action.r * xi))
+        for l, lp in lat.opposite_edge_pairs(i):
+            if ((t_bits >> l) & 1) ^ ((t_bits >> lp) & 1) ^ zu[0] ^ zu[1]:
+                return False
+    return True
+
+
+# All 24 single-qubit Cliffords modulo phases, a Pauli layer times a class,
+# with the index of the class that acts.
+CLIFFORD_GROUP: tuple[tuple[str, int], ...] = tuple(
+    (f"{pauli}*{cls.name}", idx)
+    for idx, cls in enumerate(CLIFFORD_CLASSES)
+    for pauli in ("I", "X", "Y", "Z")
+)
+
+
+def sample_clifford(rng: np.random.Generator) -> CliffordAction:
+    """Uniform draw of a group element from the table; its class acts."""
+    _, idx = CLIFFORD_GROUP[int(rng.integers(0, len(CLIFFORD_GROUP)))]
+    return CLIFFORD_CLASSES[idx]
 
 
 # ---------------------------------------------------------------------------

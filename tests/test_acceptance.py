@@ -115,7 +115,7 @@ def test_c06_subdivision_gadget():
             v |= 0b11 if rng.random() < 0.5 else 0
             if v.bit_count() % 2:
                 v ^= 1 << rng.randrange(2, n)
-            if v.bit_count() % 2 == 0 and not any(f2.dot(v, r) for r in rows):
+            if v.bit_count() % 2 == 0 and not any(oracles.dot(v, r) for r in rows):
                 rows.append(v)
         u = Subspace(n, rows)
         if u.dim == 0 or not u.dot_space().contains_subspace(u):
@@ -144,7 +144,7 @@ def test_c07_t2_sizes_witness_distance():
     witness = (1 << d.layout.offset("A2")) | (1 << d.layout.offset("B2"))
     witness |= tail_omega << d.layout.offset("A1")
     ok = ok and witness.bit_count() == 5
-    ok = ok and all(not f2.dot(witness, row) for row in d.t_space.basis)
+    ok = ok and all(not oracles.dot(witness, row) for row in d.t_space.basis)
     final = build_gadget_codes(2, "final")
     ok = ok and final.n == 59 and qubit_counts(2)["final"] == 59
     report(7, "t=2: n=53, witness recursion, d=5, final qubit count 59", ok)

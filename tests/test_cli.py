@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import json
@@ -178,8 +179,7 @@ class TestSimulate:
         assert "p_L" in text[1]
         row = text[2].split(",")
         assert row[0] == "0.0" or row[0] == "0"
-        printed = capsys.readouterr().out
-        assert "config:" in printed and "seed" in printed
+        assert capsys.readouterr().out == ""
 
     def test_deterministic_csv(self, tmp_path):
         args = [
@@ -220,7 +220,7 @@ class TestSimulate:
                            "--out", str(out)]) == EXIT_USAGE
         printed = capsys.readouterr()
         assert "usage error: seed must be at least 0" in printed.err
-        assert "config:" not in printed.out
+        assert printed.out == ""
         assert not out.exists()
 
     def test_rejects_bad_p(self):
@@ -266,6 +266,20 @@ class TestSimulate:
         monkeypatch.setattr(cli, "estimate_pl", no_trials)
         out = str(tmp_path / "missing" / "x.csv")
         assert run(argv + ["--trials", "20", "--threads", "1", "--out", out]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv, ps", [
+        pytest.param(["simulate", "--p", "0.01"], ["0.01"], id="simulate"),
+        pytest.param(["sweep", "--p-list", "0,0.01"], ["0.0", "0.01"], id="sweep"),
+    ])
+    def test_stdout_is_the_csv(self, capsys, argv, ps):
+        """With the default --out -, stdout holds the comment line, the header
+        and one row per p, and nothing else."""
+        assert run(argv + ["--trials", "2", "--max-gates", "3", "--seed", "1", "--threads", "1"]) == EXIT_OK
+        comment, *table = capsys.readouterr().out.splitlines()
+        assert comment.startswith("# dccsim ")
+        rows = list(csv.DictReader(table))
+        assert [row["p"] for row in rows] == ps
+        assert all(row["trials"] == "2" for row in rows)
 
     def test_degenerate_posterior_exits_3(self, capsys):
         # Weight-15 errors at p = 1 lie outside the sparse engine's
@@ -401,9 +415,9 @@ class TestDecodeTrace:
             events.append({"type": "clifford", "action": noise.CLIFFORD_CLASSES.index(action)})
             return action
 
-        def t_gate(frame, prop, rng):
+        def t_gate(frame, prop, alpha, rng):
             events.extend([{"type": "recovery"}, {"type": "T"}])
-            noise.propagate_through_t(frame, prop, rng)
+            noise.propagate_through_t(frame, prop, alpha, rng)
 
         def observer(kind, stage, rho, frame):
             width = fam.syndromes[stage.name].width

@@ -90,7 +90,7 @@ class TestDoublingMap:
             u = double(s, t)
             # Independent construction: even double rows, dot(S) on B,
             # dot(T) on C, and the all-ones row on B and C.
-            rows = [b | (b << m) for b in Subspace.even(m).basis]
+            rows = [b | (b << m) for b in Subspace(m, [(1 << j) | 1 for j in range(1, m)]).basis]
             rows += [b << m for b in s.dot_space().basis]
             rows += [b << (2 * m) for b in t.dot_space().basis]
             rows.append((((1 << m) - 1) << m) | (((1 << n) - 1) << (2 * m)))
@@ -159,11 +159,11 @@ class TestDoubledCodes:
         omega_a = tail.lattices[1].boundary_bits(2)  # weight-3 side of the 7-qubit code
         g_star = omega_a  # on the A1 block of the tail, position 0 in tail layout
         assert g_star.bit_count() == 3
-        assert all(not f2.dot(g_star, row) for row in tail.t_space.basis)
+        assert all(not oracles.dot(g_star, row) for row in tail.t_space.basis)
         witness = (1 << d.layout.offset("A2")) | (1 << d.layout.offset("B2"))
         witness |= g_star << d.layout.offset("A1")
         assert witness.bit_count() == 5
-        assert all(not f2.dot(witness, row) for row in d.t_space.basis)
+        assert all(not oracles.dot(witness, row) for row in d.t_space.basis)
 
     def test_1bc_identity(self):
         # The all-ones row on B and the tail decomposes as a face on B plus
@@ -237,7 +237,7 @@ class TestGadgetCodes:
         witness = (1 << codes.layout.offset("A2")) | (1 << codes.layout.offset("B2"))
         witness |= tail_omega << codes.layout.offset("A1")
         assert witness.bit_count() == 5
-        assert all(not f2.dot(witness, row) for row in codes.t_space.basis)
+        assert all(not oracles.dot(witness, row) for row in codes.t_space.basis)
 
     def test_generator_locality(self):
         codes = build_gadget_codes(2, "final")
@@ -306,7 +306,7 @@ class TestSubdivisionGadget:
                 v ^= 1 << rng.randrange(2, n)
             if v.bit_count() % 2:
                 continue
-            if any(f2.dot(v, r) for r in rows):
+            if any(oracles.dot(v, r) for r in rows):
                 continue
             rows.append(v)
         u = Subspace(n, rows)
@@ -364,7 +364,7 @@ def brute_distance_small(s: Subspace) -> int:
     while w <= n:
         for sites in itertools.combinations(range(n), w):
             v = f2.vector_from_support(sites)
-            if all(not f2.dot(v, row) for row in s.basis):
+            if all(not oracles.dot(v, row) for row in s.basis):
                 return w
         w += 2
     raise AssertionError("no odd dual vector found")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from dccsim import csscode, f2
+from dccsim import csscode
 from dccsim.csscode import (
     CodeConstructionError,
     EvennessWitness,
@@ -193,7 +193,7 @@ class TestEvenness:
                 v = rng.getrandbits(n)
                 if v.bit_count() % 2:
                     v ^= 1 << rng.randrange(n)
-                if not any(f2.dot(v, r) for r in rows):
+                if not any(oracles.dot(v, r) for r in rows):
                     rows.append(v)
             s = Subspace(n, rows)
             for order in (4, 8):

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 import oracles
-from dccsim import f2, noise
+from dccsim import noise
 from dccsim.csscode import build_cleanability_table, make_code
 from dccsim.f2 import Subspace
 from dccsim.protocol import family15
 from dccsim.noise import (
     CLIFFORD_CLASSES,
-    CLIFFORD_GROUP,
     PauliFrame,
     TPropagator,
     flip_syndrome,
@@ -98,11 +97,17 @@ class TestCliffordActions:
         assert len(mats) == 6
 
     def test_group_table_is_uniform_over_classes(self):
-        assert len(CLIFFORD_GROUP) == 24
+        # sample_clifford reads the class off the draw's index; the group
+        # table it replaced gives each class four elements, and the same
+        # seeded draws pick the same classes from it.
         from collections import Counter
 
-        counts = Counter(idx for _, idx in CLIFFORD_GROUP)
-        assert all(v == 4 for v in counts.values())
+        assert len(oracles.CLIFFORD_GROUP) == 24
+        counts = Counter(idx for _, idx in oracles.CLIFFORD_GROUP)
+        assert sorted(counts) == list(range(6)) and set(counts.values()) == {4}
+        new, old = np.random.default_rng(12), np.random.default_rng(12)
+        assert [sample_clifford(new) for _ in range(1000)] == \
+            [oracles.sample_clifford(old) for _ in range(1000)]
 
     def test_sample_covers_all_classes(self):
         rng = np.random.default_rng(4)
@@ -130,7 +135,7 @@ class TestPropagation:
                 assert not (g & ~propagator.table.rep(alpha))
             for g in cp.radical:
                 for h in cp.radical:
-                    assert f2.dot(g, h) == 0
+                    assert oracles.dot(g, h) == 0
 
     @pytest.mark.parametrize("which", ["doubled_steane", "c_code"])
     def test_radical_is_radical_of_b_inside_e(self, which, t_code):
@@ -143,7 +148,7 @@ class TestPropagation:
             e = propagator.table.rep(alpha)
             inside = b_elements[(b_elements & np.uint64(~e & ((1 << code.n) - 1))) == 0].tolist()
             b_e = Subspace(code.n, inside)
-            radical = [g for g in inside if not any(f2.dot(g, h) for h in b_e.basis)]
+            radical = [g for g in inside if not any(oracles.dot(g, h) for h in b_e.basis)]
             assert Subspace(code.n, propagator.coset(alpha).radical) == Subspace(code.n, radical)
 
     def test_distribution_normalized_nonnegative(self, propagator):
@@ -174,7 +179,7 @@ class TestPropagation:
         assert dist == {0: 1.0}
         rng = np.random.default_rng(6)
         frame = PauliFrame(15)
-        propagate_through_t(frame, propagator, rng)
+        propagate_through_t(frame, propagator, 0, rng)
         assert (frame.a, frame.b) == (0, 0)
 
     def test_trivial_radical_gives_uniform(self, propagator):
@@ -198,7 +203,7 @@ class TestPropagation:
         rng = np.random.default_rng(7)
         for v in t_code.a_space.element_array().tolist():
             frame = PauliFrame(15, a=v, b=0)
-            propagate_through_t(frame, propagator, rng)
+            propagate_through_t(frame, propagator, t_code.coset_map.label_x(v), rng)
             assert t_code.coset_map.label_x(frame.a) == 0
             assert t_code.coset_map.label_z(frame.b) == 0
 
@@ -227,7 +232,7 @@ class TestPropagation:
         for alpha in list(sorted(propagator.table.cleanable))[:50]:
             frame = PauliFrame(15, a=propagator.table.rep(alpha), b=0)
             label_before = propagator.code.coset_map.label_x(frame.a)
-            propagate_through_t(frame, propagator, rng)
+            propagate_through_t(frame, propagator, label_before, rng)
             assert propagator.code.coset_map.label_x(frame.a) == label_before
             assert not (frame.b & ~propagator.table.rep(alpha))
 
@@ -237,8 +242,9 @@ class TestPropagation:
             e for e in range(1 << 15) if t_code.coset_map.label_x(e) == bad
         )
         frame = PauliFrame(15, a=e, b=0)
-        with pytest.raises(ValueError, match="cleanable"):
-            propagate_through_t(frame, propagator, np.random.default_rng(10))
+        with pytest.raises(KeyError):
+            propagate_through_t(frame, propagator, bad, np.random.default_rng(10))
+        assert (frame.a, frame.b) == (e, 0)
 
 
 class TestSignTerm:

@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+import oracles
 from dccsim import protocol
 from dccsim.noise import CLIFFORD_CLASSES, PauliFrame
 from dccsim.protocol import (
@@ -65,17 +66,19 @@ class TestFamilyWiring:
         assert fam.stages == {"t": fam.t_stage, "base": fam.base_stage, "c": fam.c_stage}
 
     def test_measured_generators_match_maps(self, fam):
-        # The decoder-side syndrome rows must reproduce the frame-side
-        # measurement for random frames, on both codes.
+        # The syndrome maps read at the frame's label must reproduce the
+        # qubit-level measurement of the generators, on both codes. Both
+        # sides are linear in the frame, so the 30 unit frames cover every
+        # frame; random frames check that linearity.
+        units = [PauliFrame(15, 1 << j, 0) for j in range(15)] + [PauliFrame(15, 0, 1 << j) for j in range(15)]
         rng = np.random.default_rng(0)
-        for _ in range(100):
-            frame = PauliFrame(15, int(rng.integers(0, 1 << 15)), int(rng.integers(0, 1 << 15)))
-            label_c = fam.c_stage.frame_label(frame)
-            got = fam.m_c.table[label_c]
-            assert int(got) == fam.ideal_c_syndromes(frame)
-            label_t = fam.t_stage.frame_label(frame)
-            got = fam.m_t.table[label_t]
-            assert int(got) == fam.ideal_t_syndromes(frame)
+        randoms = [PauliFrame(15, int(rng.integers(0, 1 << 15)), int(rng.integers(0, 1 << 15)))
+                   for _ in range(100)]
+        for frame in units + randoms:
+            assert fam.ideal_c_syndromes(frame) == oracles.ideal_c_syndromes(fam, frame)
+            assert fam.ideal_t_syndromes(frame) == oracles.ideal_t_syndromes(fam, frame)
+        assert any(oracles.ideal_c_syndromes(fam, f) for f in units)
+        assert any(oracles.ideal_t_syndromes(fam, f) for f in units)
 
     def test_logical_labels_invisible_to_syndromes(self, fam):
         for stage, smap in ((fam.c_stage, fam.m_c), (fam.t_stage, fam.m_t)):
@@ -100,6 +103,23 @@ class TestFamilyWiring:
 
 
 class TestSyndromeTest:
+    def test_masks_match_the_face_loop(self, fam):
+        # Words over c_bits | t_bits << 14, every one of weight <= 2 and
+        # 10 000 random ones. Two different kernels of codimension <= 6
+        # disagree on at least 1/128 of all words, so the random words catch
+        # any mask set that differs from the loop.
+        c_width = fam.m_c.width
+        width = c_width + fam.m_t.width
+        low = [0] + [1 << i for i in range(width)]
+        low += [(1 << i) | (1 << j) for i in range(width) for j in range(i)]
+        rng = np.random.default_rng(3)
+        words = low + [int(w) for w in rng.integers(0, 1 << width, size=10_000)]
+        for action in CLIFFORD_CLASSES:
+            for w in words:
+                c_bits, t_bits = w & ((1 << c_width) - 1), w >> c_width
+                assert syndrome_test(fam, c_bits, t_bits, action) == \
+                    oracles.syndrome_test(fam, c_bits, t_bits, action)
+
     def test_all_zero_passes(self, fam):
         assert syndrome_test(fam, 0, 0, IDENTITY)
 
