@@ -22,10 +22,7 @@ from .csscode import (
     EvennessWitness,
     build_cleanability_table,
     check_evenness,
-    code_to_json,
-    dump_json,
     make_code,
-    spaces_from_json,
     verify_transversality,
 )
 from .codefamily import build_gadget_codes, cached_doubled, qubit_counts
@@ -119,24 +116,28 @@ def cmd_build(args) -> int:
     # Minimum-weight odd dual vector: a boundary side of the top-level
     # lattice on its A block (weight 2t+1, disjoint from every gadget).
     side = codes.lattices[t].boundary_bits(1) << codes.layout.offset(f"A{t}")
-    obj = code_to_json(
-        f"doubled-color-code-t{t}-{stage}", n, codes.t_space, codes.dot_t_space, codes.witness_t
-    )
-    obj.update(
-        version=__version__,
-        config_hash=hashlib.sha256(f"t={t} stage={stage}".encode()).hexdigest()[:12],
-        t=t,
-        stage=stage,
-        C=[f2.row_to_hex(row, n) for row in codes.c_space.basis],
-        c_witness=codes.witness_c.to_json(),
-        distance_witness=f2.row_to_hex(side, n),
-        qubit_counts=qubit_counts(t),
-        generators=[
+    obj = {
+        "n": n,
+        "name": f"doubled-color-code-t{t}-{stage}",
+        "A": [f2.row_to_hex(row, n) for row in codes.t_space.basis],
+        "B": [f2.row_to_hex(row, n) for row in codes.dot_t_space.basis],
+        "witness": codes.witness_t.to_json(),
+        "version": __version__,
+        "config_hash": hashlib.sha256(f"t={t} stage={stage}".encode()).hexdigest()[:12],
+        "t": t,
+        "stage": stage,
+        "C": [f2.row_to_hex(row, n) for row in codes.c_space.basis],
+        "c_witness": codes.witness_c.to_json(),
+        "distance_witness": f2.row_to_hex(side, n),
+        "qubit_counts": qubit_counts(t),
+        "generators": [
             {"kind": g.kind, "level": g.level, "support": list(g.support())}
             for g in codes.generators
         ],
-    )
-    dump_json(obj, args.out)
+    }
+    with open(args.out, "w") as fh:
+        json.dump(obj, fh, indent=1)
+        fh.write("\n")
     print(f"wrote {args.out}: n={n} stage={stage}")
     return EXIT_OK
 
@@ -147,13 +148,17 @@ def cmd_verify(args) -> int:
     with open(args.code_json) as fh:
         obj = json.load(fh)
     try:
-        n, t_space, dot_t, w_t = spaces_from_json(obj)
-        if w_t is None:
-            raise KeyError("witness")
-        c_space = Subspace(n, [f2.hex_to_row(r, n) for r in obj["C"]])
-        w_c = EvennessWitness.from_json(obj["c_witness"])
+        n, t, stage = obj["n"], obj["t"], obj["stage"]
+        # Every site list is checked before any vector is built from it: a
+        # site is an int, not a bool, in [0, n).
+        sites = {f"{w}.{side}": obj[w][side] for w in ("witness", "c_witness") for side in ("plus", "minus")}
+        sites.update((f"generators[{i}].support", g["support"]) for i, g in enumerate(obj["generators"]))
+        for field, values in sites.items():
+            if not isinstance(values, list) or any(type(j) is not int or not 0 <= j < n for j in values):
+                raise UsageError(f"{args.code_json}: {field} must list ints in [0, {n}), got {values!r}")
+        t_space, dot_t, c_space = (Subspace(n, [f2.hex_to_row(row, n) for row in obj[key]]) for key in "ABC")
+        w_t, w_c = EvennessWitness.from_json(obj["witness"]), EvennessWitness.from_json(obj["c_witness"])
         gen_rows = [f2.vector_from_support(g["support"]) for g in obj["generators"]]
-        t, stage = obj["t"], obj["stage"]
         stage_n = qubit_counts(t)[stage]
         witness = f2.hex_to_row(obj["distance_witness"], n)
     except (KeyError, TypeError) as exc:

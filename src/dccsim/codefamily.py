@@ -20,6 +20,8 @@ Stages, in construction order:
             ancillas are dropped and the link row kept directly.
 
 For t = 1 the final stage is exactly the 15-qubit / 7-qubit code pair.
+Every stage is one StageCodes record; the gadget stages extend the cached
+doubled record.
 """
 
 from __future__ import annotations
@@ -105,11 +107,13 @@ def double_witness(m: int, ws: EvennessWitness, wt: EvennessWitness) -> Evenness
 
 
 @dataclass(frozen=True)
-class DoubledCodes:
-    """The doubled stage: triply-even space, its dot space, and the
-    doubly-even companion, with evenness witnesses and typed generators."""
+class StageCodes:
+    """One stage of the family: the triply-even space and its dot space, the
+    doubly-even companion, their evenness witnesses and the typed generators
+    that span the dot space (all but the double edges span the companion's)."""
 
     t: int
+    stage: str    # doubled | gadget | local | final
     layout: BlockLayout
     lattices: dict[int, ColorLattice]
     t_space: Subspace
@@ -135,7 +139,7 @@ def link_row(layout: BlockLayout, lattices: dict[int, ColorLattice], r: int) -> 
     return row
 
 
-def build_doubled(t: int) -> DoubledCodes:
+def build_doubled(t: int) -> StageCodes:
     if t < 1:
         raise ValueError("t must be at least 1")
     lattices = {r: build_lattice(r) for r in range(1, t + 1)}
@@ -169,8 +173,9 @@ def build_doubled(t: int) -> DoubledCodes:
         layout.embed(lat_t.delta0, f"A{t}"), layout.embed(lat_t.delta2, f"A{t}"), 4
     )
 
-    return DoubledCodes(
+    return StageCodes(
         t=t,
+        stage="doubled",
         layout=layout,
         lattices=lattices,
         t_space=t_space,
@@ -185,27 +190,6 @@ def build_doubled(t: int) -> DoubledCodes:
 # ---------------------------------------------------------------------------
 # Gadget extension and subdivision
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GadgetCodes:
-    """One gadget-extended stage (gadget, local, or final)."""
-
-    t: int
-    stage: str
-    layout: BlockLayout
-    lattices: dict[int, ColorLattice]
-    t_space: Subspace      # triply-even side (extends the doubled t_space)
-    c_space: Subspace      # doubly-even side
-    dot_t_space: Subspace
-    dot_c_space: Subspace
-    witness_t: EvennessWitness
-    witness_c: EvennessWitness
-    generators: tuple[Generator, ...]
-
-    @property
-    def n(self) -> int:
-        return self.layout.n
-
 
 def _stage_layout(t: int, lattices: dict[int, ColorLattice], include_d1: bool, subdivide: bool) -> BlockLayout:
     blocks: list[tuple[str, int]] = []
@@ -222,14 +206,7 @@ def _stage_layout(t: int, lattices: dict[int, ColorLattice], include_d1: bool, s
     return BlockLayout(tuple(blocks))
 
 
-def _doubled_to_stage_positions(doubled: DoubledCodes, layout: BlockLayout) -> list[int]:
-    positions: list[int] = []
-    for name, _ in doubled.layout.blocks:
-        positions.extend(layout.positions(name))
-    return positions
-
-
-def build_gadget_codes(t: int, stage: str = "gadget") -> GadgetCodes:
+def build_gadget_codes(t: int, stage: str = "gadget") -> StageCodes:
     """Extend the doubled codes with ancilla gadgets.
 
     stage: 'gadget' keeps one long-range weight-2 generator per level;
@@ -240,12 +217,13 @@ def build_gadget_codes(t: int, stage: str = "gadget") -> GadgetCodes:
     """
     if stage not in ("gadget", "local", "final"):
         raise ValueError(f"unknown stage {stage!r}")
-    doubled = build_doubled(t)
+    doubled = cached_doubled(t)
     lattices = doubled.lattices
     include_d1 = stage != "final"
     subdivide = stage in ("local", "final")
     layout = _stage_layout(t, lattices, include_d1, subdivide)
-    emb = _doubled_to_stage_positions(doubled, layout)
+    # Each doubled block keeps its name and order in the stage layout.
+    emb = [i for name, _ in doubled.layout.blocks for i in layout.positions(name)]
 
     gens: list[Generator] = [
         Generator(g.kind, g.level, f2.embed(g.bits, emb))
@@ -309,19 +287,14 @@ def build_gadget_codes(t: int, stage: str = "gadget") -> GadgetCodes:
 
     n = layout.n
     dot_t_space = Subspace(n, [g.bits for g in gens])
-    dot_c_space = Subspace(n, [g.bits for g in gens if g.kind != "edge_double"])
-    t_space = dot_t_space.dot_space()
-    c_space = dot_c_space.dot_space()
-
-    return GadgetCodes(
+    return StageCodes(
         t=t,
         stage=stage,
         layout=layout,
         lattices=lattices,
-        t_space=t_space,
-        c_space=c_space,
+        t_space=dot_t_space.dot_space(),
         dot_t_space=dot_t_space,
-        dot_c_space=dot_c_space,
+        c_space=Subspace(n, [g.bits for g in gens if g.kind != "edge_double"]).dot_space(),
         witness_t=doubled.witness_t.embed(emb),
         witness_c=doubled.witness_c.embed(emb),
         generators=tuple(gens),
@@ -329,12 +302,12 @@ def build_gadget_codes(t: int, stage: str = "gadget") -> GadgetCodes:
 
 
 @lru_cache(maxsize=None)
-def cached_doubled(t: int) -> DoubledCodes:
+def cached_doubled(t: int) -> StageCodes:
     return build_doubled(t)
 
 
 @lru_cache(maxsize=None)
-def cached_gadget(t: int, stage: str) -> GadgetCodes:
+def cached_gadget(t: int, stage: str) -> StageCodes:
     return build_gadget_codes(t, stage)
 
 

@@ -9,11 +9,14 @@ Pauli errors X(a)Z(b) are tracked modulo the gauge group through packed coset
 labels (matB.a in the low bits, matA.b above them), where matA and matB
 generate A+<1> and B+<1>. Two errors get equal labels iff they differ by a
 gauge element, which is what the decoder and the Monte Carlo both rely on.
+
+The code JSON that `build` writes and `verify` reads is laid out in
+dccsim.cli alone; a witness converts itself (EvennessWitness.to_json and
+from_json).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -319,38 +322,3 @@ def build_cleanability_table(code: SubsystemCode) -> CleanabilityTable:
     alphas, reps = alphas.tolist(), order[first].tolist()
     return CleanabilityTable(code, frozenset(alphas), dict(zip(alphas, reps)))
 
-
-# ---------------------------------------------------------------------------
-# Code JSON
-# ---------------------------------------------------------------------------
-
-def code_to_json(
-    name: str,
-    n: int,
-    a_space: Subspace,
-    b_space: Subspace,
-    witness: EvennessWitness | None,
-) -> dict:
-    obj = {
-        "n": n,
-        "name": name,
-        "A": [f2.row_to_hex(row, n) for row in a_space.basis],
-        "B": [f2.row_to_hex(row, n) for row in b_space.basis],
-    }
-    if witness is not None:
-        obj["witness"] = witness.to_json()
-    return obj
-
-
-def spaces_from_json(obj: dict) -> tuple[int, Subspace, Subspace, EvennessWitness | None]:
-    n = obj["n"]
-    a = Subspace(n, [f2.hex_to_row(row, n) for row in obj["A"]])
-    b = Subspace(n, [f2.hex_to_row(row, n) for row in obj["B"]])
-    witness = EvennessWitness.from_json(obj["witness"]) if "witness" in obj else None
-    return n, a, b, witness
-
-
-def dump_json(obj: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")

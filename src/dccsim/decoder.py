@@ -75,7 +75,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import f2
-from .csscode import CleanabilityTable, CosetMap, SubsystemCode
+from .csscode import CleanabilityTable, CosetMap
 from .f2 import fwht
 from .noise import CLIFFORD_CLASSES, CliffordAction
 
@@ -317,14 +317,11 @@ class TGateUpdate:
         return self.gamma_hat.reshape(-1)[self.cleanable_entries].reshape(len(self.gamma_hat), -1)
 
 
-def build_t_gate_update(
-    code: SubsystemCode, table: CleanabilityTable, layout: LabelLayout
-) -> TGateUpdate:
+def build_t_gate_update(table: CleanabilityTable) -> TGateUpdate:
     """The table's Gamma (CleanabilityTable.gamma_hat) with its cleanable
-    mask, for a layout that matches the code's labels."""
-    cm = code.coset_map
-    if (cm.alpha_bits, cm.beta_bits) != (layout.alpha_bits, layout.beta_bits):
-        raise ValueError("layout does not match the code's coset map")
+    mask, on the label layout of the table's code."""
+    cm = table.code.coset_map
+    layout = LabelLayout(cm.alpha_bits, cm.beta_bits)
     mask = np.zeros(1 << layout.alpha_bits, dtype=bool)
     mask[sorted(table.cleanable)] = True
     return TGateUpdate(layout=layout, cleanable_mask=mask, gamma_hat=table.gamma_hat)

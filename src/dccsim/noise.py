@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import f2
-from .csscode import CleanabilityTable, SubsystemCode
+from .csscode import CleanabilityTable
 
 
 @dataclass
@@ -143,7 +143,8 @@ class CosetPropagation:
 
 
 class TPropagator:
-    """Per-coset propagation tables for a regular T-transversal code.
+    """Per-coset propagation tables for the regular T-transversal code of a
+    cleanability table (build_cleanability_table refuses any other code).
 
     A coset's radical is spanned by the A^T beta & e(alpha) at the nonzero
     entries of Gamma's column alpha (see the module docstring). Its table is
@@ -151,10 +152,7 @@ class TPropagator:
     meets only a few of the cleanable cosets.
     """
 
-    def __init__(self, code: SubsystemCode, table: CleanabilityTable):
-        if not code.is_regular:
-            raise ValueError("propagation requires a regular code")
-        self.code = code
+    def __init__(self, table: CleanabilityTable):
         self.table = table
         self._cosets: dict[int, CosetPropagation] = {}
 
@@ -167,7 +165,7 @@ class TPropagator:
     def _build(self, alpha: int) -> CosetPropagation:
         e = self.table.rep(alpha)
         members = self.table.at_beta[self.table.gamma_hat[:, alpha] != 0] & np.uint64(e)
-        radical = f2.Subspace(self.code.n, members.tolist()).basis
+        radical = f2.Subspace(self.table.code.n, members.tolist()).basis
         positions = f2.support(e)
         rows = [f2.restrict(g, positions) for g in radical]
         rhs = [(g.bit_count() // 2) & 1 for g in radical]

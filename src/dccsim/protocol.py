@@ -208,8 +208,8 @@ class Family15:
                     raise AssertionError("a measured generator reads the logical qubit")
 
         self.table: CleanabilityTable = build_cleanability_table(t_code)
-        self.prop = TPropagator(t_code, self.table)
-        self.t_update: TGateUpdate = build_t_gate_update(t_code, self.table, lay_t)
+        self.prop = TPropagator(self.table)
+        self.t_update: TGateUpdate = build_t_gate_update(self.table)
 
         # Recovery vector of every X label, spanned by a linear section:
         # vectors r_k with label_x(r_k) = e_k.
@@ -251,7 +251,6 @@ class ProtocolConfig:
     decoder: str = "sparse"        # "exact" | "sparse"
     eps: float = 1e-6
     seed: int = 0
-    max_retry_rounds: int = 100
     threads: int = 1
 
     def __post_init__(self) -> None:
@@ -263,8 +262,6 @@ class ProtocolConfig:
             raise ValueError("max_gates must be at least 1")
         if not 0.0 <= self.eps <= 1.0:
             raise ValueError("eps must lie in [0, 1]")
-        if self.max_retry_rounds < 0:
-            raise ValueError("max_retry_rounds must be at least 0")
         if self.seed < 0:
             raise ValueError("seed must be at least 0")
         if self.decoder not in ENGINES:
@@ -282,6 +279,8 @@ class ProtocolConfig:
 
 
 TERMINATIONS = ("logical_error", "cleanability_failure", "max_gates_reached", "retry_limit")
+# A trial whose syndrome tests fail more times in a row than this ends as "retry_limit".
+MAX_RETRY_ROUNDS = 100
 
 
 @dataclass(frozen=True)
@@ -374,7 +373,7 @@ def run_trial(config: ProtocolConfig, trial_index: int, observer=None) -> TrialR
             last_pass = False
             retries += 1
             consecutive_fails += 1
-            if consecutive_fails > config.max_retry_rounds:
+            if consecutive_fails > MAX_RETRY_ROUNDS:
                 return TrialResult(gates, "retry_limit", retries, rounds)
 
 

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from dccsim import f2
-from dccsim.codefamily import GadgetCodes
+from dccsim.codefamily import StageCodes
 from dccsim.csscode import EvennessWitness, SubsystemCode
 from dccsim.decoder import SparseLikelihood
 from dccsim.f2 import Subspace
@@ -212,7 +212,7 @@ def p_f_given_e_charsum(prop: TPropagator, alpha: int) -> dict[int, float]:
     subgroup inside e; independent route for cross-checking."""
     cp = prop.coset(alpha)
     k = len(cp.positions)
-    sub = Subspace(prop.code.n, cp.radical)
+    sub = Subspace(prop.table.code.n, cp.radical)
     out: dict[int, float] = {}
     for x in range(1 << k):
         fvec = f2.embed(x, cp.positions)
@@ -361,7 +361,7 @@ def _spoiled_faces(lat: ColorLattice, side: int, r: int, checks: list[tuple[str,
     return faces
 
 
-def membership_certificates(codes: GadgetCodes) -> list[str]:
+def membership_certificates(codes: StageCodes) -> list[str]:
     """The structural identities of the gadget extension that fail (none
     on a correct build), read off the layout and the lattices.
 

@@ -1,3 +1,4 @@
+import copy
 import csv
 import dataclasses
 import hashlib
@@ -6,13 +7,24 @@ import time
 
 import pytest
 
-from dccsim import cli, noise, protocol
+from dccsim import cli, f2, noise, protocol
 from dccsim.cli import EXIT_CAPACITY, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from dccsim.protocol import ProtocolConfig, family15, run_trial
 
 
 def run(argv):
     return main(argv)
+
+
+@pytest.fixture(scope="module")
+def t1_code_json(tmp_path_factory):
+    """The parsed t = 1 code JSON of each stage that build writes."""
+    objs = {}
+    for stage in ("doubled", "gadget", "final"):
+        out = tmp_path_factory.mktemp("t1") / f"{stage}.json"
+        assert run(["build", "--t", "1", "--stage", stage, "--out", str(out)]) == EXIT_OK
+        objs[stage] = json.loads(out.read_text())
+    return objs
 
 
 class TestBuildVerify:
@@ -90,6 +102,32 @@ class TestBuildVerify:
         assert run(["verify", str(out)]) == EXIT_USAGE
         assert "is not a code JSON: KeyError 'witness'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage", ["doubled", "gadget", "final"])
+    @pytest.mark.parametrize("field", ["witness", "c_witness", "generators[0].support"])
+    @pytest.mark.parametrize("site", ["n", -1, 10**9, True, 1.5])
+    def test_site_outside_the_code_exits_4(self, t1_code_json, tmp_path, monkeypatch, capsys,
+                                           stage, field, site):
+        # A witness whose only site is n used to pass every check:
+        # check_evenness ignores sites >= n, but the imbalance m counts them.
+        obj = copy.deepcopy(t1_code_json[stage])
+        site = obj["n"] if site == "n" else site
+        if field == "generators[0].support":
+            obj["generators"][0]["support"] = [site]
+        else:
+            obj[field] = {"plus": [site], "minus": [], "order": obj[field]["order"]}
+        out = tmp_path / "code.json"
+        out.write_text(json.dumps(obj))
+
+        def no_vector(*args):
+            raise AssertionError("a vector was built before the sites were checked")
+
+        monkeypatch.setattr(f2, "vector_from_support", no_vector)
+        monkeypatch.setattr(f2, "hex_to_row", no_vector)
+        assert run(["verify", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f": {field}" in captured.err
+        assert "PASS" not in captured.out
+
     @pytest.mark.parametrize("field", ["A", "B", "C", "distance_witness"])
     @pytest.mark.parametrize("text", ["0xaa", " aaa", "-aaa", "a_aa", "aaab"])
     def test_malformed_hex_row_exits_4(self, tmp_path, capsys, field, text):
@@ -152,18 +190,18 @@ class TestBuildVerify:
 
     def test_outputs_pinned(self, tmp_path, capsys):
         """sha256 over the build JSON bytes and the verify stdout of every
-        stage at t = 1..3 and the final stage at t = 4, at the default
-        budget. A faster kernel must leave every byte unchanged."""
+        stage at t = 1..4, at the default budget. A faster kernel must
+        leave every byte unchanged."""
         h = hashlib.sha256()
-        runs = [(t, stage) for t in (1, 2, 3) for stage in ("doubled", "gadget", "final")]
-        for t, stage in runs + [(4, "final")]:
+        runs = [(t, stage) for t in (1, 2, 3, 4) for stage in ("doubled", "gadget", "final")]
+        for t, stage in runs:
             out = tmp_path / f"t{t}-{stage}.json"
             assert run(["build", "--t", str(t), "--stage", stage, "--out", str(out)]) == EXIT_OK
             h.update(out.read_bytes())
             capsys.readouterr()
             assert run(["verify", str(out)]) == EXIT_OK
             h.update(capsys.readouterr().out.encode())
-        assert h.hexdigest() == "83fd55196dc6610d57ddae8905fd41f1e3a2b51c400ad7abf654bdbcc1a2861b"
+        assert h.hexdigest() == "283ce16bfcb85d581f145541076baf88dc30f22ebf4c459792fa258fae8a297a"
 
 
 class TestSimulate:

@@ -179,11 +179,18 @@ class TestDoubledCodes:
         assert extra_face in d.c_space
 
 
+def dot_c_space(codes) -> Subspace:
+    """The doubly-even side's dot space, spanned by every generator but the
+    double edges."""
+    return Subspace(codes.n, [g.bits for g in codes.generators if g.kind != "edge_double"])
+
+
 class TestGadgetCodes:
     @pytest.mark.parametrize("t", [1, 2])
-    @pytest.mark.parametrize("stage", ["gadget", "local", "final"])
+    @pytest.mark.parametrize("stage", ["doubled", "gadget", "local", "final"])
     def test_qubit_counts(self, t, stage):
-        codes = build_gadget_codes(t, stage)
+        codes = build_doubled(t) if stage == "doubled" else build_gadget_codes(t, stage)
+        assert codes.stage == stage
         assert codes.n == qubit_counts(t)[stage]
 
     def test_t1_final_is_fifteen_qubit(self):
@@ -201,11 +208,12 @@ class TestGadgetCodes:
     @pytest.mark.parametrize("stage", ["gadget", "local", "final"])
     def test_inclusion_chain(self, t, stage):
         codes = build_gadget_codes(t, stage)
+        dot_c = dot_c_space(codes)
         assert codes.c_space.contains_subspace(codes.t_space)
-        assert codes.dot_c_space.contains_subspace(codes.c_space)
-        assert codes.dot_t_space.contains_subspace(codes.dot_c_space)
+        assert dot_c.contains_subspace(codes.c_space)
+        assert codes.dot_t_space.contains_subspace(dot_c)
         assert codes.t_space == codes.dot_t_space.dot_space()
-        assert codes.c_space == codes.dot_c_space.dot_space()
+        assert codes.c_space == dot_c.dot_space()
 
     @pytest.mark.parametrize("t", [1, 2])
     @pytest.mark.parametrize("stage", ["gadget", "local", "final"])
@@ -245,10 +253,7 @@ class TestGadgetCodes:
             assert g.bits.bit_count() <= 6, (g.kind, g.level)
         spans = Subspace(codes.n, [g.bits for g in codes.generators])
         assert spans == codes.dot_t_space
-        no_edges = Subspace(
-            codes.n, [g.bits for g in codes.generators if g.kind != "edge_double"]
-        )
-        assert no_edges == codes.dot_c_space
+        assert dot_c_space(codes) == codes.c_space.dot_space()
 
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     def test_counting_formulas(self, t):
@@ -269,9 +274,10 @@ class TestGadgetCodes:
     def test_t3_chain_and_evenness(self):
         codes = build_gadget_codes(3, "final")
         assert codes.n == qubit_counts(3)["final"]
+        dot_c = dot_c_space(codes)
         assert codes.c_space.contains_subspace(codes.t_space)
-        assert codes.dot_c_space.contains_subspace(codes.c_space)
-        assert codes.dot_t_space.contains_subspace(codes.dot_c_space)
+        assert dot_c.contains_subspace(codes.c_space)
+        assert codes.dot_t_space.contains_subspace(dot_c)
         from dccsim.csscode import check_evenness
 
         assert check_evenness(codes.t_space, codes.witness_t)

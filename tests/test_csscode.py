@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import oracles
-from dccsim import csscode
 from dccsim.csscode import (
     CodeConstructionError,
     EvennessWitness,
@@ -353,12 +352,3 @@ class TestCleanability:
         with pytest.raises(CodeConstructionError):
             build_cleanability_table(base)
 
-
-class TestCodeJson:
-    def test_roundtrip(self):
-        t_space, c_space, _ = fifteen_qubit_spaces()
-        w = EvennessWitness.from_sites(range(15), [], 8)
-        obj = csscode.code_to_json("t-code", 15, t_space, t_space.dot_space(), w)
-        n, a, b, w2 = csscode.spaces_from_json(obj)
-        assert n == 15 and a == t_space and b == t_space.dot_space()
-        assert w2 == w

@@ -31,7 +31,7 @@ def t_code():
 
 @pytest.fixture(scope="module")
 def propagator(t_code):
-    return TPropagator(t_code, build_cleanability_table(t_code))
+    return TPropagator(build_cleanability_table(t_code))
 
 
 class TestErrorModel:
@@ -142,7 +142,7 @@ class TestPropagation:
         # Oracle independent of Gamma: B_e from B's elements inside e, and
         # its radical as the elements of B_e orthogonal to all of B_e.
         code = t_code if which == "doubled_steane" else family15().c_stage.code
-        propagator = TPropagator(code, build_cleanability_table(code))
+        propagator = TPropagator(build_cleanability_table(code))
         b_elements = code.b_space.element_array()
         for alpha in sorted(propagator.table.cleanable):
             e = propagator.table.rep(alpha)
@@ -167,7 +167,7 @@ class TestPropagation:
                 assert abs(prod.get(k, 0.0) - char.get(k, 0.0)) <= 1e-12
 
     def test_cosets_are_built_on_first_use(self, t_code):
-        prop = TPropagator(t_code, build_cleanability_table(t_code))
+        prop = TPropagator(build_cleanability_table(t_code))
         assert prop._cosets == {}
         first = prop.coset(0)
         assert list(prop._cosets) == [0]
@@ -231,9 +231,9 @@ class TestPropagation:
         rng = np.random.default_rng(9)
         for alpha in list(sorted(propagator.table.cleanable))[:50]:
             frame = PauliFrame(15, a=propagator.table.rep(alpha), b=0)
-            label_before = propagator.code.coset_map.label_x(frame.a)
+            label_before = propagator.table.code.coset_map.label_x(frame.a)
             propagate_through_t(frame, propagator, label_before, rng)
-            assert propagator.code.coset_map.label_x(frame.a) == label_before
+            assert propagator.table.code.coset_map.label_x(frame.a) == label_before
             assert not (frame.b & ~propagator.table.rep(alpha))
 
     def test_non_cleanable_raises(self, propagator, t_code):
@@ -256,10 +256,10 @@ class TestSignTerm:
     def prop(self):
         b_space = Subspace(5, [17, 18, 24])
         code = make_code(b_space.dot_space(), b_space)
-        return TPropagator(code, build_cleanability_table(code))
+        return TPropagator(build_cleanability_table(code))
 
     def test_code_carries_the_sign_term(self, prop):
-        assert prop.code.a_space.basis == (27,)
+        assert prop.table.code.a_space.basis == (27,)
         assert (prop.table.gamma_hat < 0).any()
         assert any(prop.coset(alpha).particular for alpha in prop.table.cleanable)
 
@@ -267,7 +267,7 @@ class TestSignTerm:
         gamma = prop.table.gamma_hat
         for alpha in sorted(prop.table.cleanable):
             for beta in range(gamma.shape[0]):
-                direct = oracles.gamma_hat_direct(prop.code, prop, alpha, beta)
+                direct = oracles.gamma_hat_direct(prop.table.code, prop, alpha, beta)
                 assert abs(gamma[beta, alpha] - direct) <= 1e-12
 
     def test_product_equals_character_sum(self, prop):

@@ -450,8 +450,6 @@ class TestEstimator:
             ProtocolConfig(p=0.1, trials=1, max_gates=0)
         with pytest.raises(ValueError, match="eps"):
             ProtocolConfig(p=0.1, trials=1, eps=-1.0)
-        with pytest.raises(ValueError, match="max_retry_rounds"):
-            ProtocolConfig(p=0.1, trials=1, max_retry_rounds=-1)
         with pytest.raises(ValueError, match="seed must be at least 0"):
             ProtocolConfig(p=0.1, trials=1, seed=-1)
         assert ProtocolConfig(p=0.1, trials=1, seed=0).seed == 0
@@ -469,10 +467,9 @@ class TestRetryPath:
             for r in results
         )
 
-    def test_retry_limit_cap(self):
-        cfg = ProtocolConfig(
-            p=0.4, trials=3, max_gates=100, decoder="sparse", seed=16, max_retry_rounds=5
-        )
+    def test_retry_limit_cap(self, monkeypatch):
+        monkeypatch.setattr(protocol, "MAX_RETRY_ROUNDS", 5)
+        cfg = ProtocolConfig(p=0.4, trials=3, max_gates=100, decoder="sparse", seed=16)
         results = run_trials(cfg)
         for r in results:
             if r.termination == "retry_limit":
