@@ -341,7 +341,7 @@ def _write_rows(sink, configs, estimates) -> None:
 def _note_sparse_cost(configs: list[ProtocolConfig]) -> None:
     """Above the measured crossover the sparse engine's support, and so its
     cost per round, outgrows the exact engine's flat cost (see the README)."""
-    crossover = 0.05
+    crossover = 0.06
     if any(config.decoder == "sparse" and config.p > crossover for config in configs):
         print(f"note: above p = {crossover} the sparse decoder slows as p grows; "
               "--decoder exact runs at a flat cost there", file=sys.stderr)

@@ -25,21 +25,25 @@ the Z-error part above (see csscode.CosetMap). Six update kinds drive it:
 
 Each round ends in one online step, measure(split, smap, observed, q, eps):
 split, syndrome and truncation, bit-identical to deform(split);
-apply_syndrome(smap, observed, q); truncate(eps). The sparse engine forms
-the split's weights and the syndrome factors together on the (2^k, n) grid
-of dropped-bit pattern and narrow entry, selects the entries truncation
-keeps while the grid is unsorted, and sorts only those. It is exact for
-three reasons. The split gives every pattern the same weight, so the split's
-renormalization runs on the n narrow weights. The syndrome map is linear, so
-a wide label's syndrome is the XOR of its base label's and its pattern's.
-Each grid entry thus gets the weight the separate updates give it. And the
-truncation rule sums the weights in label order, but weights are never
-negative, so a sum in grid order differs from it by so little that both
-decide alike outside a band of relative width (2N + 8) 2^-53 around the cut
-for N grid entries; where an entry falls in the band, the grid is sorted and
-the rule runs as written (SparseLikelihood._preselect). The dense engine
-renormalizes the narrow vector before it writes the split's broadcast, for
-the first reason.
+apply_syndrome(smap, observed, q); truncate(eps). Split and syndrome
+together form a (2^k, n) grid of dropped-bit pattern and narrow label, and
+the grid's entries are known from the narrow labels alone, for two reasons.
+The split gives every pattern the same weight, so the split's
+renormalization runs on the n narrow weights. The syndrome map is linear,
+so a wide label's syndrome is the XOR of its base label's and its
+pattern's, and the syndrome factors of narrow label l's entries depend only
+on y = (syndrome of its base label) ^ observed. The sparse engine therefore
+selects on the narrow labels, then builds the grid for the survivors: per
+y, cached tables give the sum and the largest of the 2^k syndrome factors,
+so the grid's sum, and with it truncation's cut, and a bound on each
+label's largest entry cost one gather each over the n labels; only the
+labels whose bound reaches the cut are expanded, and of their entries those
+that clear a narrow band around the cut are kept. The band covers every
+rounding by which this differs from the rule as written (derived in
+SparseLikelihood); where an entry falls inside it, or the cut is too small
+for the band to hold, the grid of every label is built and truncate runs the
+rule. The dense engine renormalizes the narrow vector before it writes the
+split's broadcast, for the first reason.
 
 Weights are renormalized to max = 1 after every update (the overall scale
 carries no information and would otherwise underflow over long runs). The
@@ -59,8 +63,9 @@ gathers from 2^c lookup tables of the syndrome and deformation maps, so
 each of its updates is a few whole-array operations over the support; its
 advantage is a support far smaller than 2^c. Within a round the support
 grows before truncation cuts it back: at p = 0.005 (mean, seed 0) 26 kept
-labels become 689 after memory and 5 509 entering the syndrome, and at
-p = 0.02 132 become 1 374 and 10 995 (at most 58 496 of 65 536). Its
+labels become 689 after memory, whose full grid would hold 5 509 entries
+and of which measure builds 175; at p = 0.02 132 become 1 374, a grid of
+10 995 (at most 58 496 of 65 536), and 757 built. Its
 labels stay in order by two rules, a 2^c bincount where labels collide
 (memory, merge) and a radix sort where they only move (split, Clifford,
 recovery); see SparseLikelihood.
@@ -275,17 +280,43 @@ class DeformationMap:
         return wide[:, 0, :].reshape(-1), wide[0, :, 0]
 
 
+@dataclass(frozen=True)
+class SplitSyndromeTables:
+    """What measure reads about a split followed by a syndrome with flip
+    probability q.
+
+    Narrow label l splits into wide labels base[l] ^ patterns[j] (the
+    split's tables). The syndrome map is linear, so their syndromes are
+    s_base[l] ^ s_patterns[j], and with y = s_base[l] ^ observed the
+    mismatch counts are m = mismatch[j, y] = |y ^ s_patterns[j]|. The
+    entry gets the factors hit[m] and miss[m]; totals[y] and tops[y] are
+    the sum and the maximum over j of hit[m] * miss[m], for every y.
+    """
+
+    base: np.ndarray
+    patterns: np.ndarray
+    s_base: np.ndarray       # uint32, 2^c of the narrow layout
+    mismatch: np.ndarray     # uint8, (2^k, 2^width)
+    hit: np.ndarray
+    miss: np.ndarray
+    totals: np.ndarray       # float64, 2^width
+    tops: np.ndarray         # float64, 2^width
+
+
 @lru_cache(maxsize=16)
-def _split_syndromes(split: DeformationMap, smap: SyndromeMap) -> tuple[np.ndarray, np.ndarray]:
-    """Syndromes of the split's base labels and of its dropped-bit patterns.
-    The syndrome map is linear, so wide label base[l] ^ patterns[j] has
-    syndrome s_base[l] ^ s_patterns[j]."""
+def _split_syndrome_tables(split: DeformationMap, smap: SyndromeMap, q: float) -> SplitSyndromeTables:
     if smap.layout != split.new_layout:
         raise ValueError("syndrome map was built for a different label layout")
     base, patterns = split.split_tables
-    s_base, s_patterns = smap.table.take(base), smap.table.take(patterns)
-    s_base.flags.writeable = s_patterns.flags.writeable = False
-    return s_base, s_patterns
+    syndromes = np.arange(1 << smap.width, dtype=np.uint32)
+    mismatch = np.bitwise_count(smap.table.take(patterns)[:, None] ^ syndromes)
+    hit, miss = _mismatch_factors(smap.width, q)
+    factors = hit.take(mismatch) * miss.take(mismatch)
+    tables = SplitSyndromeTables(base, patterns, smap.table.take(base), mismatch, hit, miss,
+                                 factors.sum(axis=0), factors.max(axis=0))
+    for array in (tables.s_base, tables.mismatch, tables.totals, tables.tops):
+        array.flags.writeable = False
+    return tables
 
 
 @dataclass(frozen=True)
@@ -489,8 +520,41 @@ class SparseLikelihood:
     positive bins (weights are never negative, so only an all-zero label
     drops, as renormalization would drop it). Split, Clifford and recovery
     map labels one to one: `_sort`, a stable radix argsort, only reorders
-    them; measure leaves its split grid unsorted until truncation has
-    selected from it. The syndrome and T updates keep the order.
+    them; measure sorts only the grid entries it keeps. The syndrome and T
+    updates keep the order.
+
+    measure's band. Write u = 2^-53, K = 2^k patterns, L narrow labels and
+    N = K L grid entries, and let e be the exact product w hit miss of an
+    entry's float factors and E the sum of the e. Each rounding of a
+    product, a quotient or a sum of nonnegative terms is relative and at
+    most u per operation, and K + L <= N + 1.
+      The rule. Entry g = (hit w) miss is e within 2u, so the grid's sum is
+      E within 2u. The rule keeps g where p = (g / max) / T >= eps, T summed
+      over the rescaled entries: one rounding per rescaled entry, N - 1 in
+      the sum, one in the quotient and the 2u of the grid's sum put p
+      within (N + 4)u of g / E.
+      The cut. totals[y] adds K rounded products (Ku), w[l] * totals[y_l]
+      rounds once more and the sum over the L labels L - 1 times, so
+      S = sum_l w[l] totals[y_l] is E within (K + L)u, and cut = eps * S is
+      eps E within (K + L + 1)u. So the rule keeps g where
+      g >= cut (1 + r) and drops it where g < cut (1 - r), with
+      r = (N + K + L + 5)u <= (2N + 6)u.
+      The candidates. bound = w[l] * tops[y_l] rounds twice and the entry
+      that attains it twice, so the label holds no entry above bound
+      (1 + 4u); the band's edges cut (1 -+ b) round once. With
+      b = (2N + 14)u, a label whose bound lies below the lower edge holds
+      only entries below cut (1 - r), every entry at or above the upper
+      edge lies above cut (1 + r), and 3u remain for the second-order terms
+      (N u <= 2^-37) and for underflow. The labels whose bound lies within
+      b of the largest bound hold every maximal entry: the first maximum,
+      which the rule keeps when no entry reaches the band.
+      Underflow. A product or quotient below 2^-1022 errs by up to 2^-1075
+      absolutely instead. Entries near the cut are normal where the cut is
+      at least 8N 2^-1022, and the at most 5N such errors in the grid's
+      sum, T and S, on the scale of the entries and times eps <= 1, then
+      add less than u to r. A smaller cut (eps = 0 or subnormal among
+      them) or eps > 1 takes the rule as written.
+    b is an even multiple of u, so 1 + b and 1 - b are exact.
     """
 
     def __init__(
@@ -554,47 +618,88 @@ class SparseLikelihood:
 
     def deform(self, dmap: DeformationMap) -> None:
         if dmap.direction == "split":
-            self._split(dmap)
+            self._split_weights(dmap)
+            base, patterns = dmap.split_tables
+            self.labels = (base.take(self.labels)[:, None] ^ patterns).reshape(-1)
+            self.weights = np.repeat(self.weights, len(patterns))
+            self.layout = dmap.new_layout
             self._sort()
             return
         self.layout = dmap.new_layout
         self._merge(dmap.dense_index.take(self.labels), self.weights)
         self._renormalize()
 
+    def _split_weights(self, split: DeformationMap) -> None:
+        """The split's renormalization, on the narrow weights: each of the
+        2^k wide labels of narrow label l gets w[l] / 2^k / max(w / 2^k)."""
+        self.weights = self.weights / len(split.split_tables[1])
+        self._renormalize()
+
     def measure(self, split: DeformationMap, smap: SyndromeMap, observed: int, q: float,
                 eps: float) -> None:
         """deform(split); apply_syndrome(smap, observed, q); truncate(eps),
-        with the syndrome factors applied to the split's (2^k, n) grid, which
-        truncate selects from before it sorts what it keeps (see the module
-        docstring for why each entry gets the same weight)."""
+        building the split's grid only for the narrow labels whose entries
+        truncation may keep (see the module docstring for why each entry
+        gets the same weight, and _select for the choice)."""
         if split.direction != "split":
             raise ValueError("measure follows a split")
-        self._split(split, (smap, observed, q))
-        self.truncate(eps)
+        tables = _split_syndrome_tables(split, smap, q)
+        self._split_weights(split)
+        syndromes = tables.s_base.take(self.labels) ^ np.uint32(observed)
+        kept = self._select(tables, syndromes, eps)
+        self.layout = split.new_layout
+        if kept is None:
+            self.labels, self.weights = self._grid(tables, syndromes, slice(None))
+            self.truncate(eps)
+            return
+        self.labels, self.weights = kept
+        self._sort()
+        self.weights /= self.weights.max()
 
-    def _split(self, dmap: DeformationMap, syndrome: tuple | None = None) -> None:
-        """The split, with the factors of `syndrome` = (smap, observed, q)
-        if given, leaving the grid's labels in grid order. Wide label
-        patterns[j] ^ base[labels[i]] has weight w[i] / 2^k / max(w / 2^k)
-        for every j, and syndrome s_patterns[j] ^ s_base[labels[i]]."""
-        base, patterns = dmap.split_tables
-        self.weights = self.weights / len(patterns)
-        self._renormalize()  # the split's, as every pattern carries these weights
-        bases = base.take(self.labels)
-        if syndrome is None:
-            grid = np.tile(self.weights, (len(patterns), 1))
-        else:
-            smap, observed, q = syndrome
-            s_base, s_patterns = _split_syndromes(dmap, smap)
-            mismatch = np.bitwise_count(
-                (s_patterns ^ np.uint32(observed))[:, None] ^ s_base.take(self.labels))
-            hit, miss = _mismatch_factors(smap.width, q)
-            grid = hit.take(mismatch)
-            grid *= self.weights
-            grid *= miss.take(mismatch)
-        self.labels = (patterns[:, None] ^ bases).reshape(-1)
-        self.weights = grid.reshape(-1)
-        self.layout = dmap.new_layout
+    def _grid(self, tables: SplitSyndromeTables, syndromes: np.ndarray,
+              rows) -> tuple[np.ndarray, np.ndarray]:
+        """Wide labels and weights of the grid entries of the narrow entries
+        `rows`, pattern-major: base[l] ^ patterns[j] with weight
+        (hit[m] * w[l]) * miss[m], m = mismatch[j, syndromes[l]]."""
+        mismatch = tables.mismatch.take(syndromes[rows], axis=1)
+        weights = tables.hit.take(mismatch)
+        weights *= self.weights[rows]
+        weights *= tables.miss.take(mismatch)
+        labels = tables.patterns[:, None] ^ tables.base.take(self.labels[rows])
+        return labels.reshape(-1), weights.reshape(-1)
+
+    def _select(self, tables: SplitSyndromeTables, syndromes: np.ndarray,
+                eps: float) -> tuple[np.ndarray, np.ndarray] | None:
+        """The labels and weights of the grid entries truncate(eps) keeps,
+        unsorted and unscaled, or None where an entry lies in the band
+        around the cut or the cut is too small for the band to hold (the
+        class docstring derives the band).
+
+        The cut is eps * S, with S the grid's sum taken over the narrow
+        labels as w[l] * totals[y_l]. Narrow label l holds no entry above
+        w[l] * tops[y_l], up to rounding, so only the candidates are built:
+        the labels whose bound reaches the band's lower edge or lies within
+        the band of the largest bound.
+        """
+        w = self.weights
+        n = len(w) * len(tables.patterns)
+        cut = eps * (w * tables.totals.take(syndromes)).sum()
+        if not (eps <= 1.0 and cut >= 8 * n * 2.0 ** -1022):
+            return None
+        band = (2 * n + 14) * 2.0 ** -53
+        low, high = cut * (1.0 - band), cut * (1.0 + band)
+        bounds = w * tables.tops.take(syndromes)
+        rows = np.flatnonzero(bounds >= min(low, bounds.max() * (1.0 - band)))
+        if len(rows) == len(w):  # every label, as often at high p: no gather
+            rows = slice(None)
+        labels, weights = self._grid(tables, syndromes, rows)
+        near = weights >= low
+        kept = labels[near], weights[near]
+        if len(kept[1]) == 0:  # only the first maximum, as np.argmax on sorted labels
+            tops = np.flatnonzero(weights == weights.max())
+            top = tops[np.argmin(labels.take(tops))]
+            return labels[top:top + 1], weights[top:top + 1]
+        return kept if kept[1].min() >= high else None
 
     def apply_clifford(self, action: CliffordAction) -> None:
         if action == CLIFFORD_CLASSES[0]:  # the identity class
@@ -640,54 +745,13 @@ class SparseLikelihood:
         """Keep the labels whose probability is at least eps, and the
         smallest label among the maxima; leave the labels sorted and the
         weights at max 1. The entries may come unsorted and unscaled, as
-        measure's grid does.
-
-        The rule runs on the sorted, rescaled weights: probability
-        (w / max) / T, with T summed in label order. _preselect finds the same
-        entries without sorting or rescaling; where it cannot tell, the rule
-        itself runs.
-        """
-        keep = self._preselect(eps)
-        if keep is None:
-            self._sort()
-            self._renormalize()
-            probs = self.weights / self.weights.sum()
-            keep = probs >= eps
-            keep[np.argmax(self.weights)] = True
-        self.labels, self.weights = self.labels[keep], self.weights[keep]
+        measure's grid does: the probability of w is (w / max) / T, with T
+        summed over the sorted, rescaled weights in label order."""
         self._sort()
-        self.weights /= self.weights.max()
-
-    def _preselect(self, eps: float) -> np.ndarray | None:
-        """Indices of the entries truncate(eps) keeps, found on the weights
-        as they come, or None if an entry lies too close to the cut.
-
-        The rule keeps w where (w / max) / T >= eps, with T summed over the
-        rescaled weights in label order; this keeps w >= eps * S, with S
-        summed over the weights in their present order. The weights are not
-        negative, so a sum of N of them in any order lies within a relative
-        (N - 1) 2^-53 of the exact sum (to first order), and T * max and S
-        differ by at most 2 (N - 1) 2^-53. The rescaling, the two divisions,
-        eps * S and the band's own products add fewer than ten units of
-        2^-53 more. So outside a band of relative width (2N + 8) 2^-53
-        around eps * S both decide alike, provided eps and eps * S are
-        normal numbers (a subnormal one has fewer bits).
-        """
-        w = self.weights
-        top, total = w.max(), w.sum()
-        if not (top > 0.0 and np.isfinite(total) and w.min() >= 0.0):
-            return None
-        if eps <= 0.0:
-            return np.flatnonzero(w)
-        cut, tiny = eps * total, np.finfo(np.float64).tiny
-        if not (eps >= tiny and cut >= tiny):
-            return None
-        band = (2 * len(w) + 8) * 2.0 ** -53
-        near = np.flatnonzero(w >= cut * (1.0 - band))
-        if len(near) == 0:  # only the first maximum, as np.argmax on sorted labels
-            tops = np.flatnonzero(w == top)
-            return tops[[np.argmin(self.labels.take(tops))]]
-        return near if w.take(near).min() >= cut * (1.0 + band) else None
+        self._renormalize()
+        keep = self.weights / self.weights.sum() >= eps
+        keep[np.argmax(self.weights)] = True
+        self.labels, self.weights = self.labels[keep], self.weights[keep]
 
     def final_coset(self) -> int:
         return int(self.labels[_tied(self.weights)].min())

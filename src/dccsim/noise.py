@@ -26,6 +26,9 @@ gate's Gamma in the column of e's coset.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,30 +53,27 @@ class PauliFrame:
         return PauliFrame(self.n, self.a, self.b)
 
 
+def _pack(mask: np.ndarray) -> int:
+    """The integer whose bit j is mask[j]."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
 def sample_memory_error(p: float, n: int, rng: np.random.Generator) -> tuple[int, int]:
     """Depolarizing draw: per qubit identity w.p. 1-p, else X, Y, or Z."""
     if p == 0.0:
         return 0, 0
     hit = rng.random(n) < p
     kinds = rng.integers(0, 3, size=n)  # 0=X, 1=Y, 2=Z
-    a = b = 0
-    for j in np.flatnonzero(hit):
-        k = kinds[j]
-        if k != 2:
-            a |= 1 << int(j)
-        if k != 0:
-            b |= 1 << int(j)
-    return a, b
+    if not hit.any():  # most draws at small p
+        return 0, 0
+    return _pack(hit & (kinds != 2)), _pack(hit & (kinds != 0))
 
 
 def flip_syndrome(q: float, bits: int, width: int, rng: np.random.Generator) -> int:
     """XOR each of `width` syndrome bits with an independent Bernoulli(q) flip."""
     if q == 0.0:
         return bits
-    flips = rng.random(width) < q
-    for i in np.flatnonzero(flips):
-        bits ^= 1 << int(i)
-    return bits
+    return bits ^ _pack(rng.random(width) < q)
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +201,8 @@ def propagate_through_t(frame: PauliFrame, prop: TPropagator, alpha: int,
 
 
 def random_element(space: f2.Subspace, rng: np.random.Generator) -> int:
-    """Uniform element of a subspace."""
-    v = 0
-    if space.dim:
-        picks = rng.integers(0, 2, size=space.dim)
-        for row, take in zip(space.basis, picks):
-            if take:
-                v ^= row
-    return v
+    """Uniform element of a subspace: the XOR of a uniform subset of its basis."""
+    if not space.dim:
+        return 0
+    picks = rng.integers(0, 2, size=space.dim).tolist()
+    return functools.reduce(operator.xor, itertools.compress(space.basis, picks), 0)

@@ -40,7 +40,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -74,7 +74,11 @@ N_QUBITS = 15
 
 @dataclass(frozen=True)
 class StageContext:
-    """One code of the deformation cycle with its label bookkeeping."""
+    """One code of the deformation cycle with its label bookkeeping.
+
+    x_labels[a] and z_labels[b] are the coset map's label_x(a) and
+    label_z(b) for every a and b on the 15 qubits, so a frame's label is
+    two lookups."""
 
     name: str
     code: SubsystemCode
@@ -82,9 +86,11 @@ class StageContext:
     logical_x: int
     logical_z: int
     nontrivial_logical_labels: frozenset[int]
+    x_labels: np.ndarray = field(compare=False, repr=False)
+    z_labels: np.ndarray = field(compare=False, repr=False)
 
     def frame_label(self, frame: PauliFrame) -> int:
-        return self.code.coset_map.label(frame.a, frame.b)
+        return int(self.x_labels[frame.a] | self.z_labels[frame.b] << self.layout.alpha_bits)
 
 
 def _express(rows: tuple[int, ...], target: int) -> int:
@@ -138,6 +144,17 @@ class Family15:
         base_code = make_code(t_space, c_space, mat_a=rows_t, mat_b=rows_c)
         c_code = make_code(c_space, c_space, mat_a=rows_c, mat_b=rows_c)
 
+        # The label of a vector under parity rows, for every vector: label_x
+        # reads mat_b and label_z mat_a, and the stages share their rows.
+        label_tables = {}
+
+        def label_table(rows: tuple[int, ...], label) -> np.ndarray:
+            if rows not in label_tables:
+                units = [label(1 << j) for j in range(N_QUBITS)]
+                label_tables[rows] = f2.enumerate_span(units, N_QUBITS)
+                label_tables[rows].flags.writeable = False
+            return label_tables[rows]
+
         def stage(name: str, code: SubsystemCode) -> StageContext:
             cm = code.coset_map
             logical_x, logical_z = cm.label(ones, 0), cm.label(0, ones)
@@ -148,6 +165,8 @@ class Family15:
                 logical_x=logical_x,
                 logical_z=logical_z,
                 nontrivial_logical_labels=frozenset({logical_x, logical_z, logical_x ^ logical_z}),
+                x_labels=label_table(cm.mat_b, cm.label_x),
+                z_labels=label_table(cm.mat_a, cm.label_z),
             )
 
         self.t_stage = stage("t", t_code)
@@ -360,7 +379,7 @@ def run_trial(config: ProtocolConfig, trial_index: int, observer=None) -> TrialR
             consecutive_fails = 0
             alpha_star = rho.choose_recovery()
             frame.a ^= fam.recovery_vector(alpha_star)
-            alpha_res = fam.t_stage.code.coset_map.label_x(frame.a)
+            alpha_res = int(fam.t_stage.x_labels[frame.a])
             if not fam.table.is_cleanable(alpha_res):
                 return TrialResult(gates, "cleanability_failure", retries, rounds)
             rho.apply_t_gate(fam.t_update)

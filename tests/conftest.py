@@ -1,6 +1,6 @@
 """Shared test set-up: one Hypothesis profile, so property tests draw the
 same examples on every run and write no example database, and a fixture that
-records how each sparse truncation was decided."""
+records how each sparse measure selected what it keeps."""
 
 import pytest
 from hypothesis import settings
@@ -13,15 +13,16 @@ settings.load_profile("dccsim")
 
 @pytest.fixture
 def truncation_fallbacks(monkeypatch):
-    """One entry per sparse truncation, in call order: True where the kept
-    entries were too close to the cut to select before sorting."""
-    preselect = SparseLikelihood._preselect
+    """One entry per sparse measure, in call order: True where its selection
+    could not decide which grid entries truncation keeps, so the grid of
+    every label was built and truncated by the rule."""
+    select = SparseLikelihood._select
     outcomes = []
 
-    def recorded(self, eps):
-        kept = preselect(self, eps)
+    def recorded(self, *args):
+        kept = select(self, *args)
         outcomes.append(kept is None)
         return kept
 
-    monkeypatch.setattr(SparseLikelihood, "_preselect", recorded)
+    monkeypatch.setattr(SparseLikelihood, "_select", recorded)
     return outcomes

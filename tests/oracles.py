@@ -5,8 +5,9 @@ walks every bit position or every pivot, which makes it slow but easy to
 check by eye. The rest are second routes to results the package computes
 once: subspace operations, distances, cleanability by odd dual vectors, the
 T gate's P(f|e) and Gamma by direct sums, the protocol's frame side at the
-qubit level (ideal syndromes, the C,T pair test and the table-based
-Clifford draw), and the gadget extension's membership certificates.
+qubit level (ideal syndromes, the C,T pair test, the table-based Clifford
+draw and the noise draws bit by bit), and the gadget extension's
+membership certificates.
 """
 
 from __future__ import annotations
@@ -297,6 +298,43 @@ def sample_clifford(rng: np.random.Generator) -> CliffordAction:
     """Uniform draw of a group element from the table; its class acts."""
     _, idx = CLIFFORD_GROUP[int(rng.integers(0, len(CLIFFORD_GROUP)))]
     return CLIFFORD_CLASSES[idx]
+
+
+def sample_memory_error(p: float, n: int, rng: np.random.Generator) -> tuple[int, int]:
+    """Depolarizing draw, bit by bit, from the same draws as the packed one."""
+    if p == 0.0:
+        return 0, 0
+    hit = rng.random(n) < p
+    kinds = rng.integers(0, 3, size=n)  # 0=X, 1=Y, 2=Z
+    a = b = 0
+    for j in np.flatnonzero(hit):
+        k = kinds[j]
+        if k != 2:
+            a |= 1 << int(j)
+        if k != 0:
+            b |= 1 << int(j)
+    return a, b
+
+
+def flip_syndrome(q: float, bits: int, width: int, rng: np.random.Generator) -> int:
+    """Bernoulli(q) flips, bit by bit."""
+    if q == 0.0:
+        return bits
+    flips = rng.random(width) < q
+    for i in np.flatnonzero(flips):
+        bits ^= 1 << int(i)
+    return bits
+
+
+def random_element(space: Subspace, rng: np.random.Generator) -> int:
+    """XOR of a uniform subset of the basis, row by row."""
+    v = 0
+    if space.dim:
+        picks = rng.integers(0, 2, size=space.dim)
+        for row, take in zip(space.basis, picks):
+            if take:
+                v ^= row
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -274,7 +274,7 @@ class TestSimulate:
         assert run(["simulate", "--p", "0", "--trials", "1", "--max-gates", "2",
                     "--threads", "1", *flags]) == EXIT_USAGE
 
-    @pytest.mark.parametrize("p, noted", [(0.06, True), (0.05, False)])
+    @pytest.mark.parametrize("p, noted", [(0.07, True), (0.06, False), (0.05, False)])
     def test_sparse_high_p_note(self, tmp_path, capsys, p, noted):
         assert run(["simulate", "--p", str(p), "--trials", "1", "--max-gates", "1",
                     "--decoder", "sparse", "--threads", "1",

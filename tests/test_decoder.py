@@ -15,6 +15,7 @@ from dccsim.decoder import (
     SyndromeMap,
     TGateUpdate,
     _mismatch_factors,
+    _split_syndrome_tables,
     init_likelihood,
 )
 from dccsim.noise import CLIFFORD_CLASSES, PauliFrame
@@ -557,22 +558,20 @@ class TestTruncate:
         kept = weights[weights / total >= eps].sum()
         assert total - kept <= eps * total * 200
 
-    @pytest.mark.parametrize("labels, weights, eps, falls_back", [
-        pytest.param([6, 2], [1.0, 1.0], 0.5, True, id="tie-at-the-cut"),
-        pytest.param([6, 4, 2], [0.5, 1.0, 1.0], 0.9, False, id="eps-above-every-probability"),
-        pytest.param([6, 2, 4], [1e-310, 3e-310, 0.0], 0.25, True, id="subnormal-cut"),
-        pytest.param([6, 2, 4], [0.5, 1.0, 0.25], 5e-324, True, id="subnormal-eps"),
-        pytest.param([6, 2, 4], [0.5, 0.0, 0.25], 0.0, False, id="eps-zero-drops-zeros"),
-        pytest.param([6, 2, 4], [0.5, 0.0, 0.25], 0.2, False, id="unscaled"),
-        pytest.param([6, 2, 4], [1.0, -0.5, 0.5], 0.4, True, id="negative-weight"),
+    @pytest.mark.parametrize("labels, weights, eps", [
+        pytest.param([6, 2], [1.0, 1.0], 0.5, id="tie-at-the-cut"),
+        pytest.param([6, 4, 2], [0.5, 1.0, 1.0], 0.9, id="eps-above-every-probability"),
+        pytest.param([6, 2, 4], [1e-310, 3e-310, 0.0], 0.25, id="subnormal-cut"),
+        pytest.param([6, 2, 4], [0.5, 1.0, 0.25], 5e-324, id="subnormal-eps"),
+        pytest.param([6, 2, 4], [0.5, 0.0, 0.25], 0.0, id="eps-zero-drops-zeros"),
+        pytest.param([6, 2, 4], [0.5, 0.0, 0.25], 0.2, id="unscaled"),
+        pytest.param([6, 2, 4], [1.0, -0.5, 0.5], 0.4, id="negative-weight"),
     ])
-    def test_unsorted_entries_follow_the_rule(self, truncation_fallbacks, labels, weights, eps,
-                                              falls_back):
+    def test_unsorted_entries_follow_the_rule(self, labels, weights, eps):
         rho = SparseLikelihood(LabelLayout(3, 0), np.array(labels, dtype=np.uint32),
                                np.array(weights))
         expected_labels, expected_weights = truncated_by_rule(rho, eps)
         rho.truncate(eps)
-        assert truncation_fallbacks == [falls_back]
         assert np.array_equal(rho.labels, expected_labels)
         assert np.array_equal(rho.weights, expected_weights)
 
@@ -939,6 +938,31 @@ class TestMemoryCommutesWithSplit:
         np.testing.assert_allclose(states[0], states[1], rtol=1e-12, atol=0)
 
 
+class TestSplitSyndromeTables:
+    @pytest.mark.parametrize("q", [0.0, 1e-3, 0.5, 1.0])
+    @pytest.mark.parametrize("split", ["base_to_c", "base_to_t"])
+    def test_tables_equal_a_loop_over_patterns(self, fam, split, q):
+        """The mismatch counts, the sum and the maximum of hit * miss over
+        the patterns, per syndrome. The sum may add in another order: it
+        lies within 2^k units of 2^-53 of the loop's."""
+        dmap = getattr(fam, split)
+        smap = fam.m_c if split == "base_to_c" else fam.m_t
+        tables = _split_syndrome_tables(dmap, smap, q)
+        base, patterns = dmap.split_tables
+        hit, miss = _mismatch_factors(smap.width, q)
+        s_patterns = [int(smap.table[p]) for p in patterns]
+        assert np.array_equal(tables.s_base, smap.table[base])
+        for y in range(1 << smap.width):
+            counts = [(y ^ s).bit_count() for s in s_patterns]
+            factors = [hit[m] * miss[m] for m in counts]
+            total = 0.0
+            for f in factors:
+                total += f
+            assert tables.mismatch[:, y].tolist() == counts
+            assert tables.tops[y] == max(factors)
+            assert abs(tables.totals[y] - total) <= len(patterns) * 2.0 ** -53 * total
+
+
 class TestMeasureEqualsThreeSteps:
     """measure(split, smap, observed, q, eps) against deform(split),
     apply_syndrome(smap, observed, q) and truncate(eps), bit for bit."""
@@ -1028,7 +1052,7 @@ class TestMeasureEqualsThreeSteps:
         steps.apply_syndrome(smap, 0, 0.5)
         steps.truncate(eps)
         fused.measure(dmap, smap, 0, 0.5, eps)
-        assert truncation_fallbacks == [falls_back, falls_back]
+        assert truncation_fallbacks == [falls_back]
         assert np.array_equal(fused.labels, steps.labels)
         assert fused.weights.tobytes() == steps.weights.tobytes()
         assert len(wide) == 8
@@ -1036,6 +1060,78 @@ class TestMeasureEqualsThreeSteps:
             assert fused.labels.tolist() == [wide.min()]
         else:
             assert np.array_equal(fused.labels, wide)
+
+    @staticmethod
+    def three_steps_and_measure(dmap, smap, labels, weights, observed, q, eps):
+        """The sparse three-step route and measure from one narrow state."""
+        steps, fused = (SparseLikelihood(dmap.old_layout, np.array(labels, dtype=np.uint32),
+                                         np.array(weights, dtype=np.float64))
+                        for _ in range(2))
+        steps.deform(dmap)
+        steps.apply_syndrome(smap, observed, q)
+        steps.truncate(eps)
+        fused.measure(dmap, smap, observed, q, eps)
+        return steps, fused
+
+    @pytest.mark.parametrize("weights, q, eps, falls_back", [
+        # Two labels split into 16 entries of probability exactly 1/16.
+        pytest.param([1.0, 1.0, 0.0], 0.5, 1 / 16, True, id="tie-at-the-cut"),
+        pytest.param([0.5, 1.0, 0.25], 0.01, 1e-310, True, id="subnormal-cut"),
+        pytest.param([0.5, 1.0, 0.25], 0.01, 5e-324, True, id="subnormal-eps"),
+        pytest.param([0.5, 0.0, 0.25], 0.0, 0.0, True, id="eps-zero-drops-zeros"),
+        # The split's renormalization drops the negative weight first.
+        pytest.param([1.0, -0.5, 0.5], 0.01, 0.01, False, id="negative-weight"),
+    ])
+    @pytest.mark.parametrize("split", ["base_to_c", "base_to_t"])
+    def test_measure_falls_back_to_the_rule(self, fam, truncation_fallbacks, split, weights, q,
+                                            eps, falls_back):
+        dmap = getattr(fam, split)
+        smap = fam.m_c if split == "base_to_c" else fam.m_t
+        # The syndrome of narrow label 6's first wide label: at q = 0 that
+        # entry keeps its weight and most others vanish.
+        observed = int(smap.table[dmap.split_tables[0][6]])
+        steps, fused = self.three_steps_and_measure(dmap, smap, [6, 2, 4], weights, observed, q,
+                                                    eps)
+        assert truncation_fallbacks == [falls_back]
+        assert fused.labels.tobytes() == steps.labels.tobytes()
+        assert fused.weights.tobytes() == steps.weights.tobytes()
+
+    @pytest.mark.parametrize("at", ["cut", "band"])
+    @pytest.mark.parametrize("split", ["base_to_c", "base_to_t"])
+    def test_candidate_bound_at_the_cut(self, fam, split, at):
+        """eps chosen so that one narrow label's bound w[l] * tops[y_l]
+        equals the cut eps * S, or the band's lower edge, bit for bit; the
+        three-step route's bytes come out either way."""
+        dmap = getattr(fam, split)
+        smap = fam.m_c if split == "base_to_c" else fam.m_t
+        rng = np.random.default_rng(7)
+        hits = 0
+        for _ in range(40):
+            labels = np.sort(rng.choice(dmap.old_layout.size, size=20, replace=False))
+            weights = rng.random(20)
+            observed, q = int(rng.integers(1 << smap.width)), 0.05
+            rho = SparseLikelihood(dmap.old_layout, labels.astype(np.uint32), weights.copy())
+            tables = _split_syndrome_tables(dmap, smap, q)
+            rho._split_weights(dmap)
+            y = tables.s_base.take(rho.labels) ^ np.uint32(observed)
+            total = (rho.weights * tables.totals.take(y)).sum()
+            band = (2 * len(tables.patterns) * len(rho.weights) + 14) * 2.0 ** -53
+            bound = rho.weights[0] * tables.tops[y[0]]
+            scale = 1.0 if at == "cut" else 1.0 - band
+            eps = bound / total / scale
+            for _ in range(64):
+                edge = eps * total * scale
+                if edge == bound:
+                    break
+                eps = np.nextafter(eps, 1.0 if edge < bound else 0.0)
+            else:
+                continue
+            hits += 1
+            steps, fused = self.three_steps_and_measure(dmap, smap, labels, weights, observed,
+                                                        q, eps)
+            assert fused.labels.tobytes() == steps.labels.tobytes()
+            assert fused.weights.tobytes() == steps.weights.tobytes()
+        assert hits >= 10
 
     @pytest.mark.parametrize("engine", ["exact", "sparse"])
     def test_underflow_vanishes_in_both(self, fam, engine):

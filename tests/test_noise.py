@@ -72,6 +72,32 @@ class TestErrorModel:
         assert abs(rate - 0.01) <= 0.002
 
 
+class TestPackedDraws:
+    """The packed draws against the bit-by-bit loops, from the same seeds."""
+
+    @pytest.mark.parametrize("p", [0.0, 0.005, 0.3, 1.0])
+    def test_memory_error(self, p):
+        packed, loop = np.random.default_rng(4), np.random.default_rng(4)
+        for _ in range(1000):
+            assert sample_memory_error(p, 15, packed) == oracles.sample_memory_error(p, 15, loop)
+        assert packed.random() == loop.random()
+
+    @pytest.mark.parametrize("q", [0.0, 0.02, 0.5, 1.0])
+    def test_syndrome_flips(self, q):
+        packed, loop = np.random.default_rng(5), np.random.default_rng(5)
+        for bits in range(1000):
+            assert flip_syndrome(q, bits, 14, packed) == oracles.flip_syndrome(q, bits, 14, loop)
+        assert packed.random() == loop.random()
+
+    @pytest.mark.parametrize("space", ["t_space", "zero"])
+    def test_random_element(self, space):
+        s = family15().doubled.t_space if space == "t_space" else Subspace(15)
+        packed, loop = np.random.default_rng(6), np.random.default_rng(6)
+        for _ in range(1000):
+            assert noise.random_element(s, packed) == oracles.random_element(s, loop)
+        assert packed.random() == loop.random()
+
+
 class TestCliffordActions:
     def test_h_swaps(self):
         frame = PauliFrame(5, a=0b00110, b=0b10001)

@@ -80,6 +80,16 @@ class TestFamilyWiring:
         assert any(oracles.ideal_c_syndromes(fam, f) for f in units)
         assert any(oracles.ideal_t_syndromes(fam, f) for f in units)
 
+    def test_frame_tables_equal_the_label_map(self, fam):
+        """Every X part and every Z part of every stage."""
+        for stage in fam.stages.values():
+            cm = stage.code.coset_map
+            parts = range(1 << 15)
+            assert stage.x_labels.tolist() == [cm.label_x(a) for a in parts]
+            assert stage.z_labels.tolist() == [cm.label_z(b) for b in parts]
+            assert [stage.frame_label(PauliFrame(15, a, a ^ 0x5A5A)) for a in parts[::97]] == \
+                [cm.label(a, a ^ 0x5A5A) for a in parts[::97]]
+
     def test_logical_labels_invisible_to_syndromes(self, fam):
         for stage, smap in ((fam.c_stage, fam.m_c), (fam.t_stage, fam.m_t)):
             for label in (stage.logical_x, stage.logical_z):
@@ -300,6 +310,10 @@ class TestDeterminism:
         ("sparse", 0.02, 2, "2942d2459d2f8bb33b8e6ae3acbc3314e800409c8a81ef408a8ee34895c91b9b", 30),
         # Memory's shifts collide on most labels at this p.
         ("sparse", 0.3, 20, "2c0780cf93898a71177a987a97eb62975d374da242b7b8b574efc79c337165c5", 3),
+        # Many labels are candidates for truncation at this p.
+        ("sparse", 0.1, 5, "d2882f8e3eb9ec3c7a94e1dd2422e5899b09ad1b42ca72501f4038822b7a1ddb", 10),
+        # Supports of a few labels.
+        ("sparse", 0.001, 50, "9a92ac8c9057e9b629f813a9926d4ece61c7ae37da292513037a5840717af295", 30),
         ("exact", 0.02, 2, "6fa80df8ffa0b0c5a3c46bcbcee19f9c6a46e03a1f58835a21adfbdd156e9d3e", 30),
     ])
     def test_decoder_states_pinned(self, decoder, p, max_gates, digest, trials):
