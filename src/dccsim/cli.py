@@ -26,10 +26,11 @@ from .csscode import (
     verify_transversality,
 )
 from .codefamily import build_gadget_codes, cached_doubled, qubit_counts
-from .decoder import ENGINES, DegeneratePosteriorError, NumericError, init_likelihood
 from .f2 import CapacityError, Subspace, min_odd_weight
-from .noise import CLIFFORD_CLASSES
-from .protocol import ProtocolConfig, estimate_pl, family15
+from .settings import ENGINE_NAMES, DegeneratePosteriorError, NumericError, ProtocolConfig
+
+# The simulator (protocol, decoder, noise) is imported by the commands that
+# run it, so build and verify start without it and without numpy.
 
 EXIT_OK = 0
 EXIT_VERIFY = 2
@@ -78,7 +79,7 @@ def build_parser() -> _Parser:
     d = sub.add_parser("decode-trace", help="drive a decoder from a JSON-lines event stream")
     d.add_argument("--events", default="-", help="path or - for stdin")
     d.add_argument("--p", type=float, default=0.01)
-    d.add_argument("--decoder", choices=list(ENGINES), default="exact")
+    d.add_argument("--decoder", choices=ENGINE_NAMES, default="exact")
     d.add_argument("--out", default="-")
 
     s = sub.add_parser("simulate", help="Monte Carlo estimate of the logical error rate")
@@ -95,7 +96,7 @@ def _simulate_flags(parser: argparse.ArgumentParser, with_p: bool = True) -> Non
     if with_p:
         parser.add_argument("--p", type=float, required=True)
     parser.add_argument("--trials", type=int, default=400)
-    parser.add_argument("--decoder", choices=list(ENGINES), default=ProtocolConfig.decoder)
+    parser.add_argument("--decoder", choices=ENGINE_NAMES, default=ProtocolConfig.decoder)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--max-gates", type=int, default=ProtocolConfig.max_gates)
     parser.add_argument("--eps", type=float, default=ProtocolConfig.eps)
@@ -136,8 +137,7 @@ def cmd_build(args) -> int:
         ],
     }
     with open(args.out, "w") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=1) + "\n")
     print(f"wrote {args.out}: n={n} stage={stage}")
     return EXIT_OK
 
@@ -231,6 +231,10 @@ def _probability(value, what: str) -> float:
 
 
 def cmd_decode_trace(args) -> int:
+    from .decoder import init_likelihood
+    from .noise import CLIFFORD_CLASSES
+    from .protocol import family15
+
     fam = family15()
     needs = {"syndrome": ("t", "c"), "clifford": ("c",), "T": ("t",)}  # stages an event needs
     p = _probability(args.p, "--p")
@@ -348,6 +352,8 @@ def _note_sparse_cost(configs: list[ProtocolConfig]) -> None:
 
 
 def cmd_simulate(args) -> int:
+    from .protocol import estimate_pl
+
     config = _resolve_config(args, args.p)
     _note_sparse_cost([config])
     with _csv_sink(args.out) as sink:
@@ -356,6 +362,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .protocol import estimate_pl
+
     values = [v for v in args.p_list.split(",") if v.strip()]
     if not values:
         raise UsageError("empty p list")

@@ -13,18 +13,24 @@ gauge element, which is what the decoder and the Monte Carlo both rely on.
 The code JSON that `build` writes and `verify` reads is laid out in
 dccsim.cli alone; a witness converts itself (EvennessWitness.to_json and
 from_json).
+
+Only the cleanability side uses numpy: build_cleanability_table (the 2^n
+scan) and CleanabilityTable.gamma_hat import it in their own bodies, and
+CleanabilityTable.at_beta gets its array from f2.enumerate_span. Codes,
+witnesses and the evenness and transversality checks run on Python ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import f2
 from .f2 import CapacityError, Subspace
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CLEANABILITY_QUBIT_LIMIT = 25
 
@@ -85,22 +91,23 @@ def check_evenness(s: Subspace, witness: EvennessWitness) -> bool:
     triple intersection conditions mod 2 are necessary and sufficient for
     the whole space.
 
-    The signed overlaps of all basis pairs are one integer matrix product
-    over the packed words: entry (i, j) is |x_i & x_j & M+| - |x_i & x_j & M-|,
-    so the diagonal holds the basis conditions and the rest the pairwise
-    ones. The triple conditions are parities: for each pair i < j, one XOR
-    of the basis columns at the sites of x_i & x_j & (M+ | M-) gives the
-    triple parities against every basis row at once.
+    Each basis vector is split once into its parts on M+ and on M-; a
+    basis or pairwise condition is then a difference of two popcounts of
+    those parts (x_i & x_j & M+ is the AND of the two M+ parts). Sites at
+    or above n meet no basis vector. The triple conditions are parities:
+    for each pair i < j, one XOR of the basis columns at the sites of
+    x_i & x_j & (M+ | M-) gives the triple parities against every basis row
+    at once.
     """
     w, n, basis = witness, s.n, s.basis
-    ones = (1 << n) - 1  # sites at or above n meet no basis vector
-    rows = f2.word_array(basis, n)
-    plus, minus = f2.word_array([w.plus & ones, w.minus & ones], n)
-    both = rows[:, np.newaxis, :] & rows
-    overlaps = (np.bitwise_count(both & plus).sum(axis=2, dtype=np.int64)
-                - np.bitwise_count(both & minus).sum(axis=2, dtype=np.int64))
-    if np.any(np.diagonal(overlaps) % w.order) or np.any(np.triu(overlaps, 1) % (w.order // 2)):
-        return False
+    half = w.order // 2
+    parts = [(x & w.plus, x & w.minus) for x in basis]
+    for i, (plus, minus) in enumerate(parts):
+        if (plus.bit_count() - minus.bit_count()) % w.order:
+            return False
+        for other_plus, other_minus in parts[i + 1:]:
+            if ((plus & other_plus).bit_count() - (minus & other_minus).bit_count()) % half:
+                return False
     if w.order == 8:
         cols = f2.columns(basis, n)
         sites = w.plus | w.minus
@@ -278,6 +285,8 @@ class CleanabilityTable:
         g agrees with A^T beta on e, so g is orthogonal to all of B_e. A g in
         B is thus in B_e and in its radical, and the radical lies in B.
         """
+        import numpy as np
+
         alphas = sorted(self.cleanable)
         reps = np.array([self.representative[alpha] for alpha in alphas], dtype=np.uint64)
         g = self.at_beta[:, np.newaxis] & reps
@@ -304,6 +313,8 @@ def build_cleanability_table(code: SubsystemCode) -> CleanabilityTable:
     vector of each label is its minimum-weight, smallest-pattern
     representative.
     """
+    import numpy as np
+
     n = code.n
     if not code.is_regular:
         raise CodeConstructionError("cleanability table requires a regular code")

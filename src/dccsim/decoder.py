@@ -83,15 +83,7 @@ from . import f2
 from .csscode import CleanabilityTable, CosetMap
 from .f2 import fwht
 from .noise import CLIFFORD_CLASSES, CliffordAction
-
-
-class DegeneratePosteriorError(RuntimeError):
-    """Every coset got zero weight (possible only with exact syndromes)."""
-
-
-class NumericError(RuntimeError):
-    """An update produced weights below the negativity tolerance."""
-
+from .settings import ENGINE_NAMES, DegeneratePosteriorError, NumericError
 
 NEG_TOL = 1e-12
 
@@ -764,7 +756,7 @@ class SparseLikelihood:
         return len(self.labels)
 
 
-ENGINES = {"exact": DenseLikelihood, "sparse": SparseLikelihood}
+ENGINES = dict(zip(ENGINE_NAMES, (DenseLikelihood, SparseLikelihood)))
 
 
 def init_likelihood(layout: LabelLayout, engine: str):

@@ -6,6 +6,10 @@ the leftmost-pivot convention (pivot columns scanned from bit 0 upward), so
 two subspaces are equal iff their canonical bases compare equal. The kernels
 loop over the set bits of a vector (x & -x) or over its pivot hits
 (x & pivot mask), never over all n coordinates.
+
+Only the array kernels use numpy, and each imports it in its own body:
+enumerate_span (and Subspace.element_array through it) and fwht. The rest
+runs on Python ints, so the offline commands load no numpy through f2.
 """
 
 from __future__ import annotations
@@ -13,9 +17,10 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Largest dim(S-perp) for which min_odd_weight searches without a weight
 # bound, and largest subspace element_array enumerates.
@@ -191,19 +196,13 @@ def xor_at_sites(cols: Sequence[int], x: int) -> int:
     return acc
 
 
-def word_array(rows: Sequence[int], n: int) -> np.ndarray:
-    """The rows packed as a (len(rows), ceil(n/64)) uint64 array, coordinate
-    j at bit j % 64 of word j // 64; every row must fit in n bits."""
-    width = (n + 63) // 64
-    packed = b"".join(row.to_bytes(8 * width, "little") for row in rows)
-    return np.frombuffer(packed, dtype="<u8").astype(np.uint64).reshape(len(rows), width)
-
-
 def enumerate_span(rows: Sequence[int], n: int) -> np.ndarray:
     """All 2^k elements of the span as a uint64 array (requires n <= 63).
 
     Bit i of an element's index selects rows[i].
     """
+    import numpy as np
+
     arr = np.zeros(1, dtype=np.uint64)
     for r in rows:
         arr = np.concatenate([arr, arr ^ np.uint64(r)])
@@ -353,6 +352,8 @@ def fwht(values: np.ndarray, axis: int = 0) -> np.ndarray:
     stage by stage, as in the in-place radix-2 loop, so the result is
     bit-identical to it.
     """
+    import numpy as np
+
     if axis != 0:
         raise ValueError("fwht operates along axis 0")
     m = values.shape[0]

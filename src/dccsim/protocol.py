@@ -34,13 +34,11 @@ T-code adding three X-side (double-edge) rows.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -49,7 +47,6 @@ from . import f2
 from .codefamily import cached_doubled
 from .csscode import CleanabilityTable, SubsystemCode, build_cleanability_table, make_code
 from .decoder import (
-    ENGINES,
     DeformationMap,
     LabelLayout,
     SyndromeMap,
@@ -68,6 +65,7 @@ from .noise import (
     sample_clifford,
     sample_memory_error,
 )
+from .settings import ProtocolConfig
 
 N_QUBITS = 15
 
@@ -259,43 +257,8 @@ def family15() -> Family15:
 
 
 # ---------------------------------------------------------------------------
-# Protocol configuration and trial execution
+# Trial execution
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ProtocolConfig:
-    p: float
-    trials: int
-    max_gates: int = 100_000
-    decoder: str = "sparse"        # "exact" | "sparse"
-    eps: float = 1e-6
-    seed: int = 0
-    threads: int = 1
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.max_gates < 1:
-            raise ValueError("max_gates must be at least 1")
-        if not 0.0 <= self.eps <= 1.0:
-            raise ValueError("eps must lie in [0, 1]")
-        if self.seed < 0:
-            raise ValueError("seed must be at least 0")
-        if self.decoder not in ENGINES:
-            raise ValueError(f"decoder must be one of {', '.join(map(repr, ENGINES))}")
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    def hash(self) -> str:
-        """Hash of the settings that fix the results; the worker count does not."""
-        fields = self.to_json()
-        del fields["threads"]
-        text = json.dumps(fields, sort_keys=True)
-        return hashlib.sha256(text.encode()).hexdigest()[:12]
-
 
 TERMINATIONS = ("logical_error", "cleanability_failure", "max_gates_reached", "retry_limit")
 # A trial whose syndrome tests fail more times in a row than this ends as "retry_limit".

@@ -3,11 +3,11 @@
 The first group is the plain loops the kernels in `dccsim` replaced: each
 walks every bit position or every pivot, which makes it slow but easy to
 check by eye. The rest are second routes to results the package computes
-once: subspace operations, distances, cleanability by odd dual vectors, the
-T gate's P(f|e) and Gamma by direct sums, the protocol's frame side at the
-qubit level (ideal syndromes, the C,T pair test, the table-based Clifford
-draw and the noise draws bit by bit), and the gadget extension's
-membership certificates.
+once: subspace operations, distances, the evenness conditions by packed
+popcounts, cleanability by odd dual vectors, the T gate's P(f|e) and Gamma
+by direct sums, the protocol's frame side at the qubit level (ideal
+syndromes, the C,T pair test, the table-based Clifford draw and the noise
+draws bit by bit), and the gadget extension's membership certificates.
 """
 
 from __future__ import annotations
@@ -133,6 +133,41 @@ def check_evenness(s: Subspace, witness: EvennessWitness) -> bool:
             if signed_overlap(w, basis[i] & basis[j] & basis[k]) % 2:
                 return False
     return True
+
+
+def check_evenness_packed(s: Subspace, witness: EvennessWitness) -> bool:
+    """The basis and pair conditions as one integer matrix over 64-bit words,
+    then the triple parities by columns: a numpy route to check_evenness.
+
+    Entry (i, j) of the matrix is |x_i & x_j & M+| - |x_i & x_j & M-|, from
+    popcounts of the packed words, so its diagonal holds the basis conditions
+    and the rest the pairwise ones.
+    """
+    w, n, basis = witness, s.n, s.basis
+    ones = (1 << n) - 1  # sites at or above n meet no basis vector
+    rows = word_array(basis, n)
+    plus, minus = word_array([w.plus & ones, w.minus & ones], n)
+    both = rows[:, np.newaxis, :] & rows
+    overlaps = (np.bitwise_count(both & plus).sum(axis=2, dtype=np.int64)
+                - np.bitwise_count(both & minus).sum(axis=2, dtype=np.int64))
+    if np.any(np.diagonal(overlaps) % w.order) or np.any(np.triu(overlaps, 1) % (w.order // 2)):
+        return False
+    if w.order == 8:
+        cols = f2.columns(basis, n)
+        sites = w.plus | w.minus
+        for i, x in enumerate(basis):
+            for j in range(i + 1, len(basis)):
+                if f2.xor_at_sites(cols, x & basis[j] & sites) >> (j + 1):
+                    return False
+    return True
+
+
+def word_array(rows: Sequence[int], n: int) -> np.ndarray:
+    """The rows packed as a (len(rows), ceil(n/64)) uint64 array, coordinate
+    j at bit j % 64 of word j // 64; every row must fit in n bits."""
+    width = (n + 63) // 64
+    packed = b"".join(row.to_bytes(8 * width, "little") for row in rows)
+    return np.frombuffer(packed, dtype="<u8").astype(np.uint64).reshape(len(rows), width)
 
 
 def signed_overlap(witness: EvennessWitness, v: int) -> int:

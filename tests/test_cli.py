@@ -3,17 +3,87 @@ import csv
 import dataclasses
 import hashlib
 import json
+import re
+import sys
 import time
 
 import pytest
 
-from dccsim import cli, f2, noise, protocol
+from dccsim import cli, decoder, f2, noise, protocol, settings
 from dccsim.cli import EXIT_CAPACITY, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from dccsim.protocol import ProtocolConfig, family15, run_trial
 
 
 def run(argv):
     return main(argv)
+
+
+# `--help` output at 80 columns, recorded under Python 3.11's argparse.
+HELP = {
+    "main": """\
+usage: dccsim [-h] {build,verify,decode-trace,simulate,sweep} ...
+
+Command-line interface: build and verify codes, trace the decoder, and run
+Monte Carlo simulations. Exit codes: 0 success, 2 verification failure, 3
+capacity or feasibility limit (including a decoder posterior that vanished), 4
+usage error (including unreadable, unwritable or malformed files and events).
+
+positional arguments:
+  {build,verify,decode-trace,simulate,sweep}
+    build               construct a code family member and write its JSON
+    verify              re-check a built code JSON
+    decode-trace        drive a decoder from a JSON-lines event stream
+    simulate            Monte Carlo estimate of the logical error rate
+    sweep               simulate over a list of physical error rates
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "simulate": """\
+usage: dccsim simulate [-h] --p P [--trials TRIALS] [--decoder {exact,sparse}]
+                       [--seed SEED] [--max-gates MAX_GATES] [--eps EPS]
+                       [--threads THREADS] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --p P
+  --trials TRIALS
+  --decoder {exact,sparse}
+  --seed SEED
+  --max-gates MAX_GATES
+  --eps EPS
+  --threads THREADS     0 = available parallelism
+  --out OUT
+""",
+    "sweep": """\
+usage: dccsim sweep [-h] --p-list P_LIST [--trials TRIALS]
+                    [--decoder {exact,sparse}] [--seed SEED]
+                    [--max-gates MAX_GATES] [--eps EPS] [--threads THREADS]
+                    [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --p-list P_LIST       comma-separated error rates
+  --trials TRIALS
+  --decoder {exact,sparse}
+  --seed SEED
+  --max-gates MAX_GATES
+  --eps EPS
+  --threads THREADS     0 = available parallelism
+  --out OUT
+""",
+    "decode-trace": """\
+usage: dccsim decode-trace [-h] [--events EVENTS] [--p P]
+                           [--decoder {exact,sparse}] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --events EVENTS       path or - for stdin
+  --p P
+  --decoder {exact,sparse}
+  --out OUT
+""",
+}
 
 
 @pytest.fixture(scope="module")
@@ -301,7 +371,8 @@ class TestSimulate:
         def no_trials(config):
             raise AssertionError("trials ran before --out was opened")
 
-        monkeypatch.setattr(cli, "estimate_pl", no_trials)
+        # The commands import estimate_pl from dccsim.protocol when they run.
+        monkeypatch.setattr(protocol, "estimate_pl", no_trials)
         out = str(tmp_path / "missing" / "x.csv")
         assert run(argv + ["--trials", "20", "--threads", "1", "--out", out]) == EXIT_USAGE
 
@@ -384,6 +455,32 @@ class TestDefaults:
                         "--decoder", "sparse", "--out", str(out)]) == EXIT_OK
             supports.append(json.loads(out.read_text().splitlines()[-1])["support"])
         assert supports[0] == supports[1] != supports[2]
+
+
+class TestHelp:
+    """The parser's text and choices, pinned: its simulate defaults come from
+    ProtocolConfig and its --decoder choices from the engine names."""
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse's layout varies by version")
+    @pytest.mark.parametrize("name", sorted(HELP))
+    def test_help_unchanged(self, capsys, monkeypatch, name):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [] if name == "main" else [name]
+        with pytest.raises(SystemExit) as exit_info:
+            run(argv + ["--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out == HELP[name]
+
+    @pytest.mark.parametrize("command", ["simulate", "decode-trace"])
+    def test_unknown_decoder_names_the_engines(self, capsys, command):
+        flags = ["--p", "0.01"] if command == "simulate" else []
+        assert run([command, *flags, "--decoder", "bogus"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        # Some Python versions print the choices without quotes.
+        assert re.search(r"invalid choice: '?bogus'? \(choose from '?exact'?, '?sparse'?\)", err), err
+
+    def test_engine_names_are_the_engines(self):
+        assert tuple(decoder.ENGINES) == settings.ENGINE_NAMES
 
 
 class TestDecodeTrace:

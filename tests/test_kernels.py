@@ -1,6 +1,7 @@
 """The GF(2) and evenness kernels against the plain loops in oracles.py, on
 random inputs at lengths around the 64-bit word boundary and at t = 4's n."""
 
+import itertools
 import random
 
 import pytest
@@ -215,3 +216,99 @@ def test_evenness_ignores_witness_sites_beyond_n():
     for order in (4, 8):
         w = EvennessWitness(((1 << 7) - 1) | (1 << 300), 1 << 9, order)
         assert check_evenness(s, w) == oracles.check_evenness(s, w) == (order == 4)
+
+
+def block_case(rng: random.Random, index: int) -> tuple[Subspace, EvennessWitness]:
+    """A seeded subspace and witness for the int form against the packed one.
+
+    The rows are unions of blocks of 1, 2 or 4 sites, order/size blocks a
+    row, pairwise disjoint or not, TRIPLE_FAILURE's rows, or plain random
+    rows. The witness is +1 on the rows' sites or random, with one site
+    moved to M-, sites at or above n, or no site below n at all. So the
+    cases pass and fail at every group of conditions, and some overlap
+    nothing.
+    """
+    n = rng.choice((1, 15, 63, 64, 65, 130, 279))
+    order = (4, 8)[index % 2]
+    size = rng.choice([b for b in (1, 2, 4) if b <= order // 2])
+    sites = rng.sample(range(n), n)
+    blocks = [sites[i:i + size] for i in range(0, n - size + 1, size)]
+    per_row = order // size
+    kind = rng.randrange(4)
+    if kind == 3 and n >= 13:  # TRIPLE_FAILURE's rows: one triple meets in one site
+        rows = [f2.vector_from_support(sites[j] for j in row) for row in TRIPLE_FAILURE]
+    elif kind == 0 or len(blocks) < per_row:
+        rows = [rng.getrandbits(n) for _ in range(rng.randrange(1, 12))]
+    elif kind == 1:  # pairwise disjoint rows: every overlap is empty
+        rows = [f2.vector_from_support(sum(blocks[i:i + per_row], []))
+                for i in range(0, len(blocks) - per_row + 1, per_row)][:rng.randrange(1, 12)]
+    else:
+        rows = [f2.vector_from_support(sum(rng.sample(blocks, per_row), []))
+                for _ in range(rng.randrange(1, 12))]
+    used = 0
+    for row in rows:
+        used |= row
+    plus = used if rng.random() < 0.7 else rng.getrandbits(n)
+    minus = rng.getrandbits(n) & ~plus & ~used
+    if rng.random() < 0.3 and plus:
+        site = rng.choice(f2.support(plus))
+        plus, minus = plus & ~(1 << site), minus | 1 << site
+    beyond = rng.getrandbits(70) << n
+    if rng.random() < 0.15:  # no witness site below n: every overlap is empty
+        plus, minus = beyond | 1 << n, 0
+    elif rng.random() < 0.5:
+        plus, minus = plus | beyond & 0x5555 << n, minus | beyond & 0xAAAA << n
+    if not plus | minus:
+        plus = 1 << n
+    return Subspace(n, rows), EvennessWitness(plus, minus, order)
+
+
+def test_evenness_matches_the_packed_form():
+    rng = random.Random(600)
+    seen = set()
+    for index in range(500):
+        s, w = block_case(rng, index)
+        assert check_evenness(s, w) == oracles.check_evenness_packed(s, w)
+        seen.add((w.order, failing_stage(s, w)))
+    assert seen == {(4, None), (4, "basis"), (4, "pair"),
+                    (8, None), (8, "basis"), (8, "pair"), (8, "triple")}
+
+
+# Order-8 bases in the abstract sites of `planted`, each failing exactly one
+# condition: one row of weight 4; one pair meeting in 2 sites; and
+# TRIPLE_FAILURE's three rows, whose pairwise overlaps are 4, with a third
+# row beside them.
+ONE_FAILURE = {
+    "basis": ([[0, 3, 4, 5, 6, 7, 8, 9], [1, 10, 11, 12], [2, 13, 14, 15, 16, 17, 18, 19]],
+              [("basis", 1)]),
+    "pair": ([[0, 3, 4, 5, 6, 7, 8, 9], [1, 8, 9, 10, 11, 12, 13, 14], [2, 15, 16, 17, 18, 19, 20, 21]],
+             [("pair", 0, 1)]),
+    "triple": (TRIPLE_FAILURE, [("triple", 0, 1, 2)]),
+}
+
+
+def failing_conditions(s: Subspace, w: EvennessWitness) -> list[tuple]:
+    """Every basis, pair and triple condition that s.basis fails under w."""
+    basis, out = s.basis, []
+    for size, name, modulus in ((1, "basis", w.order), (2, "pair", w.order // 2), (3, "triple", 2)):
+        if size == 3 and w.order == 4:
+            break
+        for combo in itertools.combinations(range(len(basis)), size):
+            meet = (1 << s.n) - 1
+            for i in combo:
+                meet &= basis[i]
+            if oracles.signed_overlap(w, meet) % modulus:
+                out.append((name, *combo))
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(ONE_FAILURE))
+@pytest.mark.parametrize("n", [22, 64, 65, 279])
+def test_evenness_rejects_a_single_failed_condition(n, case):
+    blocks, expected = ONE_FAILURE[case]
+    rng = random.Random(f"{case}-{n}")
+    for _ in range(10):
+        s, w = planted(rng, n, blocks, 8)
+        assert failing_conditions(s, w) == expected
+        assert not check_evenness(s, w)
+        assert not oracles.check_evenness_packed(s, w)
