@@ -20,14 +20,16 @@ Stages, in construction order:
             ancillas are dropped and the link row kept directly.
 
 For t = 1 the final stage is exactly the 15-qubit / 7-qubit code pair.
-Every stage is one StageCodes record; the gadget stages extend the cached
-doubled record.
+Every stage is one StageCodes record on the qubit line _stage_layout lays
+out; the gadget stages extend the cached doubled record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
+from operator import xor
+
 from . import f2
 from .csscode import EvennessWitness
 from .f2 import Subspace
@@ -40,33 +42,24 @@ class BlockLayout:
 
     blocks: tuple[tuple[str, int], ...]
 
+    @cached_property
+    def spans(self) -> dict[str, range]:
+        """The positions of each block on the line, by block name."""
+        spans, start = {}, 0
+        for name, size in self.blocks:
+            spans[name] = range(start, start + size)
+            start += size
+        return spans
+
     @property
     def n(self) -> int:
         return sum(size for _, size in self.blocks)
 
     def offset(self, name: str) -> int:
-        pos = 0
-        for block, size in self.blocks:
-            if block == name:
-                return pos
-            pos += size
-        raise KeyError(name)
-
-    def size(self, name: str) -> int:
-        for block, size in self.blocks:
-            if block == name:
-                return size
-        raise KeyError(name)
-
-    def positions(self, name: str) -> list[int]:
-        off = self.offset(name)
-        return list(range(off, off + self.size(name)))
+        return self.spans[name].start
 
     def embed(self, bits: int, name: str) -> int:
         return bits << self.offset(name)
-
-    def has(self, name: str) -> bool:
-        return any(block == name for block, _ in self.blocks)
 
 
 @dataclass(frozen=True)
@@ -128,27 +121,49 @@ class StageCodes:
         return self.layout.n
 
 
-def link_row(layout: BlockLayout, lattices: dict[int, ColorLattice], r: int) -> int:
-    """Boundary link omega_{r,r-1}: side 1 of level r on B_r joined to side 2
-    of level r-1 on A_{r-1} (the level-0 block is the single final qubit)."""
-    row = layout.embed(lattices[r].boundary_bits(1), f"B{r}")
+def _stage_layout(t: int, lattices: dict[int, ColorLattice], stage: str) -> BlockLayout:
+    """Blocks A_r B_r D_r for r = t, ..., 1, then A_0. D_r holds the level's
+    ancillas: none at the doubled stage, the 2r gadget ancillas at the
+    gadget stage, and those plus the 2r - 2 that subdivide the long-range
+    row at the local and final stages. The final stage has no D_1, because
+    the level-1 link is already local."""
+    blocks: list[tuple[str, int]] = []
+    for r in range(t, 0, -1):
+        m = lattices[r].m
+        blocks += [(f"A{r}", m), (f"B{r}", m)]
+        if stage == "gadget":
+            blocks.append((f"D{r}", 2 * r))
+        elif stage == "local" or stage == "final" and r > 1:
+            blocks.append((f"D{r}", 4 * r - 2))
+    blocks.append(("A0", 1))
+    return BlockLayout(tuple(blocks))
+
+
+def link_sites(
+    layout: BlockLayout, lattices: dict[int, ColorLattice], r: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The sites the boundary link omega_{r,r-1} joins, each side in its
+    boundary order: side 1 of level r on B_r, and side 2 of level r-1 on
+    A_{r-1} (the level-0 block is the single final qubit)."""
+    b_span = layout.spans[f"B{r}"]
+    u = tuple(b_span[s] for s in lattices[r].boundary(1))
     if r == 1:
-        row |= layout.embed(1, "A0")
-    else:
-        row |= layout.embed(lattices[r - 1].boundary_bits(2), f"A{r-1}")
-    return row
+        return u, tuple(layout.spans["A0"])
+    a_span = layout.spans[f"A{r-1}"]
+    return u, tuple(a_span[s] for s in lattices[r - 1].boundary(2))
+
+
+def link_row(layout: BlockLayout, lattices: dict[int, ColorLattice], r: int) -> int:
+    """The boundary link omega_{r,r-1} as a row of the layout."""
+    u, v = link_sites(layout, lattices, r)
+    return f2.vector_from_support(u + v)
 
 
 def build_doubled(t: int) -> StageCodes:
     if t < 1:
         raise ValueError("t must be at least 1")
     lattices = {r: build_lattice(r) for r in range(1, t + 1)}
-    blocks: list[tuple[str, int]] = []
-    for r in range(t, 0, -1):
-        m = lattices[r].m
-        blocks += [(f"A{r}", m), (f"B{r}", m)]
-    blocks.append(("A0", 1))
-    layout = BlockLayout(tuple(blocks))
+    layout = _stage_layout(t, lattices, "doubled")
 
     gens: list[Generator] = []
     t_space, witness_t = Subspace(1), EvennessWitness(1, 0, 8)
@@ -191,21 +206,6 @@ def build_doubled(t: int) -> StageCodes:
 # Gadget extension and subdivision
 # ---------------------------------------------------------------------------
 
-def _stage_layout(t: int, lattices: dict[int, ColorLattice], include_d1: bool, subdivide: bool) -> BlockLayout:
-    blocks: list[tuple[str, int]] = []
-    for r in range(t, 0, -1):
-        m = lattices[r].m
-        blocks += [(f"A{r}", m), (f"B{r}", m)]
-        if r == 1 and not include_d1:
-            continue
-        d_size = 2 * r
-        if subdivide and r >= 2:
-            d_size += 2 * r - 2
-        blocks.append((f"D{r}", d_size))
-    blocks.append(("A0", 1))
-    return BlockLayout(tuple(blocks))
-
-
 def build_gadget_codes(t: int, stage: str = "gadget") -> StageCodes:
     """Extend the doubled codes with ancilla gadgets.
 
@@ -219,34 +219,22 @@ def build_gadget_codes(t: int, stage: str = "gadget") -> StageCodes:
         raise ValueError(f"unknown stage {stage!r}")
     doubled = cached_doubled(t)
     lattices = doubled.lattices
-    include_d1 = stage != "final"
-    subdivide = stage in ("local", "final")
-    layout = _stage_layout(t, lattices, include_d1, subdivide)
+    layout = _stage_layout(t, lattices, stage)
     # Each doubled block keeps its name and order in the stage layout.
-    emb = [i for name, _ in doubled.layout.blocks for i in layout.positions(name)]
+    emb = [i for name, _ in doubled.layout.blocks for i in layout.spans[name]]
 
     gens: list[Generator] = [
         Generator(g.kind, g.level, f2.embed(g.bits, emb))
         for g in doubled.generators
         if g.kind != "omega_link"
     ]
-    gadget_rs = [r for r in range(1, t + 1) if layout.has(f"D{r}")]
+    gadget_rs = [r for r in range(1, t + 1) if f"D{r}" in layout.spans]
     for r in gadget_rs:
-        lat = lattices[r]
-        b_off = layout.offset(f"B{r}")
-        u = tuple(b_off + s for s in lat.boundary(1))
-        if r == 1:
-            v = (layout.offset("A0"),)
-        else:
-            a_off = layout.offset(f"A{r-1}")
-            v = tuple(a_off + s for s in lattices[r - 1].boundary(2))
-        d_pos = layout.positions(f"D{r}")
-        w = tuple(d_pos[:2 * r])
-        wbar = tuple(d_pos[2 * r:])
+        u, v = link_sites(layout, lattices, r)
+        d_span = layout.spans[f"D{r}"]
+        w, wbar = d_span[:2 * r], d_span[2 * r:]
 
-        g_rows = []
-        for i in range(1, r):
-            g_rows.append((1 << w[2 * i - 1]) | (1 << w[2 * i]))
+        g_rows = [(1 << w[2 * i - 1]) | (1 << w[2 * i]) for i in range(1, r)]
         g_rows.append((1 << w[0]) | (1 << w[2 * r - 1]))   # the long-range one
         h_rows = []
         for i in range(1, r):
@@ -262,11 +250,7 @@ def build_gadget_codes(t: int, stage: str = "gadget") -> StageCodes:
         )
 
         # The boundary link must decompose exactly into the added generators.
-        link = f2.embed(link_row(doubled.layout, lattices, r), emb)
-        acc = 0
-        for row in g_rows + h_rows:
-            acc ^= row
-        if acc != link:
+        if reduce(xor, g_rows + h_rows) != f2.embed(link_row(doubled.layout, lattices, r), emb):
             raise AssertionError(f"gadget level {r}: generators do not sum to the link")
 
         chain_rows: list[int] = []
@@ -274,16 +258,12 @@ def build_gadget_codes(t: int, stage: str = "gadget") -> StageCodes:
             path = [w[0], *wbar, w[2 * r - 1]]
             chain_rows = [(1 << a) | (1 << b) for a, b in zip(path, path[1:])]
             g_rows.pop()
-        for row in g_rows:
-            gens.append(Generator("gadget_g", r, row))
-        for row in h_rows:
-            gens.append(Generator("gadget_h", r, row))
-        for row in chain_rows:
-            gens.append(Generator("subdivision", r, row))
+        for kind, rows in (("gadget_g", g_rows), ("gadget_h", h_rows), ("subdivision", chain_rows)):
+            gens += [Generator(kind, r, row) for row in rows]
 
-    for r in range(1, t + 1):
-        if r not in gadget_rs:
-            gens.append(Generator("omega_link", r, f2.embed(link_row(doubled.layout, lattices, r), emb)))
+    # A level without a D block keeps its link row, which is already local.
+    gens += [Generator("omega_link", r, link_row(layout, lattices, r))
+             for r in range(1, t + 1) if r not in gadget_rs]
 
     n = layout.n
     dot_t_space = Subspace(n, [g.bits for g in gens])

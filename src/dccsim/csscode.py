@@ -325,7 +325,7 @@ def build_cleanability_table(code: SubsystemCode) -> CleanabilityTable:
     for j in range(n):
         halves = clean.reshape(-1, 2, 1 << j)
         halves[:, 0, :] |= halves[:, 1, :]
-    labels = f2.enumerate_span([code.coset_map.label_x(1 << j) for j in range(n)], n)
+    labels = f2.enumerate_span(f2.columns(code.coset_map.mat_b, n), n)
     weights = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
     order = np.argsort(weights, kind="stable")
     order = order[clean[order]]

@@ -376,6 +376,17 @@ def _clamp_negatives(weights: np.ndarray, update: str) -> None:
     np.maximum(weights, 0.0, out=weights)
 
 
+def _t_transform(block: np.ndarray, gamma: np.ndarray) -> None:
+    """The T update of each column of a (2^beta_bits, k) block, in place:
+    fwht, times Gamma's matching columns, fwht again, divided by 2^beta_bits,
+    with rounding-level negatives clamped to zero."""
+    fwht(block)
+    block *= gamma
+    fwht(block)
+    block /= len(block)
+    _clamp_negatives(block, "T update")
+
+
 def _scale_to_max(weights: np.ndarray) -> None:
     """Divide the weights in place by their maximum, which must be positive."""
     m = weights.max()
@@ -474,11 +485,7 @@ class DenseLikelihood:
         block = self.weights[entries].reshape(update.cleanable_gamma_hat.shape)
         if not block.any():
             raise DegeneratePosteriorError("no weight on cleanable cosets")
-        fwht(block, axis=0)
-        block *= update.cleanable_gamma_hat
-        fwht(block, axis=0)
-        block /= 1 << lay.beta_bits
-        _clamp_negatives(block, "T update")
+        _t_transform(block, update.cleanable_gamma_hat)
         _scale_to_max(block)  # the other entries are zero
         self.weights.fill(0.0)
         self.weights[entries] = block.reshape(-1)
@@ -722,11 +729,7 @@ class SparseLikelihood:
         alphas, column = np.unique(alpha[keep], return_inverse=True)
         block = np.zeros((1 << lay.beta_bits, len(alphas)), dtype=np.float64)
         block[self.labels[keep] >> np.uint32(lay.alpha_bits), column] = self.weights[keep]
-        fwht(block)
-        block *= update.gamma_hat[:, alphas]
-        fwht(block)
-        block /= 1 << lay.beta_bits
-        _clamp_negatives(block, "T update")
+        _t_transform(block, update.gamma_hat[:, alphas])
         # Row-major readout over (beta, ascending alpha) yields sorted labels.
         beta, column = np.nonzero(block)
         self.labels = alphas[column] | (beta.astype(np.uint32) << np.uint32(lay.alpha_bits))

@@ -22,10 +22,9 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 if TYPE_CHECKING:
     import numpy as np
 
-# Largest dim(S-perp) for which min_odd_weight searches without a weight
-# bound, and largest subspace element_array enumerates.
+# Largest subspace dimension whose 2^dim elements element_array lists.
 FULL_ENUM_DIM_LIMIT = 25
-# Largest number of column sums min_odd_weight keeps for a weight budget. The
+# Largest number of column sums min_odd_weight keeps for its weight budget. The
 # join at the largest odd weight w within the budget holds every
 # floor(w/2)-subset sum in lists and a set, about 190 bytes a sum (C(279, 3)
 # sums took 683 MB), so 2^22 sums stay under 1 GB.
@@ -169,7 +168,9 @@ def solve_linear(rows: Sequence[int], rhs: Sequence[int], n: int) -> int | None:
 
 def columns(rows: Sequence[int], n: int) -> list[int]:
     """The n columns of the matrix with the given rows, as packed vectors:
-    bit i of column j is coordinate j of rows[i]."""
+    bit i of column j is coordinate j of rows[i]. Column j is thus the
+    parities of the unit vector at j against the rows, and enumerate_span of
+    the columns lists the parities of every n-bit vector, by value."""
     cols = [0] * n
     for i, row in enumerate(rows):
         while row:
@@ -285,29 +286,24 @@ class Subspace:
         return enumerate_span(self.basis, self.n)
 
 
-def min_odd_weight(s: Subspace, max_weight: int | None = None) -> int | None:
+def min_odd_weight(s: Subspace, max_weight: int) -> int | None:
     """Minimum weight of the odd-weight vectors of S-perp, or None when every
     one is heavier than max_weight.
 
     A vector of S-perp is a set of sites whose columns under S's basis XOR to
-    zero. For odd w = 1, 3, ... the column sums of all floor(w/2)-subsets go
-    into a set, and w is returned at the first ceil(w/2)-subset whose sum is
-    in it. Two overlapping subsets never match first: their symmetric
-    difference would be an odd vector lighter than w, found at a smaller w.
-    Without max_weight the search runs up to n, which needs dim(S-perp) <=
-    FULL_ENUM_DIM_LIMIT. Raises NoOddVectorsError when S-perp is purely even,
-    and CapacityError before the search when max_weight needs a join of more
-    than JOIN_SUM_LIMIT sums.
+    zero. For odd w = 1, 3, ... up to max_weight the column sums of all
+    floor(w/2)-subsets go into a set, and w is returned at the first
+    ceil(w/2)-subset whose sum is in it. Two overlapping subsets never match
+    first: their symmetric difference would be an odd vector lighter than w,
+    found at a smaller w. Raises NoOddVectorsError when S-perp is purely
+    even, and CapacityError before the search when max_weight needs a join
+    of more than JOIN_SUM_LIMIT sums.
     """
     n = s.n
     if (1 << n) - 1 in s:
         # 1-bar in S forces S-perp inside the even subspace, and only then.
         raise NoOddVectorsError("S-perp contains no odd-weight vectors")
-    if max_weight is None:
-        if n - s.dim > FULL_ENUM_DIM_LIMIT:
-            raise ValueError("max_weight is required when dim(S-perp) exceeds the enumeration limit")
-        max_weight = n
-    elif (sums := math.comb(n, max(min(max_weight, n) - 1, 0) // 2)) > JOIN_SUM_LIMIT:
+    if (sums := math.comb(n, max(min(max_weight, n) - 1, 0) // 2)) > JOIN_SUM_LIMIT:
         raise CapacityError(f"a distance budget of {max_weight} at n = {n} needs {sums} "
                             f"column sums, above the limit of {JOIN_SUM_LIMIT}")
     cols = columns(s.basis, n)

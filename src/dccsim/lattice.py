@@ -56,17 +56,16 @@ class ColorLattice:
     def site_index(self) -> dict[Site, int]:
         return {s: i for i, s in enumerate(self.sites)}
 
+    def _class_bits(self, cls: int) -> int:
+        return f2.vector_from_support(i for i, s in enumerate(self.sites) if _site_class(s) == cls)
+
     @cached_property
     def delta0(self) -> int:
-        return f2.vector_from_support(
-            i for i, s in enumerate(self.sites) if _site_class(s) == 0
-        )
+        return self._class_bits(0)
 
     @cached_property
     def delta2(self) -> int:
-        return f2.vector_from_support(
-            i for i, s in enumerate(self.sites) if _site_class(s) == 2
-        )
+        return self._class_bits(2)
 
     def edge_bits(self, edge: tuple[int, int]) -> int:
         return (1 << edge[0]) | (1 << edge[1])

@@ -39,7 +39,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -144,14 +144,11 @@ class Family15:
 
         # The label of a vector under parity rows, for every vector: label_x
         # reads mat_b and label_z mat_a, and the stages share their rows.
-        label_tables = {}
-
-        def label_table(rows: tuple[int, ...], label) -> np.ndarray:
-            if rows not in label_tables:
-                units = [label(1 << j) for j in range(N_QUBITS)]
-                label_tables[rows] = f2.enumerate_span(units, N_QUBITS)
-                label_tables[rows].flags.writeable = False
-            return label_tables[rows]
+        @cache
+        def label_table(rows: tuple[int, ...]) -> np.ndarray:
+            table = f2.enumerate_span(f2.columns(rows, N_QUBITS), N_QUBITS)
+            table.flags.writeable = False
+            return table
 
         def stage(name: str, code: SubsystemCode) -> StageContext:
             cm = code.coset_map
@@ -163,8 +160,8 @@ class Family15:
                 logical_x=logical_x,
                 logical_z=logical_z,
                 nontrivial_logical_labels=frozenset({logical_x, logical_z, logical_x ^ logical_z}),
-                x_labels=label_table(cm.mat_b, cm.label_x),
-                z_labels=label_table(cm.mat_a, cm.label_z),
+                x_labels=label_table(cm.mat_b),
+                z_labels=label_table(cm.mat_a),
             )
 
         self.t_stage = stage("t", t_code)

@@ -203,13 +203,10 @@ def intersect(s: Subspace, t: Subspace) -> Subspace:
     return Subspace(s.n, nullspace(nullspace(s.basis, s.n) + nullspace(t.basis, t.n), s.n))
 
 
-def distance(code: SubsystemCode, max_weight: int | None = None) -> int | None:
-    """min(d(A), d(B)), or None when either exceeds max_weight."""
-    da = f2.min_odd_weight(code.a_space, max_weight)
-    db = f2.min_odd_weight(code.b_space, max_weight)
-    if da is None or db is None:
-        return None
-    return min(da, db)
+def distance(code: SubsystemCode, max_weight: int) -> int | None:
+    """min(d(A), d(B)), or None when both exceed max_weight."""
+    found = [f2.min_odd_weight(s, max_weight) for s in (code.a_space, code.b_space)]
+    return min((d for d in found if d is not None), default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +449,9 @@ def membership_certificates(codes: StageCodes) -> list[str]:
     spoiled: dict[int, set[int]] = {r: set() for r in range(1, codes.t + 1)}
 
     for r in range(1, codes.t + 1):
-        if not layout.has(f"D{r}"):
+        if f"D{r}" not in layout.spans:
             continue
-        d_pos = layout.positions(f"D{r}")
+        d_pos = list(layout.spans[f"D{r}"])
         w, wbar = d_pos[:2 * r], d_pos[2 * r:]
         g = [(1 << w[2 * i - 1]) | (1 << w[2 * i]) for i in range(1, r)]
         # The long-range row, or the path through wbar that subdivides it.
@@ -493,7 +490,7 @@ def membership_certificates(codes: StageCodes) -> list[str]:
         next_block = "A0" if r == 1 else f"A{r-1}"
         rhs_rows.append(
             (ones << b_off)
-            | layout.embed((1 << layout.size(next_block)) - 1, next_block)
+            | layout.embed((1 << len(layout.spans[next_block])) - 1, next_block)
         )
 
     rebuilt = Subspace(codes.n, rhs_rows)

@@ -45,7 +45,7 @@ def test_c01_steane():
     lat = build_lattice(1)
     s = face_space(lat)
     ok = (
-        min_odd_weight(s) == 3
+        min_odd_weight(s, 3) == 3
         and s.dot_space() == s
         and check_evenness(s, EvennessWitness(lat.delta0, lat.delta2, 4))
         and lat.delta0.bit_count() - lat.delta2.bit_count() == 1
@@ -59,8 +59,8 @@ def test_c02_fifteen_qubit():
     ok = (
         d.t_space.dim == 4
         and weights_ok
-        and min_odd_weight(d.t_space) == 3
-        and min_odd_weight(d.dot_t_space) == 7
+        and min_odd_weight(d.t_space, 3) == 3
+        and min_odd_weight(d.dot_t_space, 7) == 7
     )
     report(2, "15-qubit code: dim 4, weights = 0 mod 8, d=3, dot-distance 7", ok)
 

@@ -131,6 +131,29 @@ class TestBuildVerify:
         out.write_text(json.dumps(obj))
         assert run(["verify", str(out)]) == EXIT_VERIFY
 
+    @pytest.mark.parametrize("edit, line", [
+        pytest.param("odd-A-row", "FAIL  subsystem code (A, B) = (A, B): "
+                     "A is not contained in the even subspace", id="odd-A-row"),
+        pytest.param("C-is-B", "FAIL  subsystem code (A, B) = (C, C): "
+                     "A and B are not mutually orthogonal", id="C-is-B"),
+        pytest.param("B-row-dropped", "FAIL  cleanable cosets = 996", id="B-row-dropped"),
+    ])
+    def test_wrong_code_fails_verification(self, t1_code_json, tmp_path, capsys, edit, line):
+        # Well-formed files whose codes fail a make_code precondition, or
+        # are not regular, fail verification with a report.
+        obj = copy.deepcopy(t1_code_json["final"])
+        n = obj["n"]
+        if edit == "odd-A-row":
+            obj["A"][0] = f2.row_to_hex(f2.hex_to_row(obj["A"][0], n) ^ 1, n)
+        elif edit == "C-is-B":
+            obj["C"] = obj["B"]
+        else:
+            del obj["B"][-1]
+        out = tmp_path / "code.json"
+        out.write_text(json.dumps(obj))
+        assert run(["verify", str(out)]) == EXIT_VERIFY
+        assert line in capsys.readouterr().out.splitlines()
+
     def test_heavy_generator_fails_locality(self, tmp_path, capsys):
         out = tmp_path / "code.json"
         run(["build", "--t", "1", "--stage", "final", "--out", str(out)])

@@ -122,9 +122,9 @@ class TestDoubledCodes:
         assert d.t_space.dim == 4
         assert d.c_space.dim == 7
         assert all(v.bit_count() % 8 == 0 for v in d.t_space.element_array().tolist())
-        assert min_odd_weight(d.t_space) == 3
-        assert min_odd_weight(d.dot_t_space) == 7
-        assert min_odd_weight(d.c_space) == 3
+        assert min_odd_weight(d.t_space, 3) == 3
+        assert min_odd_weight(d.dot_t_space, 7) == 7
+        assert min_odd_weight(d.c_space, 3) == 3
 
     @pytest.mark.parametrize("t", [1, 2])
     def test_inclusion_chain(self, t):
@@ -257,7 +257,7 @@ class TestGadgetCodes:
 
     @pytest.mark.parametrize("t", [1, 2, 3, 4])
     def test_counting_formulas(self, t):
-        from dccsim.codefamily import _stage_layout
+        from dccsim.codefamily import _stage_layout, cached_doubled
         from dccsim.lattice import build_lattice
 
         lattices = {r: build_lattice(r) for r in range(1, t + 1)}
@@ -266,9 +266,23 @@ class TestGadgetCodes:
         assert counts["gadget"] == 2 * t**3 + 7 * t**2 + 7 * t + 1
         assert counts["local"] == 2 * t**3 + 8 * t**2 + 6 * t + 1
         assert counts["final"] == 2 * t**3 + 8 * t**2 + 6 * t - 1
-        assert _stage_layout(t, lattices, True, False).n == counts["gadget"]
-        assert _stage_layout(t, lattices, True, True).n == counts["local"]
-        assert _stage_layout(t, lattices, False, True).n == counts["final"]
+        assert _stage_layout(t, lattices, "doubled") == cached_doubled(t).layout
+        for stage in ("doubled", "gadget", "local", "final"):
+            assert _stage_layout(t, lattices, stage).n == counts[stage]
+
+    @pytest.mark.parametrize("stage", ["gadget", "local", "final"])
+    def test_link_sites_in_every_layout(self, stage):
+        from dccsim.codefamily import cached_doubled, link_row, link_sites
+
+        codes, doubled = build_gadget_codes(3, stage), cached_doubled(3)
+        spans = codes.layout.spans
+        emb = [i for name, _ in doubled.layout.blocks for i in spans[name]]
+        for r in range(1, 4):
+            u, v = link_sites(codes.layout, codes.lattices, r)
+            assert len(u) == 2 * r + 1 and set(u) <= set(spans[f"B{r}"])
+            assert len(v) == 2 * r - 1 and set(v) <= set(spans[f"A{r-1}" if r > 1 else "A0"])
+            row = link_row(doubled.layout, doubled.lattices, r)
+            assert link_row(codes.layout, codes.lattices, r) == f2.embed(row, emb)
 
     @pytest.mark.slow
     def test_t3_chain_and_evenness(self):
@@ -347,7 +361,7 @@ class TestSubdivisionGadget:
         # support): use a doubled toy instead, then subdivide a chain link.
         codes = build_gadget_codes(1, "gadget")
         # g_1^1 is a weight-2 dot row on the two ancillas.
-        i, j = codes.layout.positions("D1")
+        i, j = codes.layout.spans["D1"]
         dot_v = oracles.subdivide_link(codes.dot_t_space, i, j)
         v = dot_v.dot_space()
         assert v.dim == codes.t_space.dim

@@ -144,14 +144,14 @@ class TestComplementAndDot:
 class TestMinOddWeight:
     def test_steane_distance(self):
         s = Subspace(7, STEANE_FACES)
-        assert min_odd_weight(s) == 3
+        assert min_odd_weight(s, 3) == 3
 
     def test_zero_subspace(self):
-        assert min_odd_weight(Subspace(5)) == 1
+        assert min_odd_weight(Subspace(5), 1) == 1
 
     def test_no_odd_vectors(self):
         with pytest.raises(f2.NoOddVectorsError):
-            min_odd_weight(Subspace(4, [1 << j for j in range(4)]))
+            min_odd_weight(Subspace(4, [1 << j for j in range(4)]), 4)
 
     def test_matches_naive(self):
         rng = random.Random(6)
@@ -160,7 +160,7 @@ class TestMinOddWeight:
             s = random_subspace(rng, n, rng.randrange(0, n))
             if ((1 << n) - 1) in s:
                 continue
-            assert min_odd_weight(s) == naive_min_odd_weight(s)
+            assert min_odd_weight(s, n) == naive_min_odd_weight(s)
 
     def test_weight_limited_path_agrees(self):
         rng = random.Random(8)
@@ -193,7 +193,6 @@ class TestMinOddWeight:
             with pytest.raises(f2.CapacityError, match=f"budget of {budget}"):
                 min_odd_weight(s, max_weight=budget)
         assert min_odd_weight(s, max_weight=3) == 3
-        assert min_odd_weight(s) == 3  # no budget: the search stops at d
 
 
 def radix2_fwht(values: np.ndarray) -> np.ndarray:

@@ -37,7 +37,7 @@ def test_face_space_properties(t):
     assert s.dim == (lat.m - 1) // 2
     assert Subspace(lat.m, f2.nullspace(s.basis, lat.m)).contains_subspace(s)  # self-orthogonal
     assert s.dot_space() == s
-    assert min_odd_weight(s) == 2 * t + 1
+    assert min_odd_weight(s, 2 * t + 1) == 2 * t + 1
 
 
 @pytest.mark.parametrize("t", [1, 2])
