@@ -150,8 +150,12 @@ def cmd_verify(args) -> int:
         obj = json.load(fh)
     try:
         n, t, stage = obj["n"], obj["t"], obj["stage"]
-        # Every site list is checked before any vector is built from it: a
-        # site is an int, not a bool, in [0, n).
+        # The counts and every site list are checked before any vector is
+        # built from them: n, t and each site are ints, not bools or floats,
+        # and a site lies in [0, n).
+        for field in ("n", "t"):
+            if type(obj[field]) is not int:
+                raise UsageError(f"{args.code_json}: {field} must be an integer, got {obj[field]!r}")
         sites = {f"{w}.{side}": obj[w][side] for w in ("witness", "c_witness") for side in ("plus", "minus")}
         sites.update((f"generators[{i}].support", g["support"]) for i, g in enumerate(obj["generators"]))
         for field, values in sites.items():
@@ -211,7 +215,7 @@ def cmd_verify(args) -> int:
                        budget < expected))
     else:
         checks.append((f"distance within budget is {d} (expected {expected})", d == expected))
-    if n == 15:  # the scan needs a regular code
+    if n == 15:  # 996 is the 15-qubit code's count; the next line checks regularity
         cleanable = t_code.is_regular and len(build_cleanability_table(t_code).cleanable)
         checks.append(("cleanable cosets = 996", cleanable == 996))
     for name, ok in checks:

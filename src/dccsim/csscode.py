@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, KeysView, Sequence
 
 from . import f2
 from .f2 import CapacityError, Subspace
@@ -139,10 +139,6 @@ class CosetMap:
     def beta_bits(self) -> int:
         return len(self.mat_a)
 
-    @property
-    def c(self) -> int:
-        return self.alpha_bits + self.beta_bits
-
     def label_x(self, a: int) -> int:
         out = 0
         for i, row in enumerate(self.mat_b):
@@ -253,17 +249,20 @@ def verify_transversality(
 class CleanabilityTable:
     """Per-coset cleanability of A with a stored clean representative.
 
-    Cosets are keyed by the X label mat_b.e. Representatives are chosen of
-    minimum weight with ties broken by the smallest packed bit pattern, so
-    the table is deterministic.
+    The cleanable cosets are the keys, their X labels mat_b.e, ascending.
+    Representatives are chosen of minimum weight with ties broken by the
+    smallest packed bit pattern, so the table is deterministic.
     """
 
     code: SubsystemCode
-    cleanable: frozenset[int]
     representative: dict[int, int]
 
+    @property
+    def cleanable(self) -> KeysView[int]:
+        return self.representative.keys()
+
     def is_cleanable(self, alpha: int) -> bool:
-        return alpha in self.cleanable
+        return alpha in self.representative
 
     def rep(self, alpha: int) -> int:
         return self.representative[alpha]
@@ -287,8 +286,8 @@ class CleanabilityTable:
         """
         import numpy as np
 
-        alphas = sorted(self.cleanable)
-        reps = np.array([self.representative[alpha] for alpha in alphas], dtype=np.uint64)
+        alphas = list(self.representative)
+        reps = np.array(list(self.representative.values()), dtype=np.uint64)
         g = self.at_beta[:, np.newaxis] & reps
         in_b = np.ones(g.shape, dtype=bool)
         for check in self.code.b_space.parity_checks:
@@ -330,6 +329,5 @@ def build_cleanability_table(code: SubsystemCode) -> CleanabilityTable:
     order = np.argsort(weights, kind="stable")
     order = order[clean[order]]
     alphas, first = np.unique(labels[order], return_index=True)
-    alphas, reps = alphas.tolist(), order[first].tolist()
-    return CleanabilityTable(code, frozenset(alphas), dict(zip(alphas, reps)))
+    return CleanabilityTable(code, dict(zip(alphas.tolist(), order[first].tolist())))
 

@@ -41,9 +41,9 @@ labels whose bound reaches the cut are expanded, and of their entries those
 that clear a narrow band around the cut are kept. The band covers every
 rounding by which this differs from the rule as written (derived in
 SparseLikelihood); where an entry falls inside it, or the cut is too small
-for the band to hold, the grid of every label is built and truncate runs the
-rule. The dense engine renormalizes the narrow vector before it writes the
-split's broadcast, for the first reason.
+for the band to hold, measure runs the three steps as written. The dense
+engine renormalizes the narrow vector before it writes the split's
+broadcast, for the first reason.
 
 Weights are renormalized to max = 1 after every update (the overall scale
 carries no information and would otherwise underflow over long runs). The
@@ -346,7 +346,7 @@ def build_t_gate_update(table: CleanabilityTable) -> TGateUpdate:
     cm = table.code.coset_map
     layout = LabelLayout(cm.alpha_bits, cm.beta_bits)
     mask = np.zeros(1 << layout.alpha_bits, dtype=bool)
-    mask[sorted(table.cleanable)] = True
+    mask[list(table.cleanable)] = True
     return TGateUpdate(layout=layout, cleanable_mask=mask, gamma_hat=table.gamma_hat)
 
 
@@ -404,9 +404,6 @@ class DenseLikelihood:
             weights = np.zeros(layout.size, dtype=np.float64)
             weights[0] = 1.0
         self.weights = weights
-
-    def copy(self) -> "DenseLikelihood":
-        return DenseLikelihood(self.layout, self.weights.copy())
 
     def normalized(self) -> np.ndarray:
         return self.weights / self.weights.sum()
@@ -519,8 +516,8 @@ class SparseLikelihood:
     positive bins (weights are never negative, so only an all-zero label
     drops, as renormalization would drop it). Split, Clifford and recovery
     map labels one to one: `_sort`, a stable radix argsort, only reorders
-    them; measure sorts only the grid entries it keeps. The syndrome and T
-    updates keep the order.
+    them; measure sorts only the grid entries it keeps. The other updates
+    keep the order, and every update leaves the weights positive at max 1.
 
     measure's band. Write u = 2^-53, K = 2^k patterns, L narrow labels and
     N = K L grid entries, and let e be the exact product w hit miss of an
@@ -565,9 +562,6 @@ class SparseLikelihood:
         self.layout = layout
         self.labels = labels if labels is not None else np.zeros(1, dtype=np.uint32)
         self.weights = weights if weights is not None else np.ones(1, dtype=np.float64)
-
-    def copy(self) -> "SparseLikelihood":
-        return SparseLikelihood(self.layout, self.labels.copy(), self.weights.copy())
 
     def _sort(self) -> None:
         # A stable argsort of 16-bit keys is a radix sort in numpy.
@@ -618,11 +612,7 @@ class SparseLikelihood:
     def deform(self, dmap: DeformationMap) -> None:
         if dmap.direction == "split":
             self._split_weights(dmap)
-            base, patterns = dmap.split_tables
-            self.labels = (base.take(self.labels)[:, None] ^ patterns).reshape(-1)
-            self.weights = np.repeat(self.weights, len(patterns))
-            self.layout = dmap.new_layout
-            self._sort()
+            self._split_labels(dmap)
             return
         self.layout = dmap.new_layout
         self._merge(dmap.dense_index.take(self.labels), self.weights)
@@ -634,31 +624,40 @@ class SparseLikelihood:
         self.weights = self.weights / len(split.split_tables[1])
         self._renormalize()
 
+    def _split_labels(self, split: DeformationMap) -> None:
+        """Expand each narrow label, with its split weight, to its 2^k wide labels."""
+        base, patterns = split.split_tables
+        self.labels = (base.take(self.labels)[:, None] ^ patterns).reshape(-1)
+        self.weights = np.repeat(self.weights, len(patterns))
+        self.layout = split.new_layout
+        self._sort()
+
     def measure(self, split: DeformationMap, smap: SyndromeMap, observed: int, q: float,
                 eps: float) -> None:
-        """deform(split); apply_syndrome(smap, observed, q); truncate(eps),
-        building the split's grid only for the narrow labels whose entries
-        truncation may keep (see the module docstring for why each entry
-        gets the same weight, and _select for the choice)."""
+        """deform(split); apply_syndrome(smap, observed, q); truncate(eps).
+        The split's grid is built only for the narrow labels whose entries
+        truncation may keep (see the module docstring, and _select for the
+        choice); where _select cannot decide, the three steps run as written."""
         if split.direction != "split":
             raise ValueError("measure follows a split")
         tables = _split_syndrome_tables(split, smap, q)
         self._split_weights(split)
         syndromes = tables.s_base.take(self.labels) ^ np.uint32(observed)
         kept = self._select(tables, syndromes, eps)
-        self.layout = split.new_layout
         if kept is None:
-            self.labels, self.weights = self._grid(tables, syndromes, slice(None))
+            self._split_labels(split)
+            self.apply_syndrome(smap, observed, q)
             self.truncate(eps)
             return
+        self.layout = split.new_layout
         self.labels, self.weights = kept
         self._sort()
         self.weights /= self.weights.max()
 
     def _grid(self, tables: SplitSyndromeTables, syndromes: np.ndarray,
               rows) -> tuple[np.ndarray, np.ndarray]:
-        """Wide labels and weights of the grid entries of the narrow entries
-        `rows`, pattern-major: base[l] ^ patterns[j] with weight
+        """Wide labels and weights of the grid entries of the candidate
+        narrow entries `rows`, pattern-major: base[l] ^ patterns[j] with weight
         (hit[m] * w[l]) * miss[m], m = mismatch[j, syndromes[l]]."""
         mismatch = tables.mismatch.take(syndromes[rows], axis=1)
         weights = tables.hit.take(mismatch)
@@ -737,13 +736,9 @@ class SparseLikelihood:
         self._renormalize()
 
     def truncate(self, eps: float) -> None:
-        """Keep the labels whose probability is at least eps, and the
-        smallest label among the maxima; leave the labels sorted and the
-        weights at max 1. The entries may come unsorted and unscaled, as
-        measure's grid does: the probability of w is (w / max) / T, with T
-        summed over the sorted, rescaled weights in label order."""
-        self._sort()
-        self._renormalize()
+        """Keep the labels whose probability w / T is at least eps, T summed
+        in label order, and the smallest label among the maxima, which has
+        weight 1 (see the class docstring)."""
         keep = self.weights / self.weights.sum() >= eps
         keep[np.argmax(self.weights)] = True
         self.labels, self.weights = self.labels[keep], self.weights[keep]

@@ -70,29 +70,16 @@ class ColorLattice:
     def edge_bits(self, edge: tuple[int, int]) -> int:
         return (1 << edge[0]) | (1 << edge[1])
 
-    @cached_property
-    def face_edge_indices(self) -> tuple[tuple[int, ...], ...]:
-        """Edge indices around each face, in cyclic order."""
-        lookup = {frozenset(e): i for i, e in enumerate(self.edges)}
-        out = []
-        for face in self.faces:
-            cyc = face.cycle
-            out.append(
-                tuple(
-                    lookup[frozenset((cyc[i], cyc[(i + 1) % len(cyc)]))]
-                    for i in range(len(cyc))
-                )
-            )
-        return tuple(out)
-
     def opposite_edge_pairs(self, face_idx: int) -> tuple[tuple[int, int], ...]:
-        """Pairs of opposite edges (l, l') with l + l' equal to the face.
+        """Pairs of opposite edges (l, l') with l + l' equal to the face, as
+        indices into `edges` (sorted site pairs), around the face's cycle.
 
         Only four-site faces decompose this way.
         """
-        idx = self.face_edge_indices[face_idx]
-        if len(idx) != 4:
+        cyc = self.faces[face_idx].cycle
+        if len(cyc) != 4:
             raise ValueError("opposite edge pairs exist only for four-site faces")
+        idx = [self.edges.index(tuple(sorted((cyc[i], cyc[(i + 1) % 4])))) for i in range(4)]
         return ((idx[0], idx[2]), (idx[1], idx[3]))
 
     def boundary(self, i: int) -> tuple[int, ...]:

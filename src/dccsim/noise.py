@@ -49,9 +49,6 @@ class PauliFrame:
         self.a ^= a
         self.b ^= b
 
-    def copy(self) -> "PauliFrame":
-        return PauliFrame(self.n, self.a, self.b)
-
 
 def _pack(mask: np.ndarray) -> int:
     """The integer whose bit j is mask[j]."""

@@ -225,15 +225,18 @@ class Family15:
         self.prop = TPropagator(self.table)
         self.t_update: TGateUpdate = build_t_gate_update(self.table)
 
-        # Recovery vector of every X label, spanned by a linear section:
-        # vectors r_k with label_x(r_k) = e_k.
+        # Recovery vector of every X label, spanned by a linear section: the
+        # first vector r_k with label_x(r_k) = e_k. Any section serves: a
+        # trial reads the recovered X part only through its label,
+        # x_labels[frame.a], which the label map's linearity makes the same
+        # for every section, and propagate_through_t then replaces it by
+        # that label's representative.
         section = []
         for k in range(lay_t.alpha_bits):
-            rhs = [1 if i == k else 0 for i in range(len(rows_dot_t))]
-            x = f2.solve_linear(list(rows_dot_t), rhs, N_QUBITS)
-            if x is None:
+            hits = np.flatnonzero(self.t_stage.x_labels == 1 << k)
+            if not len(hits):
                 raise AssertionError("label map is not surjective")
-            section.append(x)
+            section.append(int(hits[0]))
         self._recovery = f2.enumerate_span(section, N_QUBITS).tolist()
 
     def recovery_vector(self, alpha: int) -> int:

@@ -14,8 +14,8 @@ settings.load_profile("dccsim")
 @pytest.fixture
 def truncation_fallbacks(monkeypatch):
     """One entry per sparse measure, in call order: True where its selection
-    could not decide which grid entries truncation keeps, so the grid of
-    every label was built and truncated by the rule."""
+    could not decide which grid entries truncation keeps, so measure ran
+    the split, the syndrome and truncate as written."""
     select = SparseLikelihood._select
     outcomes = []
 

@@ -221,6 +221,23 @@ class TestBuildVerify:
         assert f": {field}" in captured.err
         assert "PASS" not in captured.out
 
+    @pytest.mark.parametrize("field, value", [
+        pytest.param("t", 1.0, id="t-float"),
+        pytest.param("t", True, id="t-true"),
+        pytest.param("n", True, id="n-true"),
+    ])
+    def test_non_integer_count_exits_4(self, t1_code_json, tmp_path, capsys, field, value):
+        # t = 1.0 and t = true used to pass every check, the first printing
+        # "odd dual vector of weight 3.0"; n = true was blamed on a site list.
+        obj = copy.deepcopy(t1_code_json["final"])
+        obj[field] = value
+        out = tmp_path / "code.json"
+        out.write_text(json.dumps(obj))
+        assert run(["verify", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f": {field} must be an integer, got {value!r}" in captured.err
+        assert "PASS" not in captured.out
+
     @pytest.mark.parametrize("field", ["A", "B", "C", "distance_witness"])
     @pytest.mark.parametrize("text", ["0xaa", " aaa", "-aaa", "a_aa", "aaab"])
     def test_malformed_hex_row_exits_4(self, tmp_path, capsys, field, text):

@@ -50,14 +50,14 @@ class TestMakeCode:
         code = make_code(s, s)
         assert code.is_regular
         assert oracles.distance(code, 3) == 3
-        assert code.coset_map.c == 8  # n + 1
+        assert code.coset_map.alpha_bits + code.coset_map.beta_bits == 8  # n + 1
 
     def test_fifteen_qubit_t_code(self):
         t_space, c_space, g_space = fifteen_qubit_spaces()
         code = make_code(t_space, t_space.dot_space())
         assert code.is_regular
         assert oracles.distance(code, 3) == 3
-        assert code.coset_map.c == 16
+        assert code.coset_map.alpha_bits + code.coset_map.beta_bits == 16
 
     def test_base_code_is_subsystem(self):
         t_space, c_space, _ = fifteen_qubit_spaces()
@@ -65,7 +65,7 @@ class TestMakeCode:
         assert not code.is_regular
         assert code.dot_b.contains_subspace(code.a_space)
         assert oracles.distance(code, 3) == 3
-        assert code.coset_map.c == 2 + t_space.dim + c_space.dim
+        assert code.coset_map.alpha_bits + code.coset_map.beta_bits == 2 + t_space.dim + c_space.dim
 
     def test_rejects_even_n(self):
         s = Subspace(4, [0b0011])

@@ -200,7 +200,7 @@ class TestDepolarizingTransform:
         code = make_code(s, s)
         cm = code.coset_map
         p = 0.07
-        dist = np.zeros(1 << cm.c)
+        dist = np.zeros(1 << (cm.alpha_bits + cm.beta_bits))
         for a in range(1 << 7):
             for b in range(1 << 7):
                 prob = 1.0
@@ -517,23 +517,21 @@ class TestFinalCoset:
 
 
 def truncated_by_rule(rho: SparseLikelihood, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Reference truncation: the labels sorted, zero weights dropped and the
-    rest divided by their maximum; keep (w / max) / T >= eps with T summed in
-    label order, and the first maximum."""
-    order = np.argsort(rho.labels, kind="stable")
-    labels, weights = rho.labels[order], rho.weights[order]
-    labels, weights = labels[weights > 0.0], weights[weights > 0.0]
-    weights = weights / weights.max()
+    """Reference truncation of an engine state (labels sorted and unique,
+    weights positive with maximum 1): keep w / T >= eps with T summed in label
+    order, and the first maximum."""
+    labels, weights = rho.labels, rho.weights
+    assert np.all(labels[1:] > labels[:-1]) and weights.min() > 0.0 and weights.max() == 1.0
     keep = weights / weights.sum() >= eps
     keep[np.argmax(weights)] = True
-    return labels[keep], weights[keep] / weights[keep].max()
+    return labels[keep], weights[keep]
 
 
 class TestTruncate:
     def test_keeps_entries_above_cutoff(self):
         layout = LabelLayout(3, 0)
         rho = SparseLikelihood(
-            layout, np.arange(4, dtype=np.uint32), np.array([0.4, 0.3, 0.2, 0.1])
+            layout, np.arange(4, dtype=np.uint32), np.array([1.0, 0.75, 0.5, 0.25])
         )
         rho.truncate(1e-6)
         assert rho.support_size() == 4
@@ -541,7 +539,7 @@ class TestTruncate:
     def test_drops_tiny_entries_never_max(self):
         layout = LabelLayout(3, 0)
         rho = SparseLikelihood(
-            layout, np.arange(3, dtype=np.uint32), np.array([0.999999, 1e-9, 5e-10])
+            layout, np.arange(3, dtype=np.uint32), np.array([1.0, 1e-9, 5e-10])
         )
         rho.truncate(1e-6)
         assert rho.support_size() == 1
@@ -551,6 +549,7 @@ class TestTruncate:
         rng = np.random.default_rng(11)
         layout = LabelLayout(8, 0)
         weights = rng.random(200)
+        weights /= weights.max()
         rho = SparseLikelihood(layout, np.arange(200, dtype=np.uint32), weights.copy())
         eps = 1e-3
         total = weights.sum()
@@ -558,20 +557,20 @@ class TestTruncate:
         kept = weights[weights / total >= eps].sum()
         assert total - kept <= eps * total * 200
 
-    @pytest.mark.parametrize("labels, weights, eps", [
-        pytest.param([6, 2], [1.0, 1.0], 0.5, id="tie-at-the-cut"),
-        pytest.param([6, 4, 2], [0.5, 1.0, 1.0], 0.9, id="eps-above-every-probability"),
-        pytest.param([6, 2, 4], [1e-310, 3e-310, 0.0], 0.25, id="subnormal-cut"),
-        pytest.param([6, 2, 4], [0.5, 1.0, 0.25], 5e-324, id="subnormal-eps"),
-        pytest.param([6, 2, 4], [0.5, 0.0, 0.25], 0.0, id="eps-zero-drops-zeros"),
-        pytest.param([6, 2, 4], [0.5, 0.0, 0.25], 0.2, id="unscaled"),
-        pytest.param([6, 2, 4], [1.0, -0.5, 0.5], 0.4, id="negative-weight"),
+    @pytest.mark.parametrize("labels, weights, eps, kept", [
+        pytest.param([2, 6], [1.0, 1.0], 0.5, [2, 6], id="tie-at-the-cut"),
+        pytest.param([2, 4, 6], [1.0, 1.0, 0.5], 0.9, [2], id="eps-above-every-probability"),
+        pytest.param([2, 4, 6], [1.0, 0.25, 0.5], 5e-324, [2, 4, 6], id="subnormal-eps"),
+        pytest.param([2, 4, 6], [1.0, 0.25, 0.5], 0.0, [2, 4, 6], id="eps-zero"),
     ])
-    def test_unsorted_entries_follow_the_rule(self, labels, weights, eps):
+    def test_unsorted_entries_follow_the_rule(self, labels, weights, eps, kept):
+        """truncate on engine states: labels sorted and unique, weights
+        positive with maximum 1."""
         rho = SparseLikelihood(LabelLayout(3, 0), np.array(labels, dtype=np.uint32),
                                np.array(weights))
         expected_labels, expected_weights = truncated_by_rule(rho, eps)
         rho.truncate(eps)
+        assert rho.labels.tolist() == kept
         assert np.array_equal(rho.labels, expected_labels)
         assert np.array_equal(rho.weights, expected_weights)
 
@@ -1093,6 +1092,7 @@ class TestMeasureEqualsThreeSteps:
         steps, fused = self.three_steps_and_measure(dmap, smap, [6, 2, 4], weights, observed, q,
                                                     eps)
         assert truncation_fallbacks == [falls_back]
+        assert fused.layout == steps.layout
         assert fused.labels.tobytes() == steps.labels.tobytes()
         assert fused.weights.tobytes() == steps.weights.tobytes()
 

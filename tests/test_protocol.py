@@ -183,7 +183,7 @@ class TestSyndromeTest:
             action = CLIFFORD_CLASSES[int(rng.integers(0, 6))]
             frame = PauliFrame(15, int(rng.integers(0, 1 << 15)), int(rng.integers(0, 1 << 15)))
             c_bits = fam.ideal_c_syndromes(frame)
-            after = frame.copy()
+            after = dataclasses.replace(frame)
             action.apply_frame(after)
             t_bits = fam.ideal_t_syndromes(after)
             assert syndrome_test(fam, c_bits, t_bits, action)
