@@ -4,6 +4,9 @@ A code is the pair (A, B) of GF(2) subspaces on an odd number of qubits with
 A and B orthogonal and all generators of even weight. X-stabilizers come from
 A, Z-stabilizers from B; the gauge group is generated by dot(B) (X side) and
 dot(A) (Z side), and X_L = X(1...1), Z_L = Z(1...1) are the logical operators.
+The code is regular, B = dot(A) and A = dot(B), exactly when
+dim A + dim B = n - 1 (SubsystemCode.is_regular), so no dot space is built
+to decide it.
 
 Pauli errors X(a)Z(b) are tracked modulo the gauge group through packed coset
 labels (matB.a in the low bits, matA.b above them), where matA and matB
@@ -164,19 +167,16 @@ class SubsystemCode:
         self.b_space = b_space
         self.coset_map = coset_map
 
-    @cached_property
-    def dot_a(self) -> Subspace:
-        """Z-type gauge generators."""
-        return self.a_space.dot_space()
-
-    @cached_property
-    def dot_b(self) -> Subspace:
-        """X-type gauge generators."""
-        return self.b_space.dot_space()
-
     @property
     def is_regular(self) -> bool:
-        return self.a_space == self.dot_b
+        """Whether B = dot(A), which holds iff A = dot(B), by counting.
+
+        1-bar is odd and A is even, so dot(A) = (A + <1>)-perp has dimension
+        n - 1 - dim A; make_code has placed B, even and orthogonal to A,
+        inside it. So B = dot(A) iff dim A + dim B = n - 1, and by symmetry
+        the same count says A = dot(B).
+        """
+        return self.a_space.dim + self.b_space.dim == self.n - 1
 
 
 def make_code(
@@ -233,7 +233,7 @@ def verify_transversality(
     if witness.m % 2 == 0:
         return False
     if gate == "T":
-        if witness.order != 8 or code.b_space != code.dot_a:
+        if witness.order != 8 or not code.is_regular:
             return False
         return check_evenness(code.a_space, witness)
     if witness.order != 4 or not code.b_space.contains_subspace(code.a_space):

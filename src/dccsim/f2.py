@@ -251,9 +251,6 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(b) for b in other.basis)
 
-    def __le__(self, other: "Subspace") -> bool:
-        return other.contains_subspace(self)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Subspace)

@@ -36,8 +36,7 @@ def _site_class(site: Site) -> int:
 
 @dataclass(frozen=True)
 class Face:
-    center: Site
-    cycle: tuple[int, ...]   # site indices in cyclic order around the center
+    cycle: tuple[int, ...]   # site indices in cyclic order around the face's center
     bits: int
 
 
@@ -119,7 +118,7 @@ def build_lattice(t: int) -> ColorLattice:
             if min(nb) >= 0 and nb in index:
                 cycle.append(index[nb])
         bits = f2.vector_from_support(cycle)
-        faces.append(Face(center=c, cycle=tuple(cycle), bits=bits))
+        faces.append(Face(cycle=tuple(cycle), bits=bits))
     edge_set = set()
     for face in faces:
         cyc = face.cycle

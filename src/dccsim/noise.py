@@ -41,7 +41,6 @@ from .csscode import CleanabilityTable
 class PauliFrame:
     """Accumulated Pauli error: X on support(a), Z on support(b)."""
 
-    n: int
     a: int = 0
     b: int = 0
 

@@ -293,7 +293,7 @@ def logical_error_test(final_label: int, frame_label: int, stage: StageContext) 
 def run_trial(config: ProtocolConfig, trial_index: int, observer=None) -> TrialResult:
     fam = family15()
     rng = np.random.default_rng([config.seed, trial_index])
-    frame = PauliFrame(N_QUBITS)
+    frame = PauliFrame()
     rho = init_likelihood(fam.t_stage.layout, config.decoder)
     mem = rho.memory_input(fam.base_stage.code.coset_map, config.p)
 

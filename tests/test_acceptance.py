@@ -250,7 +250,7 @@ def test_c13_single_fault_completeness(fam):
     # that touch double edges, fails the pair test under every gate class.
     for action in CLIFFORD_CLASSES:
         for j in range(14):
-            frame = PauliFrame(15, a=1 << j)
+            frame = PauliFrame(a=1 << j)
             ok = ok and not syndrome_test(fam, 0, fam.ideal_t_syndromes(frame), action)
     # Every single measurement flip among the contributing bits fails: the 9
     # edge bits (any gate class), and all 12 square-face bits under a class
@@ -264,7 +264,7 @@ def test_c13_single_fault_completeness(fam):
             ok = ok and not syndrome_test(fam, 1 << idx, 0, full_mix)
     # The final-block qubit touches no edge; its X fault is invisible to the
     # pair test (caught by later face measurements).
-    ok = ok and fam.ideal_t_syndromes(PauliFrame(15, a=1 << 14)) == 0
+    ok = ok and fam.ideal_t_syndromes(PauliFrame(a=1 << 14)) == 0
     report(13, "single-fault completeness of the syndrome test (21 bits + 14 qubits)", ok)
 
 

@@ -225,18 +225,46 @@ class TestBuildVerify:
         pytest.param("t", 1.0, id="t-float"),
         pytest.param("t", True, id="t-true"),
         pytest.param("n", True, id="n-true"),
+        pytest.param("witness.order", 8.0, id="witness-order-float"),
+        pytest.param("c_witness.order", 4.0, id="c_witness-order-float"),
+        pytest.param("witness.order", True, id="witness-order-true"),
     ])
     def test_non_integer_count_exits_4(self, t1_code_json, tmp_path, capsys, field, value):
         # t = 1.0 and t = true used to pass every check, the first printing
-        # "odd dual vector of weight 3.0"; n = true was blamed on a site list.
+        # "odd dual vector of weight 3.0", and so did a witness order 8.0;
+        # n = true was blamed on a site list.
         obj = copy.deepcopy(t1_code_json["final"])
-        obj[field] = value
+        *owner, key = field.split(".")
+        (obj[owner[0]] if owner else obj)[key] = value
         out = tmp_path / "code.json"
         out.write_text(json.dumps(obj))
         assert run(["verify", str(out)]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert f": {field} must be an integer, got {value!r}" in captured.err
         assert "PASS" not in captured.out
+
+    @pytest.mark.parametrize("stage", ["doubled", "final"])
+    def test_open_chain_fails(self, t1_code_json, tmp_path, capsys, stage):
+        # B is C plus all but one of dot(A)'s dimensions: a proper subspace
+        # of dot(A) that holds C. make_code accepts (A, B), and the chain
+        # check fails on the count dim A + dim B < n - 1.
+        obj = copy.deepcopy(t1_code_json[stage])
+        n = obj["n"]
+        dot_t = [f2.hex_to_row(row, n) for row in obj["B"]]
+        rows = [f2.hex_to_row(row, n) for row in obj["C"]]
+        for row in dot_t:
+            if f2.Subspace(n, rows + [row]).dim < len(dot_t):
+                rows.append(row)
+        obj["B"] = [f2.row_to_hex(row, n) for row in f2.Subspace(n, rows).basis]
+        out = tmp_path / "code.json"
+        out.write_text(json.dumps(obj))
+        assert run(["verify", str(out)]) == EXIT_VERIFY
+        assert [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")] == [
+            "FAIL  dot space closes the chain",
+            "FAIL  generator list spans the dot space",
+            "FAIL  transversal T conditions",
+            "FAIL  cleanable cosets = 996",
+        ]
 
     @pytest.mark.parametrize("field", ["A", "B", "C", "distance_witness"])
     @pytest.mark.parametrize("text", ["0xaa", " aaa", "-aaa", "a_aa", "aaab"])

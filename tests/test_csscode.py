@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 
 import numpy as np
@@ -63,7 +65,7 @@ class TestMakeCode:
         t_space, c_space, _ = fifteen_qubit_spaces()
         code = make_code(t_space, c_space)
         assert not code.is_regular
-        assert code.dot_b.contains_subspace(code.a_space)
+        assert code.b_space.dot_space().contains_subspace(code.a_space)
         assert oracles.distance(code, 3) == 3
         assert code.coset_map.alpha_bits + code.coset_map.beta_bits == 2 + t_space.dim + c_space.dim
 
@@ -95,12 +97,31 @@ class TestMakeCode:
         with pytest.raises(CodeConstructionError, match="mat_a rows"):
             make_code(s, s, mat_a=s.basis)
 
+    def test_regular_is_a_dimension_count(self):
+        # Even A and B inside dot(A) on odd n: B = dot(A) iff A = dot(B) iff
+        # dim A + dim B = n - 1. B is drawn from dim dot(A) - 1 or dim dot(A)
+        # random combinations of dot(A)'s basis, so both outcomes occur.
+        rng = random.Random(23)
+        outcomes = set()
+        for _ in range(300):
+            n = rng.choice([1, 3, 5, 7, 9, 11])
+            rows = [v ^ (v.bit_count() & 1) for v in (rng.getrandbits(n) for _ in range(rng.randrange(n)))]
+            a_space = Subspace(n, rows)
+            dot_a = a_space.dot_space()
+            picks = dot_a.dim - rng.randrange(2)
+            combos = ([r for r in dot_a.basis if rng.getrandbits(1)] for _ in range(picks))
+            b_space = Subspace(n, [functools.reduce(operator.xor, combo, 0) for combo in combos])
+            code = make_code(a_space, b_space)
+            assert code.is_regular == (b_space == dot_a) == (a_space == b_space.dot_space())
+            outcomes.add(code.is_regular)
+        assert outcomes == {False, True}
+
     def test_regular_gauge_spaces(self):
         t_space, c_space, _ = fifteen_qubit_spaces()
         for a in (steane_space(), t_space, c_space):
             code = make_code(a, a.dot_space())
-            assert code.dot_b == code.a_space
-            assert code.dot_a == code.b_space
+            assert code.b_space.dot_space() == code.a_space
+            assert code.a_space.dot_space() == code.b_space
 
 
 class TestDotDecomposition:
@@ -120,9 +141,11 @@ class TestCosetLabels:
         t_space, c_space, _ = fifteen_qubit_spaces()
         code = make_code(t_space, c_space)
         rng = random.Random(0)
+        gauge_x = code.b_space.dot_space().element_array().tolist()
+        gauge_z = code.a_space.dot_space().element_array().tolist()
         for _ in range(50):
-            a = rng.choice(code.dot_b.element_array().tolist())
-            b = rng.choice(code.dot_a.element_array().tolist())
+            a = rng.choice(gauge_x)
+            b = rng.choice(gauge_z)
             assert code.coset_map.label(a, b) == 0
 
     def test_logical_x_label_nonzero(self):
@@ -145,11 +168,12 @@ class TestCosetLabels:
         t_space, c_space, _ = fifteen_qubit_spaces()
         code = make_code(t_space, c_space)
         rng = random.Random(1)
+        gauge_x, gauge_z = code.b_space.dot_space(), code.a_space.dot_space()
         for _ in range(200):
             a1, b1 = rng.getrandbits(15), rng.getrandbits(15)
             a2, b2 = rng.getrandbits(15), rng.getrandbits(15)
             same = code.coset_map.label(a1, b1) == code.coset_map.label(a2, b2)
-            in_gauge = (a1 ^ a2) in code.dot_b and (b1 ^ b2) in code.dot_a
+            in_gauge = (a1 ^ a2) in gauge_x and (b1 ^ b2) in gauge_z
             assert same == in_gauge
 
 

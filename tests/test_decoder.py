@@ -369,7 +369,7 @@ class TestDeform:
         rng = np.random.default_rng(24)
         base = fam.base_stage
         for _ in range(200):
-            frame = PauliFrame(15, int(rng.integers(0, 1 << 15)), int(rng.integers(0, 1 << 15)))
+            frame = PauliFrame(int(rng.integers(0, 1 << 15)), int(rng.integers(0, 1 << 15)))
             base_label = base.frame_label(frame)
             assert fam.t_to_base.dense_index[fam.t_stage.frame_label(frame)] == base_label
             assert fam.c_to_base.dense_index[fam.c_stage.frame_label(frame)] == base_label

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from dccsim import noise
-from dccsim.csscode import build_cleanability_table, make_code
+from dccsim import f2, noise
+from dccsim.csscode import EvennessWitness, build_cleanability_table, make_code, verify_transversality
 from dccsim.f2 import Subspace
 from dccsim.protocol import family15
 from dccsim.noise import (
@@ -100,17 +100,17 @@ class TestPackedDraws:
 
 class TestCliffordActions:
     def test_h_swaps(self):
-        frame = PauliFrame(5, a=0b00110, b=0b10001)
+        frame = PauliFrame(a=0b00110, b=0b10001)
         CLIFFORD_CLASSES[1].apply_frame(frame)
         assert (frame.a, frame.b) == (0b10001, 0b00110)
 
     def test_s_adds(self):
-        frame = PauliFrame(5, a=0b00110, b=0b10001)
+        frame = PauliFrame(a=0b00110, b=0b10001)
         CLIFFORD_CLASSES[2].apply_frame(frame)
         assert (frame.a, frame.b) == (0b00110, 0b10111)
 
     def test_identity(self):
-        frame = PauliFrame(5, a=0b1, b=0b10)
+        frame = PauliFrame(a=0b1, b=0b10)
         CLIFFORD_CLASSES[0].apply_frame(frame)
         assert (frame.a, frame.b) == (0b1, 0b10)
 
@@ -144,7 +144,7 @@ class TestCliffordActions:
         # Applying the action twice for order-2 elements restores the frame.
         rng = np.random.default_rng(5)
         for cls in CLIFFORD_CLASSES:
-            frame = PauliFrame(8, a=int(rng.integers(0, 256)), b=int(rng.integers(0, 256)))
+            frame = PauliFrame(a=int(rng.integers(0, 256)), b=int(rng.integers(0, 256)))
             orig = (frame.a, frame.b)
             order = {"I": 1, "H": 2, "S": 2, "HSH": 2, "HS": 3, "SH": 3}[cls.name]
             for _ in range(order):
@@ -204,7 +204,7 @@ class TestPropagation:
         dist = oracles.p_f_given_e(propagator, 0)
         assert dist == {0: 1.0}
         rng = np.random.default_rng(6)
-        frame = PauliFrame(15)
+        frame = PauliFrame()
         propagate_through_t(frame, propagator, 0, rng)
         assert (frame.a, frame.b) == (0, 0)
 
@@ -228,7 +228,7 @@ class TestPropagation:
         # the Z coset label.
         rng = np.random.default_rng(7)
         for v in t_code.a_space.element_array().tolist():
-            frame = PauliFrame(15, a=v, b=0)
+            frame = PauliFrame(a=v, b=0)
             propagate_through_t(frame, propagator, t_code.coset_map.label_x(v), rng)
             assert t_code.coset_map.label_x(frame.a) == 0
             assert t_code.coset_map.label_z(frame.b) == 0
@@ -256,7 +256,7 @@ class TestPropagation:
     def test_propagation_adds_z_inside_support_only(self, propagator):
         rng = np.random.default_rng(9)
         for alpha in list(sorted(propagator.table.cleanable))[:50]:
-            frame = PauliFrame(15, a=propagator.table.rep(alpha), b=0)
+            frame = PauliFrame(a=propagator.table.rep(alpha), b=0)
             label_before = propagator.table.code.coset_map.label_x(frame.a)
             propagate_through_t(frame, propagator, label_before, rng)
             assert propagator.table.code.coset_map.label_x(frame.a) == label_before
@@ -267,7 +267,7 @@ class TestPropagation:
         e = next(
             e for e in range(1 << 15) if t_code.coset_map.label_x(e) == bad
         )
-        frame = PauliFrame(15, a=e, b=0)
+        frame = PauliFrame(a=e, b=0)
         with pytest.raises(KeyError):
             propagate_through_t(frame, propagator, bad, np.random.default_rng(10))
         assert (frame.a, frame.b) == (e, 0)
@@ -311,14 +311,101 @@ class TestSignTerm:
             assert all(prop.sample_f(alpha, rng) in dist for _ in range(20))
 
 
+def t_gate_overlaps(prop: TPropagator, witness: EvennessWitness, alpha: int):
+    """The transversal T gate applied to code states, against P(f|e).
+
+    U is T on witness.plus and T-dagger on witness.minus; e is alpha's clean
+    representative. The inputs are |0>, |1>, |+> and |+i>, on the code
+    states of A + <1>. U X^e |psi> is a sum of the states Z^f X^e U |psi>
+    over f inside e. Two f that differ by an element of B inside e give
+    one state up to sign, and two that do not give orthogonal states: their
+    difference is not in A-perp, since e holds no odd vector of A-perp.
+
+    Returns, for each f inside e (row x holds the f whose restriction to e
+    is x), the squared overlap of U X^e |psi> with Z^f X^e U |psi>, one
+    column per input; the class marginal of oracles.p_f_given_e at f, its
+    sum over the f that differ from f by an element of B inside e; and the
+    number of those elements.
+    """
+    code = prop.table.code
+    n, e = code.n, prop.table.rep(alpha)
+    zero = list(oracles.elements(code.a_space))
+    states = np.array(zero + [v ^ ((1 << n) - 1) for v in zero], dtype=np.uint64)
+    amps = np.zeros((len(states), 4), dtype=complex)
+    amps[:len(zero), 0] = amps[len(zero):, 1] = len(zero) ** -0.5
+    amps[:, 2] = (amps[:, 0] + amps[:, 1]) / math.sqrt(2)
+    amps[:, 3] = (amps[:, 0] + 1j * amps[:, 1]) / math.sqrt(2)
+
+    def phase(v):
+        eighths = (np.bitwise_count(v & np.uint64(witness.plus)).astype(np.int64)
+                   - np.bitwise_count(v & np.uint64(witness.minus)))
+        return np.exp(0.25j * np.pi * eighths)
+
+    # <Z^f X^e U psi | U X^e psi> sums, over the basis states v of psi, the
+    # amplitude at v + e: psi(v) U(v + e) against (-1)^(f.(v+e)) psi(v) U(v).
+    moved = states ^ np.uint64(e)
+    positions = f2.support(e)
+    fs = f2.enumerate_span([1 << j for j in positions], n)
+    signs = 1 - 2 * (np.bitwise_count(fs[:, np.newaxis] & moved) & 1).astype(np.int64)
+    terms = np.abs(amps) ** 2 * (np.conj(phase(states)) * phase(moved))[:, np.newaxis]
+    overlaps = np.abs(signs @ terms) ** 2
+
+    b_elements = code.b_space.element_array()
+    b_inside_e = b_elements[(b_elements & np.uint64(((1 << n) - 1) ^ e)) == 0]
+    inside = [f2.restrict(int(b), positions) for b in b_inside_e]
+    dist = oracles.p_f_given_e(prop, alpha)
+    p_f = np.array([dist.get(int(f), 0.0) for f in fs])
+    marginals = sum(p_f[np.arange(len(fs)) ^ b] for b in inside)
+    return overlaps, marginals, len(inside)
+
+
+def t_gate_mismatches(prop: TPropagator, witness: EvennessWitness) -> list[int]:
+    """The cleanable cosets where the gate's class weights differ from P(f|e)'s
+    class marginals by more than 1e-12, after checking that U is a
+    transversal T and that each input's class weights sum to 1."""
+    assert verify_transversality(prop.table.code, "T", witness)
+    mismatched = []
+    for alpha in prop.table.cleanable:
+        overlaps, marginals, classes = t_gate_overlaps(prop, witness, alpha)
+        assert np.abs(overlaps.sum(axis=0) / classes - 1).max() <= 1e-12, f"alpha {alpha}"
+        if np.abs(overlaps - marginals[:, np.newaxis]).max() > 1e-12:
+            mismatched.append(alpha)
+    return mismatched
+
+
+class TestTGateOnCodeStates:
+    """P(f|e) is what the transversal T gate does to X^e on code states:
+    the Z errors' class weights in U X^e |psi> are P(f|e)'s class marginals."""
+
+    def test_protocol_t_code(self):
+        fam = family15()
+        assert len(fam.table.cleanable) == 996
+        assert t_gate_mismatches(fam.prop, fam.doubled.witness_t) == []
+
+    def test_code_with_the_sign_term(self):
+        # P(f|e) takes the sign of a radical vector g from |g|/2, but the gate
+        # gives (|g & M+| - |g & M-|)/2. The two differ where g meets M- in an
+        # odd number of sites: on cosets 5 and 6 here, and on no coset of the
+        # protocol's code. Every other coset agrees, coset 3 included, whose
+        # radical vector, inside M+, carries the -1 sign.
+        b_space = Subspace(5, [17, 18, 24])
+        prop = TPropagator(build_cleanability_table(make_code(b_space.dot_space(), b_space)))
+        witness = EvennessWitness.from_sites([0, 1, 2], [3, 4], 8)
+        assert prop.coset(3).radical == (0b11,) and prop.table.gamma_hat[:, 3].min() < 0
+        odd_on_minus = [alpha for alpha in prop.table.cleanable
+                        if any((g & witness.minus).bit_count() & 1 for g in prop.coset(alpha).radical)]
+        assert t_gate_mismatches(prop, witness) == odd_on_minus == [5, 6]
+
+
 class TestTwirls:
     def test_gauge_elements_never_change_labels(self, t_code):
         rng = np.random.default_rng(11)
         cm = t_code.coset_map
+        gauge_x, gauge_z = t_code.b_space.dot_space(), t_code.a_space.dot_space()
         for _ in range(10_000):
             a = int(rng.integers(0, 1 << 15))
             b = int(rng.integers(0, 1 << 15))
             label = cm.label(a, b)
-            ga = noise.random_element(t_code.dot_b, rng)
-            gb = noise.random_element(t_code.dot_a, rng)
+            ga = noise.random_element(gauge_x, rng)
+            gb = noise.random_element(gauge_z, rng)
             assert cm.label(a ^ ga, b ^ gb) == label

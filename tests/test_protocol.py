@@ -70,9 +70,9 @@ class TestFamilyWiring:
         # qubit-level measurement of the generators, on both codes. Both
         # sides are linear in the frame, so the 30 unit frames cover every
         # frame; random frames check that linearity.
-        units = [PauliFrame(15, 1 << j, 0) for j in range(15)] + [PauliFrame(15, 0, 1 << j) for j in range(15)]
+        units = [PauliFrame(1 << j, 0) for j in range(15)] + [PauliFrame(0, 1 << j) for j in range(15)]
         rng = np.random.default_rng(0)
-        randoms = [PauliFrame(15, int(rng.integers(0, 1 << 15)), int(rng.integers(0, 1 << 15)))
+        randoms = [PauliFrame(int(rng.integers(0, 1 << 15)), int(rng.integers(0, 1 << 15)))
                    for _ in range(100)]
         for frame in units + randoms:
             assert fam.ideal_c_syndromes(frame) == oracles.ideal_c_syndromes(fam, frame)
@@ -87,7 +87,7 @@ class TestFamilyWiring:
             parts = range(1 << 15)
             assert stage.x_labels.tolist() == [cm.label_x(a) for a in parts]
             assert stage.z_labels.tolist() == [cm.label_z(b) for b in parts]
-            assert [stage.frame_label(PauliFrame(15, a, a ^ 0x5A5A)) for a in parts[::97]] == \
+            assert [stage.frame_label(PauliFrame(a, a ^ 0x5A5A)) for a in parts[::97]] == \
                 [cm.label(a, a ^ 0x5A5A) for a in parts[::97]]
 
     def test_logical_labels_invisible_to_syndromes(self, fam):
@@ -105,10 +105,12 @@ class TestFamilyWiring:
     def test_gauge_equivalent_frames_share_labels(self, fam):
         rng = np.random.default_rng(1)
         code = fam.t_stage.code
+        gauge_x = code.b_space.dot_space().element_array().tolist()
+        gauge_z = code.a_space.dot_space().element_array().tolist()
         for _ in range(50):
             a, b = int(rng.integers(0, 1 << 15)), int(rng.integers(0, 1 << 15))
-            ga = rng.choice(code.dot_b.element_array().tolist())
-            gb = rng.choice(code.dot_a.element_array().tolist())
+            ga = rng.choice(gauge_x)
+            gb = rng.choice(gauge_z)
             assert code.coset_map.label(a, b) == code.coset_map.label(a ^ ga, b ^ gb)
 
 
@@ -163,7 +165,7 @@ class TestSyndromeTest:
         # all six Clifford classes.
         for action in CLIFFORD_CLASSES:
             for j in range(14):
-                frame = PauliFrame(15, a=1 << j, b=0)
+                frame = PauliFrame(a=1 << j, b=0)
                 t_bits = fam.ideal_t_syndromes(frame)
                 assert t_bits != 0
                 assert not syndrome_test(fam, 0, t_bits, action)
@@ -171,7 +173,7 @@ class TestSyndromeTest:
     def test_x_fault_on_final_qubit_invisible(self, fam):
         # The final-block qubit touches no double edge; the pair test cannot
         # see it (it is caught by later face measurements instead).
-        frame = PauliFrame(15, a=1 << 14, b=0)
+        frame = PauliFrame(a=1 << 14, b=0)
         assert fam.ideal_t_syndromes(frame) == 0
         assert syndrome_test(fam, 0, 0, IDENTITY)
 
@@ -181,7 +183,7 @@ class TestSyndromeTest:
         rng = np.random.default_rng(2)
         for _ in range(200):
             action = CLIFFORD_CLASSES[int(rng.integers(0, 6))]
-            frame = PauliFrame(15, int(rng.integers(0, 1 << 15)), int(rng.integers(0, 1 << 15)))
+            frame = PauliFrame(int(rng.integers(0, 1 << 15)), int(rng.integers(0, 1 << 15)))
             c_bits = fam.ideal_c_syndromes(frame)
             after = dataclasses.replace(frame)
             action.apply_frame(after)
@@ -194,7 +196,7 @@ class TestLogicalErrorTest:
         assert logical_error_test(0, 0, fam.t_stage)
 
     def test_pure_gauge_frame_passes(self, fam):
-        frame = PauliFrame(15, a=fam.t_stage.code.a_space.element_array().tolist()[0], b=0)
+        frame = PauliFrame(a=fam.t_stage.code.a_space.element_array().tolist()[0], b=0)
         assert fam.t_stage.frame_label(frame) == 0
 
     def test_logical_difference_fails(self, fam):
