@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
-import hashlib
 import json
 import os
 import sys
@@ -110,6 +108,8 @@ def _simulate_flags(parser: argparse.ArgumentParser, with_p: bool = True) -> Non
 # ---------------------------------------------------------------------------
 
 def cmd_build(args) -> int:
+    import hashlib
+
     t, stage = args.t, args.stage
     if not 1 <= t <= 4:
         raise UsageError("t must be between 1 and 4")
@@ -220,7 +220,7 @@ def cmd_verify(args) -> int:
     else:
         checks.append((f"distance within budget is {d} (expected {expected})", d == expected))
     if n == 15:  # 996 is the 15-qubit code's count; the next line checks regularity
-        cleanable = t_code.is_regular and len(build_cleanability_table(t_code).cleanable)
+        cleanable = t_code.is_regular and len(build_cleanability_table(t_code, w_t).cleanable)
         checks.append(("cleanable cosets = 996", cleanable == 996))
     for name, ok in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
@@ -345,6 +345,8 @@ def _write_rows(sink, configs, estimates) -> None:
     column) and threads (which changes no result), and each row's config
     hash in row order.
     """
+    import csv
+
     shared = configs[0].to_json()
     del shared["p"], shared["threads"]
     text = json.dumps(shared, sort_keys=True, separators=(",", ":"))

@@ -255,6 +255,7 @@ class CleanabilityTable:
     """
 
     code: SubsystemCode
+    witness: EvennessWitness  # the T gate's sites: T on M+, T-dagger on M-
     representative: dict[int, int]
 
     @property
@@ -277,8 +278,9 @@ class CleanabilityTable:
         """The T gate's Gamma, (2^beta_bits, 2^alpha_bits), read-only; the
         columns of non-cleanable alpha are zero.
 
-        Entry (beta, alpha) is (-1)^(|g|/2) when g = A^T beta & e(alpha) lies
-        in the radical of B_e = {b in B : b inside e}, and zero otherwise.
+        Entry (beta, alpha) is (-1)^((|g & M+| - |g & M-|)/2), over the
+        witness's sites, when g = A^T beta & e(alpha) lies in the radical of
+        B_e = {b in B : b inside e}, and zero otherwise.
         That radical test is the test g in B: A^T beta lies in A + <1>, which
         is orthogonal to B (make_code checks A against B, and B is even), and
         g agrees with A^T beta on e, so g is orthogonal to all of B_e. A g in
@@ -292,14 +294,17 @@ class CleanabilityTable:
         in_b = np.ones(g.shape, dtype=bool)
         for check in self.code.b_space.parity_checks:
             in_b &= (np.bitwise_count(g & np.uint64(check)) & 1) == 0
-        sign = np.where(np.bitwise_count(g) & 2, -1.0, 1.0)
+        # The uint8 difference wraps modulo 256, which keeps its bit 1.
+        plus, minus = np.uint64(self.witness.plus), np.uint64(self.witness.minus)
+        imbalance = np.bitwise_count(g & plus) - np.bitwise_count(g & minus)
+        sign = np.where(imbalance & 2, -1.0, 1.0)
         gamma = np.zeros((len(g), 1 << self.code.coset_map.alpha_bits), dtype=np.float64)
         gamma[:, alphas] = np.where(in_b, sign, 0.0)
         gamma.flags.writeable = False
         return gamma
 
 
-def build_cleanability_table(code: SubsystemCode) -> CleanabilityTable:
+def build_cleanability_table(code: SubsystemCode, witness: EvennessWitness) -> CleanabilityTable:
     """Scan all of F2^n, marking cosets of A that admit a clean representative.
 
     A vector e is clean when it contains no odd vector of A-perp: when no g
@@ -329,5 +334,5 @@ def build_cleanability_table(code: SubsystemCode) -> CleanabilityTable:
     order = np.argsort(weights, kind="stable")
     order = order[clean[order]]
     alphas, first = np.unique(labels[order], return_index=True)
-    return CleanabilityTable(code, dict(zip(alphas.tolist(), order[first].tolist())))
+    return CleanabilityTable(code, witness, dict(zip(alphas.tolist(), order[first].tolist())))
 

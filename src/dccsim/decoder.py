@@ -371,7 +371,7 @@ def _clamp_negatives(weights: np.ndarray, update: str) -> None:
     """Set the rounding-level negative weights a transform pair leaves to
     zero, in place; a weight below the negativity tolerance raises."""
     floor = weights.min()
-    if floor < -NEG_TOL * max(1.0, weights.max()):
+    if floor < 0.0 and floor < -NEG_TOL * max(1.0, weights.max()):
         raise NumericError(f"negative weight {floor} after {update}")
     np.maximum(weights, 0.0, out=weights)
 
@@ -479,7 +479,7 @@ class DenseLikelihood:
         # The projection zeroes the other columns, and fwht acts on each
         # column on its own, so only the cleanable columns are transformed.
         entries = update.cleanable_entries
-        block = self.weights[entries].reshape(update.cleanable_gamma_hat.shape)
+        block = self.weights.take(entries).reshape(update.cleanable_gamma_hat.shape)
         if not block.any():
             raise DegeneratePosteriorError("no weight on cleanable cosets")
         _t_transform(block, update.cleanable_gamma_hat)
@@ -509,15 +509,21 @@ class DenseLikelihood:
 class SparseLikelihood:
     """Likelihood vector with explicit support (label and weight arrays).
 
-    Every update leaves the labels sorted and unique, by one of two exact
-    rules. Memory and merge map labels onto one another: `_merge` sums them
-    with a 2^c bincount, which adds each label's weights in input order as a
-    stable sort and per-run sums would, and reads the labels back from its
-    positive bins (weights are never negative, so only an all-zero label
-    drops, as renormalization would drop it). Split, Clifford and recovery
-    map labels one to one: `_sort`, a stable radix argsort, only reorders
-    them; measure sorts only the grid entries it keeps. The other updates
-    keep the order, and every update leaves the weights positive at max 1.
+    The invariant: every update leaves sorted, unique uint32 labels and
+    positive weights of maximum exactly 1, and no update scans for what it
+    fixes. Labels stay in order by one of two exact rules. Memory and merge
+    map labels onto one another: `_merge` sums them with a 2^c bincount,
+    which adds each label's weights in input order as a stable sort and
+    per-run sums would, and keeps its positive bins (weights are never
+    negative, so only an all-zero label drops, as renormalization would
+    drop it), which it rescales with no scan for zeros. Split, Clifford and
+    recovery map labels one to one: `_sort`, a stable radix argsort, only
+    reorders them; measure sorts only the grid entries it keeps, and not at
+    all where the dropped bits are the top ones (its pattern-major grid is
+    then in order). The other updates keep the order; the T update reads
+    out its nonzero entries after the clamp, so positive ones. At max(w) = 1
+    with every w / 2^k normal the split's renormalization divides by powers
+    of two, exactly, and returns w: `_split_weights` skips it.
 
     measure's band. Write u = 2^-53, K = 2^k patterns, L narrow labels and
     N = K L grid entries, and let e be the exact product w hit miss of an
@@ -571,17 +577,23 @@ class SparseLikelihood:
 
     def _merge(self, labels: np.ndarray, weights: np.ndarray) -> None:
         sums = np.bincount(labels, weights=weights, minlength=self.layout.size)
-        kept = np.flatnonzero(sums > 0.0)
-        self.labels, self.weights = kept.astype(np.uint32), sums.take(kept)
+        kept = (sums > 0.0).nonzero()[0]
+        self._rescale(kept.astype(np.uint32), sums.take(kept))
+
+    def _rescale(self, labels: np.ndarray, weights: np.ndarray) -> None:
+        """Set the support to labels and positive weights, rescaled in place to max = 1."""
+        if len(labels) == 0:
+            raise DegeneratePosteriorError("all coset weights vanished")
+        weights /= weights.max()
+        self.labels, self.weights = labels, weights
 
     def _renormalize(self) -> None:
         """Drop zero weights and rescale to max = 1."""
-        if not self.weights.min(initial=np.inf) > 0.0:
-            keep = self.weights > 0.0
-            self.labels, self.weights = self.labels[keep], self.weights[keep]
-        if len(self.labels) == 0:
-            raise DegeneratePosteriorError("all coset weights vanished")
-        self.weights /= self.weights.max()
+        labels, weights = self.labels, self.weights
+        if not weights.min(initial=np.inf) > 0.0:
+            keep = weights > 0.0
+            labels, weights = labels[keep], weights[keep]
+        self._rescale(labels, weights)
 
     @staticmethod
     @lru_cache(maxsize=8)
@@ -601,7 +613,6 @@ class SparseLikelihood:
     def apply_memory(self, shifts: np.ndarray, shift_weights: np.ndarray) -> None:
         self._merge((self.labels[:, None] ^ shifts).reshape(-1),
                     (self.weights[:, None] * shift_weights).reshape(-1))
-        self._renormalize()
 
     def apply_syndrome(self, smap: SyndromeMap, observed: int, q: float) -> None:
         mismatch = np.bitwise_count(smap.table.take(self.labels) ^ np.uint32(observed))
@@ -616,12 +627,15 @@ class SparseLikelihood:
             return
         self.layout = dmap.new_layout
         self._merge(dmap.dense_index.take(self.labels), self.weights)
-        self._renormalize()
 
     def _split_weights(self, split: DeformationMap) -> None:
         """The split's renormalization, on the narrow weights: each of the
-        2^k wide labels of narrow label l gets w[l] / 2^k / max(w / 2^k)."""
-        self.weights = self.weights / len(split.split_tables[1])
+        2^k wide labels of narrow label l gets w[l] / 2^k / max(w / 2^k),
+        which is w[l] where max(w) = 1 and w / 2^k is normal (class docstring)."""
+        patterns = len(split.split_tables[1])
+        if self.weights.max() == 1.0 and self.weights.min() >= patterns * 2.0 ** -1022:
+            return
+        self.weights = self.weights / patterns
         self._renormalize()
 
     def _split_labels(self, split: DeformationMap) -> None:
@@ -651,7 +665,8 @@ class SparseLikelihood:
             return
         self.layout = split.new_layout
         self.labels, self.weights = kept
-        self._sort()
+        if split.run_shape[0] > 1:  # else the dropped bits are the top ones: sorted already
+            self._sort()
         self.weights /= self.weights.max()
 
     def _grid(self, tables: SplitSyndromeTables, syndromes: np.ndarray,
@@ -687,7 +702,7 @@ class SparseLikelihood:
         band = (2 * n + 14) * 2.0 ** -53
         low, high = cut * (1.0 - band), cut * (1.0 + band)
         bounds = w * tables.tops.take(syndromes)
-        rows = np.flatnonzero(bounds >= min(low, bounds.max() * (1.0 - band)))
+        rows = (bounds >= min(low, bounds.max() * (1.0 - band))).nonzero()[0]
         if len(rows) == len(w):  # every label, as often at high p: no gather
             rows = slice(None)
         labels, weights = self._grid(tables, syndromes, rows)
@@ -725,15 +740,17 @@ class SparseLikelihood:
             raise DegeneratePosteriorError("no weight on cleanable cosets")
         # One column per occupied cleanable alpha; fwht acts on each column
         # independently, exactly as on a single 2^beta_bits vector.
-        alphas, column = np.unique(alpha[keep], return_inverse=True)
+        alpha = alpha[keep]
+        alphas = np.unique(alpha)
         block = np.zeros((1 << lay.beta_bits, len(alphas)), dtype=np.float64)
-        block[self.labels[keep] >> np.uint32(lay.alpha_bits), column] = self.weights[keep]
-        _t_transform(block, update.gamma_hat[:, alphas])
-        # Row-major readout over (beta, ascending alpha) yields sorted labels.
+        rows = self.labels[keep] >> np.uint32(lay.alpha_bits)
+        block[rows, np.searchsorted(alphas, alpha)] = self.weights[keep]
+        _t_transform(block, update.gamma_hat.take(alphas, axis=1))
+        # Row-major readout over (beta, ascending alpha) yields sorted labels;
+        # the clamp leaves no negative weight, so the nonzero ones are positive.
         beta, column = np.nonzero(block)
-        self.labels = alphas[column] | (beta.astype(np.uint32) << np.uint32(lay.alpha_bits))
-        self.weights = block[beta, column]
-        self._renormalize()
+        self._rescale(alphas[column] | (beta.astype(np.uint32) << np.uint32(lay.alpha_bits)),
+                      block[beta, column])
 
     def truncate(self, eps: float) -> None:
         """Keep the labels whose probability w / T is at least eps, T summed

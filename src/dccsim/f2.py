@@ -357,10 +357,10 @@ def fwht(values: np.ndarray, axis: int = 0) -> np.ndarray:
     a = values.reshape(m, values.size // m)
     b = np.empty_like(a)
     half = m // 2
-    stage_views = [(src[0::2], src[1::2], dst[:half], dst[half:]) for src, dst in ((a, b), (b, a))]
+    views = (a[0::2], a[1::2], b[:half], b[half:]), (b[0::2], b[1::2], a[:half], a[half:])
     c = m.bit_length() - 1
     for s in range(c):
-        x, y, sums, diffs = stage_views[s & 1]
+        x, y, sums, diffs = views[s & 1]
         np.add(x, y, out=sums)
         np.subtract(x, y, out=diffs)
     if c & 1:

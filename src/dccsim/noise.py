@@ -15,10 +15,11 @@ representative e of its coset (a gauge-equivalent substitution, the one
 place the simulator edits the true error), then a vector f inside e is
 drawn from the distribution
 
-    P(f|e) = 2^-|e| * prod_a [1 + (-1)^(f.g^a + |g^a|/2)]
+    P(f|e) = 2^-|e| * prod_a [1 + (-1)^(f.g^a + (|g^a & M+| - |g^a & M-|)/2)]
 
 over a basis g^a of the radical of B_e = {b in B : b inside e}, and XORed
-into the Z part. The vectors inside e orthogonal to B_e are the restrictions
+into the Z part; the gate is T on the witness's sites M+ and T-dagger on
+its sites M-. The vectors inside e orthogonal to B_e are the restrictions
 to e of B-perp = A + <1> (B is even and A = dot(B)), the vectors
 g = A^T beta & e; the radical is those g in B, the nonzero entries of the T
 gate's Gamma in the column of e's coset.
@@ -164,7 +165,8 @@ class TPropagator:
         radical = f2.Subspace(self.table.code.n, members.tolist()).basis
         positions = f2.support(e)
         rows = [f2.restrict(g, positions) for g in radical]
-        rhs = [(g.bit_count() // 2) & 1 for g in radical]
+        w = self.table.witness
+        rhs = [(((g & w.plus).bit_count() - (g & w.minus).bit_count()) >> 1) & 1 for g in radical]
         particular = f2.solve_linear(rows, rhs, len(positions))
         if particular is None:
             raise AssertionError("propagation constraints are inconsistent")

@@ -221,7 +221,7 @@ class Family15:
                 if any((row & label).bit_count() & 1 for row in rnd.syndrome.rows):
                     raise AssertionError("a measured generator reads the logical qubit")
 
-        self.table: CleanabilityTable = build_cleanability_table(t_code)
+        self.table: CleanabilityTable = build_cleanability_table(t_code, doubled.witness_t)
         self.prop = TPropagator(self.table)
         self.t_update: TGateUpdate = build_t_gate_update(self.table)
 

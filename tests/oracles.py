@@ -20,7 +20,7 @@ import numpy as np
 from dccsim import f2
 from dccsim.codefamily import StageCodes
 from dccsim.csscode import EvennessWitness, SubsystemCode
-from dccsim.decoder import SparseLikelihood
+from dccsim.decoder import SparseLikelihood, TGateUpdate, _t_transform
 from dccsim.f2 import Subspace
 from dccsim.lattice import ColorLattice
 from dccsim.noise import CLIFFORD_CLASSES, CliffordAction, PauliFrame, TPropagator
@@ -230,7 +230,8 @@ def p_f_given_e(prop: TPropagator, alpha: int) -> dict[int, float]:
     cp = prop.coset(alpha)
     k = len(cp.positions)
     out: dict[int, float] = {}
-    r_loc = [(f2.restrict(g, cp.positions), (g.bit_count() // 2) & 1) for g in cp.radical]
+    w = prop.table.witness
+    r_loc = [(f2.restrict(g, cp.positions), (signed_overlap(w, g) // 2) & 1) for g in cp.radical]
     for x in range(1 << k):
         p = 2.0 ** -k
         for g, half in r_loc:
@@ -251,7 +252,7 @@ def p_f_given_e_charsum(prop: TPropagator, alpha: int) -> dict[int, float]:
         fvec = f2.embed(x, cp.positions)
         acc = 0.0
         for g in elements(sub):
-            acc += (-1.0) ** ((dot(fvec, g) + (g.bit_count() // 2)) % 2)
+            acc += (-1.0) ** ((dot(fvec, g) + signed_overlap(prop.table.witness, g) // 2) % 2)
         val = acc * 2.0 ** -k
         if abs(val) > 1e-15:
             out[fvec] = val
@@ -385,11 +386,42 @@ def fwht_direct(values: np.ndarray) -> np.ndarray:
     return out
 
 
+# T on all 15 sites, under which a radical vector's sign is (-1)^(|g|/2): a
+# transversal T of the test modules' 15-qubit T code (their own coordinates).
+T_ON_EVERY_SITE = EvennessWitness((1 << 15) - 1, 0, 8)
+
+
 def dense_weights(rho: SparseLikelihood) -> np.ndarray:
     """The sparse support written out over all 2^c labels."""
     out = np.zeros(rho.layout.size, dtype=np.float64)
     out[rho.labels] = rho.weights
     return out
+
+
+def split_weights(labels: np.ndarray, weights: np.ndarray,
+                  patterns: int) -> tuple[np.ndarray, np.ndarray]:
+    """The split's renormalization on the narrow support, as written: each
+    weight divided by the number of patterns, the vanished ones dropped and
+    the rest divided by their maximum."""
+    scaled = weights / patterns
+    keep = scaled > 0.0
+    return labels[keep], scaled[keep] / scaled[keep].max()
+
+
+def sparse_t_update_by_unique(labels: np.ndarray, weights: np.ndarray,
+                              update: TGateUpdate) -> tuple[np.ndarray, np.ndarray]:
+    """The sparse T update with its occupied cleanable columns found by
+    np.unique(..., return_inverse=True), then the engine's transform."""
+    lay = update.layout
+    alpha = labels & np.uint32((1 << lay.alpha_bits) - 1)
+    keep = update.cleanable_mask[alpha]
+    alphas, column = np.unique(alpha[keep], return_inverse=True)
+    block = np.zeros((1 << lay.beta_bits, len(alphas)), dtype=np.float64)
+    block[labels[keep] >> np.uint32(lay.alpha_bits), column] = weights[keep]
+    _t_transform(block, update.gamma_hat[:, alphas])
+    beta, column = np.nonzero(block)
+    out = block[beta, column]
+    return alphas[column] | (beta.astype(np.uint32) << np.uint32(lay.alpha_bits)), out / out.max()
 
 
 # ---------------------------------------------------------------------------

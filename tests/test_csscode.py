@@ -286,7 +286,7 @@ def t_code():
 
 @pytest.fixture(scope="module")
 def table(t_code):
-    return build_cleanability_table(t_code)
+    return build_cleanability_table(t_code, oracles.T_ON_EVERY_SITE)
 
 
 def superset_closure_table(code):
@@ -320,7 +320,7 @@ class TestCleanability:
         # vector of A-perp, so both scans give the same table.
         code = request.getfixturevalue(name)
         assert code.is_regular
-        table = build_cleanability_table(code)
+        table = build_cleanability_table(code, oracles.T_ON_EVERY_SITE)
         assert len(table.cleanable) == count
         assert table.representative == superset_closure_table(code)
 
@@ -374,5 +374,5 @@ class TestCleanability:
         t_space, c_space, _ = fifteen_qubit_spaces()
         base = make_code(t_space, c_space)
         with pytest.raises(CodeConstructionError):
-            build_cleanability_table(base)
+            build_cleanability_table(base, oracles.T_ON_EVERY_SITE)
 

@@ -19,7 +19,8 @@ from dccsim.decoder import (
     init_likelihood,
 )
 from dccsim.noise import CLIFFORD_CLASSES, PauliFrame
-from dccsim.protocol import family15
+from dccsim.protocol import family15, run_trial
+from dccsim.settings import ProtocolConfig
 
 
 def direct_memory_convolution(rho: np.ndarray, dist: np.ndarray) -> np.ndarray:
@@ -1218,3 +1219,139 @@ class TestCollisionRule:
         expected = self.added(dmap.new_layout.size, dmap.dense_index[rho.labels], rho.weights)
         rho.deform(dmap)
         assert np.array_equal(oracles.dense_weights(rho), expected)
+
+
+def assert_invariant(rho: SparseLikelihood, update: str) -> None:
+    """What every sparse update leaves: strictly increasing uint32 labels
+    inside the layout, finite positive weights, and a maximum of exactly 1."""
+    labels, weights = rho.labels, rho.weights
+    assert labels.dtype == np.uint32, update
+    assert (labels[1:] > labels[:-1]).all() and labels[-1] < rho.layout.size, update
+    assert np.isfinite(weights).all() and (weights > 0.0).all(), update
+    assert weights.max() == 1.0, update
+
+
+class TestSparseInvariant:
+    """Each cut in the sparse engine rests on the invariant: labels sorted
+    and unique, weights positive, maximum exactly 1. Every update is run on
+    random states and on the states a run's observer sees, and checked."""
+
+    @staticmethod
+    def random_states(fam, rng):
+        for stage in (fam.c_stage, fam.t_stage):
+            for size in (1, 25, 300):
+                labels = np.unique(rng.integers(0, stage.layout.size, size)).astype(np.uint32)
+                # Weights down to subnormals, so that the split divides.
+                weights = 10.0 ** rng.uniform(-320, 0, len(labels))
+                weights[rng.integers(len(labels))] = 1.0
+                yield stage.name, SparseLikelihood(stage.layout, labels, weights)
+
+    @staticmethod
+    def observed_states(p):
+        states = []
+
+        def observer(kind, stage, rho, frame):
+            states.append((stage.name, SparseLikelihood(rho.layout, rho.labels.copy(),
+                                                        rho.weights.copy())))
+
+        config = ProtocolConfig(p=p, trials=3, decoder="sparse", seed=0, max_gates=6)
+        for i in range(config.trials):
+            run_trial(config, i, observer)
+        return states
+
+    def check_updates(self, fam, name, rho, rng, p):
+        def run(update, step, state):
+            state = SparseLikelihood(state.layout, state.labels.copy(), state.weights.copy())
+            step(state)
+            assert_invariant(state, f"{update} after {name}")
+            return state
+
+        assert_invariant(rho, name)
+        rnd = next(r for r in fam.rounds if r.stage.name == name)
+        observed = int(rng.integers(1 << rnd.syndrome.width))
+        run("syndrome", lambda s: s.apply_syndrome(rnd.syndrome, observed, max(p, 0.01)), rho)
+        run("truncate", lambda s: s.truncate(1e-6), rho)
+        run("recovery", lambda s: s.choose_recovery(), rho)
+        if rho.layout.alpha_bits == rho.layout.beta_bits:
+            for action in CLIFFORD_CLASSES:
+                run(f"clifford {action.name}", lambda s: s.apply_clifford(action), rho)
+        if name == "t":
+            try:
+                run("T", lambda s: s.apply_t_gate(fam.t_update), rho)
+            except DegeneratePosteriorError:
+                pass
+        base = run("merge", lambda s: s.deform(rnd.merge), rho)
+        mem = SparseLikelihood.memory_input(fam.base_stage.code.coset_map, p)
+        base = run("memory", lambda s: s.apply_memory(*mem), base)
+        run("split", lambda s: s.deform(rnd.split), base)
+        for eps in (1e-6, 0.0):
+            run(f"measure eps={eps}",
+                lambda s: s.measure(rnd.split, rnd.syndrome, observed, max(p, 0.01), eps), base)
+
+    def test_random_states(self, fam, truncation_fallbacks):
+        rng = np.random.default_rng(26)
+        for name, rho in self.random_states(fam, rng):
+            self.check_updates(fam, name, rho, rng, 0.02)
+        # eps = 0 always runs the three steps; the other measures select.
+        assert truncation_fallbacks[1::2] == [True] * (len(truncation_fallbacks) // 2)
+        assert not all(truncation_fallbacks[0::2])
+
+    @pytest.mark.parametrize("p", [0.005, 0.02, 0.1])
+    def test_observer_points(self, fam, truncation_fallbacks, p):
+        states = self.observed_states(p)
+        truncation_fallbacks.clear()
+        rng = np.random.default_rng(int(p * 1000))
+        assert {name for name, _ in states} == {"c", "t"}
+        for name, rho in states:
+            self.check_updates(fam, name, rho, rng, p)
+        assert truncation_fallbacks[1::2] == [True] * len(states)
+        assert not all(truncation_fallbacks[0::2])
+
+
+class TestSplitWeights:
+    """The split returns the narrow weights unchanged where max(w) = 1 and
+    every w / 2^k is normal; otherwise it divides as written."""
+
+    @pytest.mark.parametrize("weights, divides", [
+        pytest.param([0.25, 1.0, 0.5], False, id="normal"),
+        pytest.param([1.0, 2.0 ** -1020], True, id="subnormal-quotient"),
+        pytest.param([1.0, np.nextafter(2.0 ** -1020, 1.0)], True, id="quotient-rounds"),
+        pytest.param([1.0, 5e-324], True, id="quotient-vanishes"),
+        pytest.param([0.5, 0.25, 0.125], True, id="max-below-one"),
+    ])
+    @pytest.mark.parametrize("split", ["base_to_c", "base_to_t"])
+    def test_matches_the_formula(self, fam, split, weights, divides):
+        dmap = getattr(fam, split)
+        labels, weights = np.array([2, 4, 6][:len(weights)], dtype=np.uint32), np.array(weights)
+        rho = SparseLikelihood(dmap.old_layout, labels.copy(), weights.copy())
+        before = rho.weights
+        rho._split_weights(dmap)
+        assert (rho.weights is not before) == divides
+        expected = oracles.split_weights(labels, weights, len(dmap.split_tables[1]))
+        assert rho.labels.tobytes() == expected[0].tobytes()
+        assert rho.weights.tobytes() == expected[1].tobytes()
+
+
+class TestTColumns:
+    """The T update's occupied columns, found without np.unique's inverse,
+    give the bytes of the update that finds them with it."""
+
+    @pytest.mark.parametrize("columns", [1, 4, 996])
+    def test_equal_unique_inverse(self, fam, columns):
+        update = fam.t_update
+        lay = update.layout
+        rng = np.random.default_rng(columns)
+        alphas = rng.choice(np.flatnonzero(update.cleanable_mask), columns, replace=False)
+        betas = rng.integers(0, 1 << lay.beta_bits, (3, columns))
+        labels = (betas << lay.alpha_bits) | alphas
+        # Non-cleanable labels, which the projection drops.
+        other = np.flatnonzero(~update.cleanable_mask)[:5]
+        labels = np.unique(np.concatenate([labels.reshape(-1), other])).astype(np.uint32)
+        weights = rng.random(len(labels))
+        weights[0] = 1.0
+        rho = SparseLikelihood(lay, labels.copy(), weights.copy())
+        rho.apply_t_gate(update)
+        expected = oracles.sparse_t_update_by_unique(labels, weights, update)
+        assert len(np.unique(rho.labels & np.uint32((1 << lay.alpha_bits) - 1))) <= columns
+        assert rho.labels.tobytes() == expected[0].tobytes()
+        assert rho.weights.tobytes() == expected[1].tobytes()

@@ -31,7 +31,7 @@ def t_code():
 
 @pytest.fixture(scope="module")
 def propagator(t_code):
-    return TPropagator(build_cleanability_table(t_code))
+    return TPropagator(build_cleanability_table(t_code, oracles.T_ON_EVERY_SITE))
 
 
 class TestErrorModel:
@@ -140,6 +140,26 @@ class TestCliffordActions:
         seen = {sample_clifford(rng).name for _ in range(500)}
         assert seen == {c.name for c in CLIFFORD_CLASSES}
 
+    def test_bits_are_the_named_unitarys_conjugation(self):
+        # A name is a matrix product, so its gates act right to left: HS is
+        # the unitary H S, which applies S first. The bits are those of
+        # U X U^dagger ~ X^p Z^q and U Z U^dagger ~ X^r Z^s, up to phase.
+        gates = {"I": np.eye(2), "H": np.array([[1, 1], [1, -1]]) / math.sqrt(2), "S": np.diag([1, 1j])}
+        x, z = np.array([[0, 1], [1, 0]]), np.diag([1, -1])
+        paulis = {(i, j): np.linalg.matrix_power(x, i) @ np.linalg.matrix_power(z, j)
+                  for i in (0, 1) for j in (0, 1)}
+
+        def bits(m):
+            # A unitary is a phase times the Pauli P exactly when |tr(P m)| = 2.
+            return [ij for ij, pauli in paulis.items() if abs(abs(np.trace(pauli @ m)) - 2) < 1e-12]
+
+        for cls in CLIFFORD_CLASSES:
+            u = np.eye(2)
+            for g in cls.name:
+                u = u @ gates[g]
+            assert bits(u @ x @ u.conj().T) == [(cls.p, cls.q)], cls.name
+            assert bits(u @ z @ u.conj().T) == [(cls.r, cls.s)], cls.name
+
     def test_conjugation_consistency(self):
         # Applying the action twice for order-2 elements restores the frame.
         rng = np.random.default_rng(5)
@@ -168,7 +188,7 @@ class TestPropagation:
         # Oracle independent of Gamma: B_e from B's elements inside e, and
         # its radical as the elements of B_e orthogonal to all of B_e.
         code = t_code if which == "doubled_steane" else family15().c_stage.code
-        propagator = TPropagator(build_cleanability_table(code))
+        propagator = TPropagator(build_cleanability_table(code, oracles.T_ON_EVERY_SITE))  # no sign is read
         b_elements = code.b_space.element_array()
         for alpha in sorted(propagator.table.cleanable):
             e = propagator.table.rep(alpha)
@@ -193,7 +213,7 @@ class TestPropagation:
                 assert abs(prod.get(k, 0.0) - char.get(k, 0.0)) <= 1e-12
 
     def test_cosets_are_built_on_first_use(self, t_code):
-        prop = TPropagator(build_cleanability_table(t_code))
+        prop = TPropagator(build_cleanability_table(t_code, oracles.T_ON_EVERY_SITE))
         assert prop._cosets == {}
         first = prop.coset(0)
         assert list(prop._cosets) == [0]
@@ -273,16 +293,20 @@ class TestPropagation:
         assert (frame.a, frame.b) == (e, 0)
 
 
+SIGN_TERM_B = Subspace(5, [17, 18, 24])
+SIGN_TERM_WITNESS = EvennessWitness.from_sites([0, 1, 2], [3, 4], 8)
+
+
 class TestSignTerm:
-    """The 5-qubit regular code B = <17, 18, 24>, A = dot(B) = <27>: unlike
-    the protocol's codes, some coset radicals hold a vector of weight 2 mod
-    4, so Gamma has -1 entries and some particular solutions are nonzero."""
+    """The 5-qubit regular code B = <17, 18, 24>, A = dot(B) = <27>, with T
+    on M+ = {0, 1, 2} and T-dagger on M- = {3, 4}: unlike the protocol's
+    codes, some coset radicals hold a vector of imbalance 2 mod 4, so Gamma
+    has -1 entries and some particular solutions are nonzero."""
 
     @pytest.fixture(scope="class")
     def prop(self):
-        b_space = Subspace(5, [17, 18, 24])
-        code = make_code(b_space.dot_space(), b_space)
-        return TPropagator(build_cleanability_table(code))
+        code = make_code(SIGN_TERM_B.dot_space(), SIGN_TERM_B)
+        return TPropagator(build_cleanability_table(code, SIGN_TERM_WITNESS))
 
     def test_code_carries_the_sign_term(self, prop):
         assert prop.table.code.a_space.basis == (27,)
@@ -304,7 +328,7 @@ class TestSignTerm:
             assert all(abs(prod[f] - char[f]) <= 1e-12 for f in prod)
 
     def test_samples_lie_in_the_support(self, prop):
-        # sample_f starts from the particular solution of f.g = |g|/2.
+        # sample_f starts from the particular solution of f.g = (|g & M+| - |g & M-|)/2.
         rng = np.random.default_rng(14)
         for alpha in sorted(prop.table.cleanable):
             dist = oracles.p_f_given_e(prop, alpha)
@@ -383,18 +407,22 @@ class TestTGateOnCodeStates:
         assert t_gate_mismatches(fam.prop, fam.doubled.witness_t) == []
 
     def test_code_with_the_sign_term(self):
-        # P(f|e) takes the sign of a radical vector g from |g|/2, but the gate
-        # gives (|g & M+| - |g & M-|)/2. The two differ where g meets M- in an
-        # odd number of sites: on cosets 5 and 6 here, and on no coset of the
-        # protocol's code. Every other coset agrees, coset 3 included, whose
-        # radical vector, inside M+, carries the -1 sign.
-        b_space = Subspace(5, [17, 18, 24])
-        prop = TPropagator(build_cleanability_table(make_code(b_space.dot_space(), b_space)))
-        witness = EvennessWitness.from_sites([0, 1, 2], [3, 4], 8)
+        # The gate gives a radical vector g the sign (|g & M+| - |g & M-|)/2,
+        # which differs from |g|/2 where g meets M- in an odd number of
+        # sites: on cosets 5 and 6 here, and on no coset of the protocol's
+        # code. A table built for T on every site takes |g|/2 and misses the
+        # gate there; the gate's own witness matches it on every coset,
+        # coset 3 included, whose radical vector, inside M+, carries the -1.
+        code = make_code(SIGN_TERM_B.dot_space(), SIGN_TERM_B)
+        witness = SIGN_TERM_WITNESS
+        prop = TPropagator(build_cleanability_table(code, witness))
         assert prop.coset(3).radical == (0b11,) and prop.table.gamma_hat[:, 3].min() < 0
         odd_on_minus = [alpha for alpha in prop.table.cleanable
                         if any((g & witness.minus).bit_count() & 1 for g in prop.coset(alpha).radical)]
-        assert t_gate_mismatches(prop, witness) == odd_on_minus == [5, 6]
+        assert odd_on_minus == [5, 6]
+        assert t_gate_mismatches(prop, witness) == []
+        everywhere = TPropagator(build_cleanability_table(code, EvennessWitness((1 << 5) - 1, 0, 8)))
+        assert t_gate_mismatches(everywhere, witness) == odd_on_minus
 
 
 class TestTwirls:

@@ -45,6 +45,13 @@ print(json.dumps(new))
 """
 
 
+CLI_IMPORT = """
+import json, sys
+import dccsim.cli
+print(json.dumps([name for name in ("hashlib", "csv") if name in sys.modules]))
+"""
+
+
 def run_fresh(code: str) -> object:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
@@ -68,3 +75,9 @@ def test_simulator_import_loads_what_it_runs():
                               "dccsim.settings"}
     assert "numpy" in new
     assert not {"json", "hashlib"} & set(new)
+
+
+def test_cli_import_loads_neither_hashlib_nor_csv():
+    # Only `build` hashes and only `simulate` writes CSV; each imports its
+    # module where it is used.
+    assert run_fresh(CLI_IMPORT) == []
