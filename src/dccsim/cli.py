@@ -219,8 +219,11 @@ def cmd_verify(args) -> int:
                        budget < expected))
     else:
         checks.append((f"distance within budget is {d} (expected {expected})", d == expected))
-    if n == 15:  # 996 is the 15-qubit code's count; the next line checks regularity
-        cleanable = t_code.is_regular and len(build_cleanability_table(t_code, w_t).cleanable)
+    if n == 15:  # 996 is the 15-qubit code's count
+        try:
+            cleanable = len(build_cleanability_table(t_code, w_t).cleanable)
+        except CodeConstructionError:  # not regular, or the witness leaves a site ungated
+            cleanable = 0
         checks.append(("cleanable cosets = 996", cleanable == 996))
     for name, ok in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {name}")

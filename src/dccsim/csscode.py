@@ -17,16 +17,18 @@ The code JSON that `build` writes and `verify` reads is laid out in
 dccsim.cli alone; a witness converts itself (EvennessWitness.to_json and
 from_json).
 
-Only the cleanability side uses numpy: build_cleanability_table (the 2^n
-scan) and CleanabilityTable.gamma_hat import it in their own bodies, and
-CleanabilityTable.at_beta gets its array from f2.enumerate_span. Codes,
-witnesses and the evenness and transversality checks run on Python ints.
+Only the tables use numpy: build_cleanability_table (the 2^n scan) and
+CleanabilityTable.gamma_hat import it in their own bodies, and the label
+tables (CosetMap.x_labels and z_labels, one per distinct row set, which the
+scan reads too) and CleanabilityTable.at_beta are read-only arrays from
+f2.enumerate_span. Codes, witnesses and the evenness and transversality
+checks run on Python ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterable, KeysView, Sequence
 
 from . import f2
@@ -127,7 +129,8 @@ class CosetMap:
 
     mat_b rows generate B+<1> and act on the X part a; mat_a rows generate
     A+<1> and act on the Z part b. label(a, b) packs mat_b.a into the low
-    len(mat_b) bits and mat_a.b above them.
+    len(mat_b) bits and mat_a.b above them. x_labels and z_labels tabulate
+    label_x and label_z over all of F2^n.
     """
 
     n: int
@@ -143,19 +146,34 @@ class CosetMap:
         return len(self.mat_a)
 
     def label_x(self, a: int) -> int:
-        out = 0
-        for i, row in enumerate(self.mat_b):
-            out |= ((row & a).bit_count() & 1) << i
-        return out
+        return _parities(self.mat_b, a)
 
     def label_z(self, b: int) -> int:
-        out = 0
-        for i, row in enumerate(self.mat_a):
-            out |= ((row & b).bit_count() & 1) << i
-        return out
+        return _parities(self.mat_a, b)
 
     def label(self, a: int, b: int) -> int:
         return self.label_x(a) | (self.label_z(b) << self.alpha_bits)
+
+    @cached_property
+    def x_labels(self) -> np.ndarray:
+        """label_x(a) for every a in F2^n, by value."""
+        return _label_table(self.mat_b, self.n)
+
+    @cached_property
+    def z_labels(self) -> np.ndarray:
+        """label_z(b) for every b in F2^n, by value."""
+        return _label_table(self.mat_a, self.n)
+
+
+def _parities(rows: tuple[int, ...], v: int) -> int:
+    """Bit i is the parity of rows[i] & v."""
+    return sum(((row & v).bit_count() & 1) << i for i, row in enumerate(rows))
+
+
+@lru_cache(maxsize=8)
+def _label_table(rows: tuple[int, ...], n: int) -> np.ndarray:
+    """_parities of every n-bit vector, by value: one table per row set."""
+    return f2.enumerate_span(f2.columns(rows, n), len(rows))
 
 
 class SubsystemCode:
@@ -270,7 +288,7 @@ class CleanabilityTable:
 
     @cached_property
     def at_beta(self) -> np.ndarray:
-        """A^T beta for every Z label beta: the elements of A + <1>."""
+        """A^T beta for every Z label beta: the elements of A + <1>, read-only."""
         return f2.enumerate_span(self.code.coset_map.mat_a, self.code.n)
 
     @cached_property
@@ -314,8 +332,9 @@ def build_cleanability_table(code: SubsystemCode, witness: EvennessWitness) -> C
     and closing the marks under subsets, one bit at a time (v without bit j
     inherits the mark of v with it), marks exactly the clean vectors. The
     vectors, in value order, are stably sorted by weight, so the first clean
-    vector of each label is its minimum-weight, smallest-pattern
-    representative.
+    vector of each label (the code's X-label table) is its minimum-weight,
+    smallest-pattern representative. P(f|e) models a gate on every site, so
+    a witness whose M+ and M- leave a site out is refused, by its sites.
     """
     import numpy as np
 
@@ -324,15 +343,15 @@ def build_cleanability_table(code: SubsystemCode, witness: EvennessWitness) -> C
         raise CodeConstructionError("cleanability table requires a regular code")
     if n > CLEANABILITY_QUBIT_LIMIT:
         raise CapacityError(f"cleanability scan over 2^{n} vectors is not supported")
+    if uncovered := ((1 << n) - 1) & ~(witness.plus | witness.minus):
+        raise CodeConstructionError(f"the T witness leaves sites {list(f2.support(uncovered))} ungated")
     clean = np.zeros(1 << n, dtype=bool)
     clean[code.a_space.element_array()] = True
     for j in range(n):
         halves = clean.reshape(-1, 2, 1 << j)
         halves[:, 0, :] |= halves[:, 1, :]
-    labels = f2.enumerate_span(f2.columns(code.coset_map.mat_b, n), n)
     weights = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
     order = np.argsort(weights, kind="stable")
     order = order[clean[order]]
-    alphas, first = np.unique(labels[order], return_index=True)
+    alphas, first = np.unique(code.coset_map.x_labels[order], return_index=True)
     return CleanabilityTable(code, witness, dict(zip(alphas.tolist(), order[first].tolist())))
-

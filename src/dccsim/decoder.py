@@ -59,7 +59,8 @@ with the same operations, in the same order, as the per-label form (a
 bincount over merged labels, a gather of split or syndrome factors, the
 full block), so the results are bit-identical to it.
 The sparse engine tracks an explicit support of sorted, unique labels. It
-gathers from 2^c lookup tables of the syndrome and deformation maps, so
+gathers from 2^c lookup tables of the syndrome, deformation and Clifford
+maps (each built once by f2.enumerate_span, and read-only), so
 each of its updates is a few whole-array operations over the support; its
 advantage is a support far smaller than 2^c. Within a round the support
 grows before truncation cuts it back: at p = 0.005 (mean, seed 0) 26 kept
@@ -118,24 +119,21 @@ class LabelLayout:
 
 @lru_cache(maxsize=64)
 def _clifford_image(layout: LabelLayout, action: CliffordAction) -> np.ndarray:
-    """Image v f of every label f under the Clifford relabeling v."""
+    """Image v f of every label f under the Clifford relabeling v: an X
+    label bit goes to (p, q) on the X and Z sides, a Z label bit to (r, s)."""
     if layout.alpha_bits != layout.beta_bits:
         raise ValueError("clifford relabeling needs matching alpha/beta widths")
-    labels = np.arange(layout.size, dtype=np.uint32)
-    alpha = labels & np.uint32((1 << layout.alpha_bits) - 1)
-    beta = labels >> np.uint32(layout.alpha_bits)
-    p, q, r, s = action.p, action.q, action.r, action.s
-    image = ((alpha * p) ^ (beta * r)) | (((alpha * q) ^ (beta * s)) << np.uint32(layout.alpha_bits))
-    image.flags.writeable = False
-    return image
+    shift = layout.alpha_bits
+    units = [(x | z << shift) << i for x, z in ((action.p, action.q), (action.r, action.s))
+             for i in range(shift)]
+    return f2.enumerate_span(units, layout.c)
 
 
 @lru_cache(maxsize=64)
 def _clifford_preimage(layout: LabelLayout, action: CliffordAction) -> np.ndarray:
-    """Label mapped onto each label by the Clifford relabeling: gathering
-    through it moves every weight to its image."""
-    preimage = np.empty(layout.size, dtype=np.intp)
-    preimage[_clifford_image(layout, action)] = np.arange(layout.size)
+    """Label mapped onto each label by the Clifford relabeling (the inverse
+    permutation, as intp): gathering through it moves every weight to its image."""
+    preimage = np.argsort(_clifford_image(layout, action))
     preimage.flags.writeable = False
     return preimage
 
@@ -146,7 +144,8 @@ class SyndromeMap:
 
     rows[i] is a mask over label bits; syndrome bit i is the parity of the
     masked label. Logical labels must map to zero (measurements never read
-    the encoded qubit).
+    the encoded qubit). The dense engine reads `read_table`, a view of
+    `table`.
     """
 
     rows: tuple[int, ...]
@@ -158,7 +157,8 @@ class SyndromeMap:
 
     @cached_property
     def table(self) -> np.ndarray:
-        return self._syndromes(np.arange(self.layout.size, dtype=np.uint32))
+        """The syndrome of every label, by value."""
+        return f2.enumerate_span(f2.columns(self.rows, self.layout.c), self.width)
 
     @cached_property
     def read_table(self) -> tuple[tuple[int, ...], np.ndarray]:
@@ -178,17 +178,8 @@ class SyndromeMap:
         bits = [(read >> k) & 1 for k in reversed(range(self.layout.c))]
         runs = [(is_read, len(list(run))) for is_read, run in itertools.groupby(bits)]
         shape = tuple(1 << length for _, length in runs)
-        labels = np.arange(self.layout.size, dtype=np.uint32).reshape(shape)
-        unread_zero = labels[tuple(slice(None) if is_read else slice(1) for is_read, _ in runs)]
-        syndromes = self._syndromes(unread_zero)
-        syndromes.flags.writeable = False
-        return shape, syndromes
-
-    def _syndromes(self, labels: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(labels)
-        for i, row in enumerate(self.rows):
-            out |= (np.bitwise_count(labels & np.uint32(row)) & np.uint32(1)) << np.uint32(i)
-        return out
+        unread_zero = tuple(slice(None) if is_read else slice(1) for is_read, _ in runs)
+        return shape, self.table.reshape(shape)[unread_zero]
 
 
 @lru_cache(maxsize=16)
@@ -256,20 +247,17 @@ class DeformationMap:
 
     @cached_property
     def dense_index(self) -> np.ndarray:
-        """Narrow label of every wide label: its kept bits, packed, i.e. the
-        narrow labels laid out as (2^high, 1, 2^low), broadcast over the
-        dropped axis."""
-        high, _, low = self.run_shape
-        narrow = np.arange(high * low, dtype=np.uint32).reshape(high, 1, low)
-        return np.broadcast_to(narrow, self.run_shape).reshape(-1)
+        """Narrow label of every wide label: its kept bits, packed."""
+        kept_bits = [1 << j for j in f2.support(self.kept)]
+        return f2.enumerate_span(f2.columns(kept_bits, self.wide.c), self.narrow.c)
 
     @cached_property
     def split_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """The wide label with zero dropped bits for every narrow label, and
-        the 2^k dropped-bit patterns: narrow label l splits into
+        the 2^k dropped-bit patterns, ascending: narrow label l splits into
         base[l] ^ patterns."""
-        wide = np.arange(self.wide.size, dtype=np.uint32).reshape(self.run_shape)
-        return wide[:, 0, :].reshape(-1), wide[0, :, 0]
+        return tuple(f2.enumerate_span([1 << j for j in f2.support(bits)], self.wide.c)
+                     for bits in (self.kept, self.dropped))
 
 
 @dataclass(frozen=True)
@@ -342,12 +330,15 @@ class TGateUpdate:
 
 def build_t_gate_update(table: CleanabilityTable) -> TGateUpdate:
     """The table's Gamma (CleanabilityTable.gamma_hat) with its cleanable
-    mask, on the label layout of the table's code."""
+    mask, on the label layout of the table's code; its arrays read-only."""
     cm = table.code.coset_map
     layout = LabelLayout(cm.alpha_bits, cm.beta_bits)
     mask = np.zeros(1 << layout.alpha_bits, dtype=bool)
     mask[list(table.cleanable)] = True
-    return TGateUpdate(layout=layout, cleanable_mask=mask, gamma_hat=table.gamma_hat)
+    update = TGateUpdate(layout=layout, cleanable_mask=mask, gamma_hat=table.gamma_hat)
+    for array in (mask, update.cleanable_entries, update.cleanable_gamma_hat):
+        array.flags.writeable = False
+    return update
 
 
 def transformed_depolarizing(coset_map, p: float) -> np.ndarray:

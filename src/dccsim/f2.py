@@ -10,6 +10,8 @@ loop over the set bits of a vector (x & -x) or over its pivot hits
 Only the array kernels use numpy, and each imports it in its own body:
 enumerate_span (and Subspace.element_array through it) and fwht. The rest
 runs on Python ints, so the offline commands load no numpy through f2.
+enumerate_span tabulates a linear map from its unit images: every label
+table in dccsim is built by it, once, and is read-only.
 """
 
 from __future__ import annotations
@@ -198,15 +200,17 @@ def xor_at_sites(cols: Sequence[int], x: int) -> int:
 
 
 def enumerate_span(rows: Sequence[int], n: int) -> np.ndarray:
-    """All 2^k elements of the span as a uint64 array (requires n <= 63).
-
-    Bit i of an element's index selects rows[i].
+    """All 2^k elements of the span of k rows of n bits, read-only, as
+    uint32 when n <= 32, else uint64 (n <= 64). Bit i of an element's index
+    selects rows[i]: the table of the linear map with these unit images.
     """
     import numpy as np
 
-    arr = np.zeros(1, dtype=np.uint64)
+    dtype = np.uint32 if n <= 32 else np.uint64
+    arr = np.zeros(1, dtype=dtype)
     for r in rows:
-        arr = np.concatenate([arr, arr ^ np.uint64(r)])
+        arr = np.concatenate([arr, arr ^ dtype(r)])
+    arr.flags.writeable = False
     return arr
 
 
@@ -275,9 +279,7 @@ class Subspace:
         return Subspace(self.n, nullspace(self.basis + (ones,), self.n))
 
     def element_array(self) -> np.ndarray:
-        """All 2^dim elements; bit i of an element's index selects basis[i]."""
-        if self.n > 63:
-            raise ValueError("element_array requires n <= 63")
+        """All 2^dim elements (enumerate_span of the basis)."""
         if self.dim > FULL_ENUM_DIM_LIMIT:
             raise ValueError(f"refusing to enumerate 2^{self.dim} elements")
         return enumerate_span(self.basis, self.n)

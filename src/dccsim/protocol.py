@@ -17,7 +17,8 @@ Both round kinds are stated once, as the `Round` records in
 plays each half of a pair through one round function, and `decode-trace`
 reads its stage graph (`stages`, `deformations`, `syndromes`) off the same
 records. The frame side reads them too: a round's ideal syndrome is its
-syndrome map read at the frame's label, and the pair test checks the
+syndrome map read at the frame's label, which is two lookups in the stage's
+coset-map label tables (csscode.CosetMap), and the pair test checks the
 parities of the two rounds' concatenated outcomes against masks built once
 from the C-round's syndrome layout and the faces' opposite-edge pairs.
 
@@ -38,8 +39,8 @@ import itertools
 import math
 import os
 import time
-from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,11 +73,8 @@ N_QUBITS = 15
 
 @dataclass(frozen=True)
 class StageContext:
-    """One code of the deformation cycle with its label bookkeeping.
-
-    x_labels[a] and z_labels[b] are the coset map's label_x(a) and
-    label_z(b) for every a and b on the 15 qubits, so a frame's label is
-    two lookups."""
+    """One code of the deformation cycle with its label bookkeeping. A
+    frame's label is two lookups, in the coset map's label tables."""
 
     name: str
     code: SubsystemCode
@@ -84,11 +82,10 @@ class StageContext:
     logical_x: int
     logical_z: int
     nontrivial_logical_labels: frozenset[int]
-    x_labels: np.ndarray = field(compare=False, repr=False)
-    z_labels: np.ndarray = field(compare=False, repr=False)
 
     def frame_label(self, frame: PauliFrame) -> int:
-        return int(self.x_labels[frame.a] | self.z_labels[frame.b] << self.layout.alpha_bits)
+        cm = self.code.coset_map
+        return int(cm.x_labels[frame.a] | cm.z_labels[frame.b] << self.layout.alpha_bits)
 
 
 def _express(rows: tuple[int, ...], target: int) -> int:
@@ -142,14 +139,6 @@ class Family15:
         base_code = make_code(t_space, c_space, mat_a=rows_t, mat_b=rows_c)
         c_code = make_code(c_space, c_space, mat_a=rows_c, mat_b=rows_c)
 
-        # The label of a vector under parity rows, for every vector: label_x
-        # reads mat_b and label_z mat_a, and the stages share their rows.
-        @cache
-        def label_table(rows: tuple[int, ...]) -> np.ndarray:
-            table = f2.enumerate_span(f2.columns(rows, N_QUBITS), N_QUBITS)
-            table.flags.writeable = False
-            return table
-
         def stage(name: str, code: SubsystemCode) -> StageContext:
             cm = code.coset_map
             logical_x, logical_z = cm.label(ones, 0), cm.label(0, ones)
@@ -160,8 +149,6 @@ class Family15:
                 logical_x=logical_x,
                 logical_z=logical_z,
                 nontrivial_logical_labels=frozenset({logical_x, logical_z, logical_x ^ logical_z}),
-                x_labels=label_table(cm.mat_b),
-                z_labels=label_table(cm.mat_a),
             )
 
         self.t_stage = stage("t", t_code)
@@ -226,17 +213,13 @@ class Family15:
         self.t_update: TGateUpdate = build_t_gate_update(self.table)
 
         # Recovery vector of every X label, spanned by a linear section: the
-        # first vector r_k with label_x(r_k) = e_k. Any section serves: a
-        # trial reads the recovered X part only through its label,
-        # x_labels[frame.a], which the label map's linearity makes the same
-        # for every section, and propagate_through_t then replaces it by
-        # that label's representative.
-        section = []
-        for k in range(lay_t.alpha_bits):
-            hits = np.flatnonzero(self.t_stage.x_labels == 1 << k)
-            if not len(hits):
-                raise AssertionError("label map is not surjective")
-            section.append(int(hits[0]))
+        # first vector r_k with label_x(r_k) = e_k (make_code checked mat_b to
+        # be a basis, so there is one). Any section serves: a trial reads the
+        # recovered X part only through its label, which the label map's
+        # linearity makes the same for every section, and
+        # propagate_through_t then replaces it by that label's representative.
+        x_labels = t_code.coset_map.x_labels
+        section = [int(np.argmax(x_labels == 1 << k)) for k in range(lay_t.alpha_bits)]
         self._recovery = f2.enumerate_span(section, N_QUBITS).tolist()
 
     def recovery_vector(self, alpha: int) -> int:
@@ -342,7 +325,7 @@ def run_trial(config: ProtocolConfig, trial_index: int, observer=None) -> TrialR
             consecutive_fails = 0
             alpha_star = rho.choose_recovery()
             frame.a ^= fam.recovery_vector(alpha_star)
-            alpha_res = int(fam.t_stage.x_labels[frame.a])
+            alpha_res = int(fam.t_stage.code.coset_map.x_labels[frame.a])
             if not fam.table.is_cleanable(alpha_res):
                 return TrialResult(gates, "cleanability_failure", retries, rounds)
             rho.apply_t_gate(fam.t_update)

@@ -154,6 +154,17 @@ class TestBuildVerify:
         assert run(["verify", str(out)]) == EXIT_VERIFY
         assert line in capsys.readouterr().out.splitlines()
 
+    def test_witness_leaving_a_site_ungated_fails_cleanability(self, t1_code_json, tmp_path, capsys):
+        # P(f|e) models a T gate on every site, so the cleanability table
+        # refuses a T witness that leaves one out: a failed check, not exit 4.
+        obj = copy.deepcopy(t1_code_json["final"])
+        side = "plus" if obj["witness"]["plus"] else "minus"
+        obj["witness"][side] = obj["witness"][side][1:]
+        out = tmp_path / "code.json"
+        out.write_text(json.dumps(obj))
+        assert run(["verify", str(out)]) == EXIT_VERIFY
+        assert "FAIL  cleanable cosets = 996" in capsys.readouterr().out.splitlines()
+
     def test_heavy_generator_fails_locality(self, tmp_path, capsys):
         out = tmp_path / "code.json"
         run(["build", "--t", "1", "--stage", "final", "--out", str(out)])

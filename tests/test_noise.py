@@ -5,7 +5,14 @@ import pytest
 
 import oracles
 from dccsim import f2, noise
-from dccsim.csscode import EvennessWitness, build_cleanability_table, make_code, verify_transversality
+from dccsim.codefamily import cached_doubled
+from dccsim.csscode import (
+    CodeConstructionError,
+    EvennessWitness,
+    build_cleanability_table,
+    make_code,
+    verify_transversality,
+)
 from dccsim.f2 import Subspace
 from dccsim.protocol import family15
 from dccsim.noise import (
@@ -327,6 +334,16 @@ class TestSignTerm:
             assert prod.keys() == char.keys()
             assert all(abs(prod[f] - char[f]) <= 1e-12 for f in prod)
 
+    def test_refuses_a_witness_that_leaves_sites_ungated(self, prop):
+        # T on site 2 alone is transversal here (A = <27> misses site 2), but
+        # leaves an X error on site 0 untouched, where P(f|e = {0}) would
+        # give f = {0} half the time: the table refuses the witness.
+        code = prop.table.code
+        witness = EvennessWitness.from_sites([2], [], 8)
+        assert verify_transversality(code, "T", witness)
+        with pytest.raises(CodeConstructionError, match=r"sites \[0, 1, 3, 4\] ungated"):
+            build_cleanability_table(code, witness)
+
     def test_samples_lie_in_the_support(self, prop):
         # sample_f starts from the particular solution of f.g = (|g & M+| - |g & M-|)/2.
         rng = np.random.default_rng(14)
@@ -423,6 +440,56 @@ class TestTGateOnCodeStates:
         assert t_gate_mismatches(prop, witness) == []
         everywhere = TPropagator(build_cleanability_table(code, EvennessWitness((1 << 5) - 1, 0, 8)))
         assert t_gate_mismatches(everywhere, witness) == odd_on_minus
+
+
+def logical_phases(space: Subspace, witness: EvennessWitness) -> tuple[set[int], set[int]]:
+    """The phases U gives the basis states of |0_L> (the elements of A) and
+    of |1_L> (those of A + <1>), as exponents k of exp(2 pi i k / order):
+    U is T (order 8) or S (order 4) on witness.plus and its inverse on
+    witness.minus, so basis state v gets k = |v & M+| - |v & M-|."""
+    zero = space.element_array().astype(np.uint64)
+
+    def exponents(states: np.ndarray) -> set[int]:
+        k = (np.bitwise_count(states & np.uint64(witness.plus)).astype(np.int64)
+             - np.bitwise_count(states & np.uint64(witness.minus)))
+        return set((k % witness.order).tolist())
+
+    return exponents(zero), exponents(zero ^ np.uint64((1 << space.n) - 1))
+
+
+class TestLogicalAction:
+    """The transversal gates act on the code states as the logical gates
+    they are named for: U |0_L> = |0_L> and U |1_L> = e^(2 pi i / order)
+    |1_L> for T and S, and H^n maps |0_L>, |1_L> to |+_L>, |-_L>."""
+
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_t_acts_as_logical_t(self, t):
+        d = cached_doubled(t)
+        assert logical_phases(d.t_space, d.witness_t) == ({0}, {1})
+
+    def test_witness_site_moved_to_minus_breaks_logical_t(self):
+        # T-dagger where T belongs: every element of A holding the site moves
+        # by -2 eighths, so |0_L> no longer keeps its phase.
+        d = cached_doubled(1)
+        site = d.witness_t.plus & -d.witness_t.plus
+        moved = EvennessWitness(d.witness_t.plus ^ site, d.witness_t.minus | site, 8)
+        zero_phases, _ = logical_phases(d.t_space, moved)
+        assert zero_phases == {0, 6}
+
+    def test_s_acts_as_logical_s_on_the_c_code(self):
+        d = cached_doubled(1)
+        assert logical_phases(d.c_space, d.witness_c) == ({0}, {1})
+
+    def test_h_acts_as_logical_h_on_the_c_code(self):
+        # H on all 15 qubits is the Walsh-Hadamard transform of the 2^15
+        # amplitudes, scaled by 2^(-15/2).
+        d = cached_doubled(1)
+        n, elements = d.n, d.c_space.element_array()
+        zero, one = np.zeros(1 << n), np.zeros(1 << n)
+        zero[elements] = one[elements ^ np.uint32((1 << n) - 1)] = 2.0 ** (-d.c_space.dim / 2)
+        for state, sign in ((zero, 1.0), (one, -1.0)):
+            image = f2.fwht(state.copy()) * 2.0 ** (-n / 2)
+            assert np.abs(image - (zero + sign * one) / math.sqrt(2)).max() <= 1e-12
 
 
 class TestTwirls:

@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import functools
 import hashlib
 import math
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from dccsim import protocol
+from dccsim import decoder, noise, protocol
 from dccsim.noise import CLIFFORD_CLASSES, PauliFrame
 from dccsim.protocol import (
     ProtocolConfig,
@@ -85,8 +86,8 @@ class TestFamilyWiring:
         for stage in fam.stages.values():
             cm = stage.code.coset_map
             parts = range(1 << 15)
-            assert stage.x_labels.tolist() == [cm.label_x(a) for a in parts]
-            assert stage.z_labels.tolist() == [cm.label_z(b) for b in parts]
+            assert cm.x_labels.tolist() == [cm.label_x(a) for a in parts]
+            assert cm.z_labels.tolist() == [cm.label_z(b) for b in parts]
             assert [stage.frame_label(PauliFrame(a, a ^ 0x5A5A)) for a in parts[::97]] == \
                 [cm.label(a, a ^ 0x5A5A) for a in parts[::97]]
 
@@ -112,6 +113,68 @@ class TestFamilyWiring:
             ga = rng.choice(gauge_x)
             gb = rng.choice(gauge_z)
             assert code.coset_map.label(a, b) == code.coset_map.label(a ^ ga, b ^ gb)
+
+
+def reachable_arrays(roots: dict[str, object]) -> dict[str, np.ndarray]:
+    """Every ndarray reachable from the roots, by the first path that reaches
+    it: through the attributes and slots of dccsim objects, with each cached
+    property computed first, and through the items of tuples, lists, sets
+    and dicts (keys and values)."""
+    found, seen = {}, set()
+    stack = list(roots.items())
+    while stack:
+        path, obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found[path] = obj
+        elif isinstance(obj, dict):
+            stack += [(f"{path}[{k!r}]", v) for k, v in obj.items()]
+            stack += [(f"{path}.keys()", k) for k in obj]
+        elif isinstance(obj, (tuple, list, set, frozenset)):
+            stack += [(f"{path}[{i}]", v) for i, v in enumerate(obj)]
+        elif type(obj).__module__.startswith("dccsim."):
+            for cls in type(obj).__mro__:
+                for name, attr in vars(cls).items():
+                    if isinstance(attr, functools.cached_property):
+                        getattr(obj, name)
+                    elif name == "__slots__":
+                        stack += [(f"{path}.{s}", getattr(obj, s)) for s in attr
+                                  if s != "__dict__" and hasattr(obj, s)]
+            stack += [(f"{path}.{k}", v) for k, v in vars(obj).items()]
+    return found
+
+
+class TestSharedTables:
+    """The label tables and the decoder's cached inputs are shared by every
+    later trial in the process, so each is built once and none is writable."""
+
+    def test_label_tables_built_once_per_row_set(self, fam):
+        t_cm, base_cm, c_cm = (fam.stages[name].code.coset_map for name in ("t", "base", "c"))
+        assert base_cm.z_labels is t_cm.z_labels  # both read rows_t
+        assert c_cm.z_labels is c_cm.x_labels is base_cm.x_labels  # all read rows_c
+        assert len({id(cm.x_labels) for cm in (t_cm, base_cm, c_cm)}
+                   | {id(cm.z_labels) for cm in (t_cm, base_cm, c_cm)}) == 3
+
+    def test_every_shared_array_is_read_only(self, fam):
+        p = 0.02
+        for engine in ("sparse", "exact"):
+            run_trial(ProtocolConfig(p=p, trials=1, decoder=engine), 0)
+        base_cm, c_layout = fam.base_stage.code.coset_map, fam.c_stage.layout
+        roots: dict[str, object] = {"family15()": fam}
+        for rnd in fam.rounds:
+            roots[f"_split_syndrome_tables({rnd.kind})"] = decoder._split_syndrome_tables(
+                rnd.split, rnd.syndrome, p)
+            roots[f"_mismatch_factors({rnd.kind})"] = decoder._mismatch_factors(rnd.syndrome.width, p)
+        for action in CLIFFORD_CLASSES:
+            roots[f"_clifford_image({action.name})"] = decoder._clifford_image(c_layout, action)
+            roots[f"_clifford_preimage({action.name})"] = decoder._clifford_preimage(c_layout, action)
+        for engine in (decoder.DenseLikelihood, decoder.SparseLikelihood):
+            roots[f"{engine.__name__}.memory_input"] = engine.memory_input(base_cm, p)
+        arrays = reachable_arrays(roots)
+        assert len(arrays) > 40
+        assert [path for path, array in sorted(arrays.items()) if array.flags.writeable] == []
 
 
 class TestSyndromeTest:
@@ -238,6 +301,26 @@ class TestDeterminism:
         first = run_trials(cfg)
         second = run_trials(cfg)
         assert first == second
+
+    def test_stabilizer_twirl_changes_no_result(self, monkeypatch):
+        # The twirl multiplies the frame's X part by an element of A, which
+        # no label reads: drawn but not applied, it leaves every result.
+        configs = [ProtocolConfig(p=p, trials=trials, decoder=engine, max_gates=30)
+                   for engine, trials in (("sparse", 20), ("exact", 10)) for p in (0.01, 0.02)]
+
+        def results():
+            return [run_trial(config, i) for config in configs for i in range(config.trials)]
+
+        twirled = results()
+        drawn = []
+
+        def draw_but_return_zero(space, rng):
+            drawn.append(noise.random_element(space, rng))
+            return 0
+
+        monkeypatch.setattr(protocol, "random_element", draw_but_return_zero)
+        assert results() == twirled
+        assert sum(map(bool, drawn)) > 100
 
     def test_parallel_equals_serial(self, monkeypatch):
         cfg = ProtocolConfig(p=0.02, trials=6, max_gates=100, decoder="sparse", seed=21)
