@@ -333,19 +333,15 @@ def fwht(values: np.ndarray, axis: int = 0) -> np.ndarray:
     """In-place unnormalized fast Walsh-Hadamard transform along axis 0.
 
     output[f] = sum_g (-1)^(f.g) input[g]; applying twice multiplies by 2^c.
-    The array must be C-contiguous so the butterfly stages are pure views.
-
-    Stage s = 0, 1, ..., c-1 maps each pair (x, y) of entries whose axis-0
-    indices differ only in bit s, x having the bit clear, to (x + y, x - y).
-    Each stage reads its pairs as the even and odd rows of one buffer and
-    writes the sums to the first half and the differences to the second
-    half of another (the two buffers then swap roles). That moves index
-    bit s to the top and every other bit down by one, so the next stage's
-    pairs are again the even and odd rows, and after c stages the rows are
-    back in order. Every ufunc call thus runs over half the array, not over
-    short runs of 2^s rows. Each entry is the same sum of the same operands,
-    stage by stage, as in the in-place radix-2 loop, so the result is
-    bit-identical to it.
+    Stage s = 0, 1, ..., c-1 maps each pair (x, y) of rows whose indices
+    differ only in bit s, x having the bit clear, to (x + y, x - y): one
+    matmul of [[1, 1], [1, -1]] with the (2^c >> (s+1), 2, 2^s k) view of the
+    C-contiguous (2^c, k) array, in natural order. The products are by +-1,
+    hence exact, and each output is one two-term sum, rounded once as in the
+    in-place radix-2 loop, with or without FMA; only the sign of an exact zero
+    may differ, and every caller clamps with np.maximum(., 0.0) or drops zeros
+    before reading one. A 1-D vector runs stages 0 .. ceil(c/2)-1 on long
+    runs: on a transposed copy of its (2^floor(c/2), 2^ceil(c/2)) view.
     """
     import numpy as np
 
@@ -356,17 +352,20 @@ def fwht(values: np.ndarray, axis: int = 0) -> np.ndarray:
         raise ValueError(f"length {m} is not a power of two")
     if not values.flags.c_contiguous:
         raise ValueError("fwht requires a C-contiguous array")
-    a = values.reshape(m, values.size // m)
-    b = np.empty_like(a)
-    half = m // 2
-    views = (a[0::2], a[1::2], b[:half], b[half:]), (b[0::2], b[1::2], a[:half], a[half:])
-    c = m.bit_length() - 1
-    for s in range(c):
-        x, y, sums, diffs = views[s & 1]
-        np.add(x, y, out=sums)
-        np.subtract(x, y, out=diffs)
-    if c & 1:
-        a[...] = b
+    x = values.reshape(m, values.size // m)
+    if values.ndim == 1:
+        low = m.bit_length() // 2
+        x = values.reshape(m >> low, 1 << low)
+        x[...] = fwht(x.T.copy()).T
+    h = np.array([[1, 1], [1, -1]], values.dtype)
+    rows, k = x.shape
+    a, b = x, np.empty_like(x)
+    for s in range(rows.bit_length() - 1):
+        shape = (rows >> (s + 1), 2, k << s)
+        np.matmul(h, a.reshape(shape), out=b.reshape(shape))
+        a, b = b, a
+    if a is not x:
+        x[...] = a
     return values
 
 

@@ -211,16 +211,41 @@ def radix2_fwht(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def assert_radix2_bits(out: np.ndarray, ref: np.ndarray) -> None:
+    """out equals ref at every nonzero entry, sign included, is zero where
+    ref is zero, and the two are byte-equal after np.maximum(., 0.0)."""
+    nonzero = ref != 0
+    assert np.array_equal(out != 0, nonzero)
+    assert out[nonzero].tobytes() == ref[nonzero].tobytes()
+    assert np.maximum(out, 0.0).tobytes() == np.maximum(ref, 0.0).tobytes()
+
+
+# Every 1-D length 2^0 .. 2^16 (odd and even c), (32, k) blocks as the T
+# update builds them, one 3-D input and one empty one.
+FWHT_SHAPES = [(1,), (2,), (1 << 13,), (32, 1), (32, 3), (32, 996), (16, 3, 5), (4, 0)]
+FWHT_SHAPES += [(1 << c,) for c in range(2, 17) if c != 13] + [(32, 4), (32, 30), (32, 200)]
+
+
 class TestFwht:
-    @pytest.mark.parametrize(
-        "shape", [(1,), (2,), (1 << 13,), (32, 1), (32, 3), (32, 996), (16, 3, 5), (4, 0)]
-    )
+    @pytest.mark.parametrize("shape", FWHT_SHAPES)
     def test_bit_identical_to_radix2_loop(self, shape):
+        """Two inputs: values spread over 10^-300 .. 10^300, and integers in
+        -2 .. 2 (a quarter of them -0.0) whose sums cancel exactly; and the
+        complex input with them as real and imaginary parts, which the loop
+        transforms part by part."""
         rng = np.random.default_rng(len(shape) + shape[0])
-        x = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 21, size=shape)
-        y = x.copy()
-        assert fwht(y) is y
-        assert np.array_equal(y, radix2_fwht(x))
+        spread = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 301, size=shape)
+        cancel = rng.integers(-2, 3, size=shape).astype(np.float64)
+        cancel[rng.random(shape) < 0.25] = -0.0
+        ref = radix2_fwht(np.stack([spread, cancel], axis=-1))
+        for x, expect in ((spread, ref[..., 0]), (cancel, ref[..., 1])):
+            y = x.copy()
+            assert fwht(y) is y and y.dtype == np.float64
+            assert_radix2_bits(y, expect)
+        z = spread + 1j * cancel
+        assert fwht(z) is z and z.dtype == np.complex128
+        assert_radix2_bits(z.real, ref[..., 0])
+        assert_radix2_bits(z.imag, ref[..., 1])
 
     def test_rejects_non_contiguous(self):
         with pytest.raises(ValueError, match="C-contiguous"):

@@ -447,6 +447,57 @@ class TestDeterminism:
         assert serial == individually
 
 
+def single_faults(fam, rounds):
+    """Every single fault of the given rounds, as (round, (a, b), flip): an
+    X, Y or Z on one of the 15 qubits, or one flipped syndrome bit. Before
+    its fault a trial is noiseless and passes every pair, so the rounds
+    alternate C, T from round 0."""
+    for r in rounds:
+        for q in range(protocol.N_QUBITS):
+            for error in ((1 << q, 0), (1 << q, 1 << q), (0, 1 << q)):
+                yield r, error, 0
+        for bit in range(fam.rounds[r % 2].syndrome.width):
+            yield r, (0, 0), 1 << bit
+
+
+class TestSingleFaults:
+    """No single fault ends a trial: the decoder corrects every one-qubit
+    error and every flipped syndrome bit of rounds 0-7, and the trial runs
+    to its gate cap."""
+
+    @staticmethod
+    def terminations(monkeypatch, engine, faults):
+        fault = [0, (0, 0), 0]
+        calls = {"memory": 0, "flip": 0}
+
+        def memory_error(p, n, rng):
+            calls["memory"] += 1
+            return fault[1] if calls["memory"] - 1 == fault[0] else (0, 0)
+
+        def flip(q, bits, width, rng):
+            calls["flip"] += 1
+            return bits ^ fault[2] if calls["flip"] - 1 == fault[0] else bits
+
+        monkeypatch.setattr(protocol, "sample_memory_error", memory_error)
+        monkeypatch.setattr(protocol, "flip_syndrome", flip)
+        cfg = ProtocolConfig(p=0.01, trials=1, max_gates=24, decoder=engine, seed=0)
+        ends = {}
+        for i, f in enumerate(faults):
+            fault[:] = f
+            calls.update(memory=0, flip=0)
+            ends[f] = run_trial(cfg, i).termination
+            assert calls["memory"] > f[0] and calls["flip"] > f[0]
+        return ends
+
+    @pytest.mark.parametrize("engine, rounds, count",
+                             [("sparse", range(8), 452), ("exact", range(2, 4), 113)],
+                             ids=["sparse", "exact"])
+    def test_no_single_fault_ends_a_trial(self, monkeypatch, fam, engine, rounds, count):
+        ends = self.terminations(monkeypatch, engine, list(single_faults(fam, rounds)))
+        assert len(ends) == count
+        assert {f: e for f, e in ends.items() if e != "max_gates_reached"} == {}
+
+
 class TestGateAccounting:
     def test_one_gate_per_round_at_low_noise(self):
         cfg = ProtocolConfig(p=1e-3, trials=4, max_gates=400, decoder="sparse", seed=13)
