@@ -393,7 +393,8 @@ def cmd_sweep(args) -> int:
         _write_rows(sink, configs, estimates)
     for est in estimates:
         if est.p_l is not None:
-            print(f"p={est.p:g} p_L={est.p_l:.4g}", file=sys.stderr)
+            row = est.csv_row()
+            print(f"p={est.p:g} p_L={row['p_L']} stderr={row['stderr']}", file=sys.stderr)
     return EXIT_OK
 
 

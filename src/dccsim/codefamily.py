@@ -105,8 +105,6 @@ class StageCodes:
     doubly-even companion, their evenness witnesses and the typed generators
     that span the dot space (all but the double edges span the companion's)."""
 
-    t: int
-    stage: str    # doubled | gadget | local | final
     layout: BlockLayout
     lattices: dict[int, ColorLattice]
     t_space: Subspace
@@ -189,8 +187,6 @@ def build_doubled(t: int) -> StageCodes:
     )
 
     return StageCodes(
-        t=t,
-        stage="doubled",
         layout=layout,
         lattices=lattices,
         t_space=t_space,
@@ -268,8 +264,6 @@ def build_gadget_codes(t: int, stage: str = "gadget") -> StageCodes:
     n = layout.n
     dot_t_space = Subspace(n, [g.bits for g in gens])
     return StageCodes(
-        t=t,
-        stage=stage,
         layout=layout,
         lattices=lattices,
         t_space=dot_t_space.dot_space(),

@@ -127,14 +127,12 @@ class CosetPropagation:
     """Sampling data for one cleanable coset.
 
     positions: support of its clean representative e (table.rep).
-    radical: basis of {g in B : g inside e} intersected with its own
-        orthogonal complement, as vectors on the full qubit line.
     particular / kernel: solution structure of the parity constraints
-        f . g^a = |g^a|/2 (mod 2) over f inside e, in e-local coordinates.
+        f . g^a = |g^a|/2 (mod 2) over f inside e, in e-local coordinates,
+        for g^a a basis of the radical of {g in B : g inside e}.
     """
 
     positions: tuple[int, ...]
-    radical: tuple[int, ...]
     particular: int
     kernel: tuple[int, ...]
 
@@ -172,7 +170,6 @@ class TPropagator:
             raise AssertionError("propagation constraints are inconsistent")
         return CosetPropagation(
             positions=positions,
-            radical=radical,
             particular=particular,
             kernel=f2.nullspace(rows, len(positions)),
         )

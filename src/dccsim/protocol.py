@@ -373,7 +373,6 @@ class Estimate:
     n_censored: int
     n_retry_limit: int
     mean_retries: float
-    p_l_geometric: float | None
     wall_seconds: float
 
     def csv_row(self) -> dict:
@@ -388,26 +387,24 @@ class Estimate:
             "n_censored": self.n_censored,
             "mean_retries": f"{self.mean_retries:.6g}",
             "n_retry_limit": self.n_retry_limit,
-            "p_L_geometric": "" if self.p_l_geometric is None else f"{self.p_l_geometric:.6g}",
             "wall_seconds": f"{self.wall_seconds:.3f}",
         }
 
 
-def jackknife_inverse_mean(values: list[int]) -> float:
-    """Jackknife standard error of 1/mean over the given samples.
+def jackknife_ratio(failures: list[int], gates: list[int]) -> float:
+    """Jackknife standard error of sum(failures) / sum(gates) over paired
+    per-trial samples; leaving trial i out gives (F - f_i) / (G - g_i).
 
-    A leave-one-out mean of 0 makes that estimate of 1/mean infinite: the
-    error is then inf, or nan when every sample is 0 and 1/mean itself is inf.
+    With no gates at all the ratio itself is undefined or infinite, and the
+    error is nan; a trial that holds every gate leaves none when it is left
+    out, and the error is then inf.
     """
-    n = len(values)
-    if n < 2:
+    n, total_f, total_g = len(failures), sum(failures), sum(gates)
+    if n < 2 or total_g == 0:
         return float("nan")
-    total = sum(values)
-    if total == 0:
-        return float("nan")
-    if any(total == v for v in values):
+    if total_g in gates:
         return float("inf")
-    leave_out = [(n - 1) / (total - v) for v in values]
+    leave_out = [(total_f - f) / (total_g - g) for f, g in zip(failures, gates)]
     mean_theta = sum(leave_out) / n
     var = (n - 1) / n * sum((t - mean_theta) ** 2 for t in leave_out)
     return math.sqrt(var)
@@ -421,27 +418,21 @@ def estimate_pl(config: ProtocolConfig, results: list[TrialResult] | None = None
         wall = time.monotonic() - start
     else:
         wall = 0.0
-    failing = [r.gates_implemented for r in results
-               if r.termination in ("logical_error", "cleanability_failure")]
-    all_gates = [r.gates_implemented for r in results]
+    # Every trial counts: censored and retry-limit trials add gates but no
+    # failure, so F / G is the geometric maximum-likelihood rate.
+    failures = [int(r.termination in ("logical_error", "cleanability_failure")) for r in results]
+    gates = [r.gates_implemented for r in results]
     counts = {t: sum(1 for r in results if r.termination == t) for t in TERMINATIONS}
-    mean_gates = sum(all_gates) / len(all_gates)
-    # Geometric MLE over every trial: censored and retry-limit trials add
-    # gates but no failure.
-    if sum(all_gates):
-        p_l_geometric = len(failing) / sum(all_gates)
-    else:
-        p_l_geometric = float("inf") if failing else None
-    if failing:
-        mean_fail = sum(failing) / len(failing)
-        p_l = float("inf") if mean_fail == 0 else 1.0 / mean_fail
-        stderr = jackknife_inverse_mean(failing)
+    total_f, total_g = sum(failures), sum(gates)
+    if total_f:
+        p_l = total_f / total_g if total_g else float("inf")
+        stderr = jackknife_ratio(failures, gates)
     else:
         p_l, stderr = None, None
     return Estimate(
         p=config.p,
         trials=config.trials,
-        mean_gates=mean_gates,
+        mean_gates=total_g / len(results),
         p_l=p_l,
         stderr=stderr,
         n_logical=counts["logical_error"],
@@ -449,6 +440,5 @@ def estimate_pl(config: ProtocolConfig, results: list[TrialResult] | None = None
         n_censored=counts["max_gates_reached"],
         n_retry_limit=counts["retry_limit"],
         mean_retries=sum(r.retries for r in results) / len(results),
-        p_l_geometric=p_l_geometric,
         wall_seconds=wall,
     )

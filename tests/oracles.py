@@ -4,10 +4,11 @@ The first group is the plain loops the kernels in `dccsim` replaced: each
 walks every bit position or every pivot, which makes it slow but easy to
 check by eye. The rest are second routes to results the package computes
 once: subspace operations, distances, the evenness conditions by packed
-popcounts, cleanability by odd dual vectors, the T gate's P(f|e) and Gamma
-by direct sums, the protocol's frame side at the qubit level (ideal
+popcounts, cleanability by odd dual vectors, the T gate's radicals, P(f|e)
+and Gamma by direct sums, the protocol's frame side at the qubit level (ideal
 syndromes, the C,T pair test, the table-based Clifford draw and the noise
-draws bit by bit), and the gadget extension's membership certificates.
+draws bit by bit), and the gadget extension's stages and membership
+certificates.
 """
 
 from __future__ import annotations
@@ -225,13 +226,24 @@ def is_clean_representative(a_space: Subspace, e: int, odd_duals: Sequence[int] 
     return all(g & ~e for g in odd_duals)
 
 
+def radical(prop: TPropagator, alpha: int) -> tuple[int, ...]:
+    """A basis of the radical of {g in B : g inside e(alpha)}, read off the
+    cleanability table: the A^T beta & e(alpha) at the nonzero entries of
+    Gamma's column alpha. It is the basis the propagator's particular
+    solution and kernel are built from."""
+    table = prop.table
+    members = table.at_beta[table.gamma_hat[:, alpha] != 0] & np.uint64(table.rep(alpha))
+    return Subspace(table.code.n, members.tolist()).basis
+
+
 def p_f_given_e(prop: TPropagator, alpha: int) -> dict[int, float]:
     """Exact distribution of f inside e(alpha), by the product formula."""
     cp = prop.coset(alpha)
     k = len(cp.positions)
     out: dict[int, float] = {}
     w = prop.table.witness
-    r_loc = [(f2.restrict(g, cp.positions), (signed_overlap(w, g) // 2) & 1) for g in cp.radical]
+    r_loc = [(f2.restrict(g, cp.positions), (signed_overlap(w, g) // 2) & 1)
+             for g in radical(prop, alpha)]
     for x in range(1 << k):
         p = 2.0 ** -k
         for g, half in r_loc:
@@ -246,7 +258,7 @@ def p_f_given_e_charsum(prop: TPropagator, alpha: int) -> dict[int, float]:
     subgroup inside e; independent route for cross-checking."""
     cp = prop.coset(alpha)
     k = len(cp.positions)
-    sub = Subspace(prop.table.code.n, cp.radical)
+    sub = Subspace(prop.table.code.n, radical(prop, alpha))
     out: dict[int, float] = {}
     for x in range(1 << k):
         fvec = f2.embed(x, cp.positions)
@@ -463,6 +475,24 @@ def _spoiled_faces(lat: ColorLattice, side: int, r: int, checks: list[tuple[str,
     return faces
 
 
+def stages_of(codes: StageCodes) -> set[str]:
+    """The stages whose ancilla blocks the record's layout has: D_r of 2r
+    sites at every level at the gadget stage, of 4r - 2 at the local stage
+    and at the final stage above level 1, and none at the doubled stage.
+    At t = 1 the final stage is the doubled one, and the gadget and local
+    stages coincide."""
+    spans = codes.layout.spans
+    levels = range(1, len(codes.lattices) + 1)
+    sizes = [len(spans.get(f"D{r}", ())) for r in levels]
+    expected = {
+        "doubled": [0] * len(levels),
+        "gadget": [2 * r for r in levels],
+        "local": [4 * r - 2 for r in levels],
+        "final": [4 * r - 2 if r > 1 else 0 for r in levels],
+    }
+    return {stage for stage, want in expected.items() if sizes == want}
+
+
 def membership_certificates(codes: StageCodes) -> list[str]:
     """The structural identities of the gadget extension that fail (none
     on a correct build), read off the layout and the lattices.
@@ -476,11 +506,12 @@ def membership_certificates(codes: StageCodes) -> list[str]:
     """
     t_space = codes.t_space
     layout = codes.layout
+    levels = range(1, len(codes.lattices) + 1)
     checks: list[tuple[str, bool]] = []
     rhs_rows: list[int] = []
-    spoiled: dict[int, set[int]] = {r: set() for r in range(1, codes.t + 1)}
+    spoiled: dict[int, set[int]] = {r: set() for r in levels}
 
-    for r in range(1, codes.t + 1):
+    for r in levels:
         if f"D{r}" not in layout.spans:
             continue
         d_pos = list(layout.spans[f"D{r}"])
@@ -511,7 +542,7 @@ def membership_certificates(codes: StageCodes) -> list[str]:
                 rhs_rows.append(gamma)
                 spoiled[r - 1].add(face_idx)
 
-    for r in range(1, codes.t + 1):
+    for r in levels:
         lat = codes.lattices[r]
         a_off, b_off = layout.offset(f"A{r}"), layout.offset(f"B{r}")
         for idx, face in enumerate(lat.faces):

@@ -273,6 +273,10 @@ def test_c14_scaling_reproduction(sparse_p01):
     est1 = sparse_p01
     cfg2 = ProtocolConfig(p=0.005, trials=400, decoder="sparse", seed=2025)
     est2 = estimate_pl(cfg2)
+    # Every trial ends in a failure, so p_L does not depend on how censored
+    # or retry-limited trials would count.
+    assert est1.n_censored == est1.n_retry_limit == 0
+    assert est2.n_censored == est2.n_retry_limit == 0
     band = 0.9e-2 <= est1.p_l <= 3.6e-2
     ratio = est1.p_l / est2.p_l
     ratio_ok = 3.0 <= ratio <= 5.5
@@ -287,6 +291,8 @@ def test_c14_scaling_reproduction(sparse_p01):
 def test_c15_dense_sparse_agreement(sparse_p01):
     cfg = ProtocolConfig(p=0.01, trials=400, decoder="exact", seed=2026)
     dense = estimate_pl(cfg)
+    assert dense.n_censored == dense.n_retry_limit == 0
+    assert sparse_p01.n_censored == sparse_p01.n_retry_limit == 0
     se = math.hypot(dense.stderr, sparse_p01.stderr)
     diff = abs(dense.p_l - sparse_p01.p_l)
     report(

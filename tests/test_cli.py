@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import pathlib
 import re
 import sys
 import time
@@ -438,9 +439,17 @@ class TestSimulate:
              "--seed", "1", "--threads", "1", "--out", str(out)])
         header, row = out.read_text().splitlines()[1:]
         fields = dict(zip(header.split(","), row.split(",")))
-        assert header.endswith(",n_retry_limit,p_L_geometric,wall_seconds")
+        assert header.endswith(",n_retry_limit,wall_seconds")
         assert fields["n_retry_limit"] == "0"
-        assert fields["p_L_geometric"] == "0"
+        assert fields["n_censored"] == "2"
+        assert fields["p_L"] == ""
+
+    def test_readme_lists_the_csv_columns(self):
+        readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+        listed = re.search(r"one CSV row per error rate with columns\s+`([^`]*)`", readme).group(1)
+        est = protocol.estimate_pl(ProtocolConfig(p=0.01, trials=1),
+                                   [protocol.TrialResult(3, "logical_error", 0, 7)])
+        assert [name.strip() for name in listed.split(",")] == list(est.csv_row())
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["simulate", "--p", "0.01"], id="simulate"),
@@ -509,6 +518,24 @@ class TestSweep:
 
     def test_empty_list_usage_error(self):
         assert run(["sweep", "--p-list", ",", "--trials", "1"]) == EXIT_USAGE
+
+    def test_summary_prints_the_rows_estimate(self, tmp_path, capsys, monkeypatch):
+        results = [protocol.TrialResult(10, "max_gates_reached", 0, 20),
+                   protocol.TrialResult(4, "logical_error", 0, 9),
+                   protocol.TrialResult(6, "logical_error", 0, 13)]
+
+        estimate = protocol.estimate_pl
+
+        def canned(config):
+            return estimate(config, results)
+
+        # The command imports estimate_pl from dccsim.protocol when it runs.
+        monkeypatch.setattr(protocol, "estimate_pl", canned)
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--p-list", "0.01", "--trials", "3", "--out", str(out)]) == EXIT_OK
+        row = next(csv.DictReader(out.read_text().splitlines()[1:]))
+        assert row["p_L"] == "0.1"
+        assert capsys.readouterr().err == f"p=0.01 p_L={row['p_L']} stderr={row['stderr']}\n"
 
 
 class TestDefaults:

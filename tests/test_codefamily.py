@@ -190,7 +190,7 @@ class TestGadgetCodes:
     @pytest.mark.parametrize("stage", ["doubled", "gadget", "local", "final"])
     def test_qubit_counts(self, t, stage):
         codes = build_doubled(t) if stage == "doubled" else build_gadget_codes(t, stage)
-        assert codes.stage == stage
+        assert stage in oracles.stages_of(codes)
         assert codes.n == qubit_counts(t)[stage]
 
     def test_t1_final_is_fifteen_qubit(self):

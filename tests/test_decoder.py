@@ -616,7 +616,7 @@ class TestTGate:
         at_beta = f2.enumerate_span(code.coset_map.mat_a, code.n).tolist()
         for alpha in sorted(fam.table.cleanable):
             e = fam.table.rep(alpha)
-            radical = f2.Subspace(code.n, fam.prop.coset(alpha).radical)
+            radical = f2.Subspace(code.n, oracles.radical(fam.prop, alpha))
             for v in at_beta:
                 g = v & e
                 assert code.b_space.contains(g) == radical.contains(g)

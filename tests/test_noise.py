@@ -182,12 +182,12 @@ class TestCliffordActions:
 class TestPropagation:
     def test_radical_is_self_orthogonal_with_even_weights(self, propagator):
         for alpha in propagator.table.cleanable:
-            cp = propagator.coset(alpha)
-            for g in cp.radical:
+            radical = oracles.radical(propagator, alpha)
+            for g in radical:
                 assert g.bit_count() % 2 == 0
                 assert not (g & ~propagator.table.rep(alpha))
-            for g in cp.radical:
-                for h in cp.radical:
+            for g in radical:
+                for h in radical:
                     assert oracles.dot(g, h) == 0
 
     @pytest.mark.parametrize("which", ["doubled_steane", "c_code"])
@@ -202,7 +202,7 @@ class TestPropagation:
             inside = b_elements[(b_elements & np.uint64(~e & ((1 << code.n) - 1))) == 0].tolist()
             b_e = Subspace(code.n, inside)
             radical = [g for g in inside if not any(oracles.dot(g, h) for h in b_e.basis)]
-            assert Subspace(code.n, propagator.coset(alpha).radical) == Subspace(code.n, radical)
+            assert Subspace(code.n, oracles.radical(propagator, alpha)) == Subspace(code.n, radical)
 
     def test_distribution_normalized_nonnegative(self, propagator):
         for alpha in propagator.table.cleanable:
@@ -240,7 +240,7 @@ class TestPropagation:
         # uniformly over all subsets.
         for alpha in propagator.table.cleanable:
             cp = propagator.coset(alpha)
-            if cp.radical or not cp.positions:
+            if oracles.radical(propagator, alpha) or not cp.positions:
                 continue
             dist = oracles.p_f_given_e(propagator, alpha)
             k = len(cp.positions)
@@ -433,9 +433,10 @@ class TestTGateOnCodeStates:
         code = make_code(SIGN_TERM_B.dot_space(), SIGN_TERM_B)
         witness = SIGN_TERM_WITNESS
         prop = TPropagator(build_cleanability_table(code, witness))
-        assert prop.coset(3).radical == (0b11,) and prop.table.gamma_hat[:, 3].min() < 0
+        assert oracles.radical(prop, 3) == (0b11,) and prop.table.gamma_hat[:, 3].min() < 0
         odd_on_minus = [alpha for alpha in prop.table.cleanable
-                        if any((g & witness.minus).bit_count() & 1 for g in prop.coset(alpha).radical)]
+                        if any((g & witness.minus).bit_count() & 1
+                               for g in oracles.radical(prop, alpha))]
         assert odd_on_minus == [5, 6]
         assert t_gate_mismatches(prop, witness) == []
         everywhere = TPropagator(build_cleanability_table(code, EvennessWitness((1 << 5) - 1, 0, 8)))

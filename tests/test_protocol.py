@@ -17,7 +17,7 @@ from dccsim.protocol import (
     TrialResult,
     estimate_pl,
     family15,
-    jackknife_inverse_mean,
+    jackknife_ratio,
     logical_error_test,
     run_trial,
     run_trials,
@@ -435,8 +435,8 @@ class TestDeterminism:
         h.update(fam.t_update.cleanable_mask.tobytes())
         h.update(fam.t_update.gamma_hat.tobytes())
         for alpha in cleanable:
-            cp = fam.prop.coset(alpha)
-            h.update(f"{words(cp.positions)};{words(cp.radical)};{cp.particular};"
+            cp, radical = fam.prop.coset(alpha), oracles.radical(fam.prop, alpha)
+            h.update(f"{words(cp.positions)};{words(radical)};{cp.particular};"
                      f"{words(cp.kernel)}\n".encode())
         assert h.hexdigest() == "83d9627204830a1d6f9aec828748a357db27d00154cffef979efa9d0a116b95c"
 
@@ -530,23 +530,17 @@ class TestEstimator:
         assert est.p_l == pytest.approx(0.02)
         assert est.stderr == pytest.approx(0.0, abs=1e-12)
 
-    def test_censored_trials_excluded(self):
+    def test_censored_gates_count(self):
+        # 3 failures over 3 * 100 censored + 3 * 20 failing gates; a
+        # retry-limit trial adds its 40 gates but no failure.
         results = [TrialResult(100, "max_gates_reached", 0, 200) for _ in range(3)]
         results += [TrialResult(20, "logical_error", 1, 40) for _ in range(3)]
-        cfg = ProtocolConfig(p=0.01, trials=6)
-        est = estimate_pl(cfg, results)
-        assert est.p_l == pytest.approx(1 / 20)
+        est = estimate_pl(ProtocolConfig(p=0.01, trials=6), results)
+        assert est.p_l == 3 / 360
         assert est.n_censored == 3
-
-    def test_geometric_rate_counts_censored_gates(self):
-        # Same sample: 3 failures over 3 * 100 + 3 * 20 gates, plus a
-        # retry-limit trial that adds gates but no failure.
-        results = [TrialResult(100, "max_gates_reached", 0, 200) for _ in range(3)]
-        results += [TrialResult(20, "logical_error", 1, 40) for _ in range(3)]
-        assert estimate_pl(ProtocolConfig(p=0.01, trials=6), results).p_l_geometric == 3 / 360
         est = estimate_pl(ProtocolConfig(p=0.01, trials=7),
                           results + [TrialResult(40, "retry_limit", 101, 90)])
-        assert est.p_l_geometric == 3 / 400
+        assert est.p_l == 3 / 400
         assert est.n_retry_limit == 1
         assert est.csv_row()["n_retry_limit"] == 1
 
@@ -557,14 +551,45 @@ class TestEstimator:
         assert est.p_l is None
 
     def test_jackknife_on_known_sample(self):
-        values = [40, 50, 60]
-        se = jackknife_inverse_mean(values)
-        assert 0 < se < 0.01
+        # With every f_i = 1 the leave-one-out ratio is (n - 1) / (G - g_i),
+        # the inverse of the leave-one-out mean of the gates.
+        gates = [40, 50, 60]
+        leave_out = [2 / (150 - g) for g in gates]
+        mean = sum(leave_out) / 3
+        expected = math.sqrt(2 / 3 * sum((t - mean) ** 2 for t in leave_out))
+        assert 0 < expected < 0.01
+        assert jackknife_ratio([1, 1, 1], gates) == pytest.approx(expected, rel=1e-15)
 
-    def test_jackknife_zero_leave_one_out_sum(self):
-        # Dropping the 4 leaves a mean of 0, so that estimate of 1/mean is inf.
-        assert jackknife_inverse_mean([0, 4]) == float("inf")
-        assert math.isnan(jackknife_inverse_mean([0, 0, 0]))
+    def test_jackknife_counts_trials_without_a_failure(self):
+        # Leaving out the censored trial gives 1 / 10, leaving out the
+        # failing one 0 / 30: a jackknife error of 0.05 about 1 / 40.
+        assert jackknife_ratio([1, 0], [10, 30]) == pytest.approx(0.05, rel=1e-12)
+
+    def test_jackknife_when_one_trial_holds_every_gate(self):
+        # Dropping the 4 leaves no gate, so that estimate of the ratio is
+        # inf (or 0 / 0 when it also drops every failure).
+        assert jackknife_ratio([1, 1], [0, 4]) == float("inf")
+        assert jackknife_ratio([1, 0, 0], [20, 0, 0]) == float("inf")
+        assert math.isnan(jackknife_ratio([1, 1, 1], [0, 0, 0]))
+        assert math.isnan(jackknife_ratio([1], [5]))
+
+    def test_one_trial_with_every_gate_estimates_without_raising(self):
+        # The failing trial holds every gate, so leaving it out leaves none.
+        results = [TrialResult(7, "logical_error", 0, 20)]
+        results += [TrialResult(0, "retry_limit", 101, 101) for _ in range(2)]
+        est = estimate_pl(ProtocolConfig(p=0.01, trials=3), results)
+        assert est.p_l == 1 / 7
+        assert est.stderr == float("inf")
+        assert est.csv_row()["stderr"] == "inf"
+
+    def test_a_cap_that_censors_most_trials_leaves_p_l_within_its_error(self):
+        # At a cap of 10 gates most of these trials are censored; 1 / mean
+        # over the failing trials alone reads 0.200 there, against 0.059.
+        uncapped, capped = (estimate_pl(ProtocolConfig(p=0.02, trials=300, max_gates=cap, seed=11,
+                                                       threads=2))
+                            for cap in (100_000, 10))
+        assert uncapped.n_censored == 0 and capped.n_censored > 150
+        assert abs(uncapped.p_l - capped.p_l) <= 2 * math.hypot(uncapped.stderr, capped.stderr)
 
     def test_failures_before_the_first_gate(self):
         results = [TrialResult(0, "logical_error", 0, 1) for _ in range(3)]

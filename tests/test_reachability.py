@@ -79,10 +79,6 @@ CALLED_BY_FRAMEWORK = {"cli._Parser.error"}
 
 # Fields that only the tests read, each kept for the reason given.
 READ_BY_TESTS = {
-    "noise.CosetPropagation.radical": "the input of tests/oracles.py's P(f|e), against which "
-                                      "the sampler's particular solution and kernel are checked",
-    "codefamily.StageCodes.t": "the level count that tests/oracles.py's certificates loop over",
-    "codefamily.StageCodes.stage": "names the stage a record holds, which test_codefamily checks",
     "noise.CliffordAction.name": "names a class in its repr and in the tests' tables of classes",
 }
 
@@ -154,7 +150,6 @@ def colliding_members(modules: dict[str, str]) -> list[str]:
 COLLIDING_MEMBERS = [
     "codefamily.BlockLayout.embed", "codefamily.BlockLayout.n", "codefamily.Generator.bits",
     "codefamily.Generator.kind", "codefamily.StageCodes.layout", "codefamily.StageCodes.n",
-    "codefamily.StageCodes.stage", "codefamily.StageCodes.t",
     "csscode.CleanabilityTable.code", "csscode.CleanabilityTable.gamma_hat",
     "csscode.CosetMap.alpha_bits", "csscode.CosetMap.beta_bits", "csscode.CosetMap.n",
     "csscode.EvennessWitness.embed", "csscode.EvennessWitness.m", "csscode.EvennessWitness.to_json",
@@ -165,9 +160,9 @@ COLLIDING_MEMBERS = [
     "decoder.LabelLayout.alpha_bits", "decoder.LabelLayout.beta_bits", "decoder.LabelLayout.size",
     "decoder.SplitSyndromeTables.base", "decoder.SyndromeMap.layout",
     "decoder.TGateUpdate.gamma_hat", "decoder.TGateUpdate.layout",
-    "lattice.ColorLattice.m", "lattice.ColorLattice.t", "lattice.Face.bits",
+    "lattice.ColorLattice.m", "lattice.Face.bits",
     "noise.CliffordAction.name", "noise.CliffordAction.p",
-    "protocol.Estimate.p", "protocol.Estimate.trials", "protocol.Round.kind", "protocol.Round.stage",
+    "protocol.Estimate.p", "protocol.Estimate.trials", "protocol.Round.kind",
     "protocol.StageContext.code", "protocol.StageContext.layout", "protocol.StageContext.name",
     "settings.ProtocolConfig.p", "settings.ProtocolConfig.to_json", "settings.ProtocolConfig.trials",
 ]
