@@ -370,28 +370,29 @@ def _note_sparse_cost(configs: list[ProtocolConfig]) -> None:
               "--decoder exact runs at a flat cost there", file=sys.stderr)
 
 
-def cmd_simulate(args) -> int:
+def _estimate_rows(args, ps) -> list:
+    """Resolve one config per p, note the sparse engine's cost, open the sink
+    before any trial runs, then estimate each p and write the rows."""
     from .protocol import estimate_pl
 
-    config = _resolve_config(args, args.p)
-    _note_sparse_cost([config])
-    with _csv_sink(args.out) as sink:
-        _write_rows(sink, [config], [estimate_pl(config)])
-    return EXIT_OK
-
-
-def cmd_sweep(args) -> int:
-    from .protocol import estimate_pl
-
-    values = [v for v in args.p_list.split(",") if v.strip()]
-    if not values:
-        raise UsageError("empty p list")
-    configs = [_resolve_config(args, float(text)) for text in values]
+    configs = [_resolve_config(args, p) for p in ps]
     _note_sparse_cost(configs)
     with _csv_sink(args.out) as sink:
         estimates = [estimate_pl(config) for config in configs]
         _write_rows(sink, configs, estimates)
-    for est in estimates:
+    return estimates
+
+
+def cmd_simulate(args) -> int:
+    _estimate_rows(args, [args.p])
+    return EXIT_OK
+
+
+def cmd_sweep(args) -> int:
+    values = [v for v in args.p_list.split(",") if v.strip()]
+    if not values:
+        raise UsageError("empty p list")
+    for est in _estimate_rows(args, (float(text) for text in values)):
         if est.p_l is not None:
             row = est.csv_row()
             print(f"p={est.p:g} p_L={row['p_L']} stderr={row['stderr']}", file=sys.stderr)

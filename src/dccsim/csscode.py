@@ -12,6 +12,8 @@ Pauli errors X(a)Z(b) are tracked modulo the gauge group through packed coset
 labels (matB.a in the low bits, matA.b above them), where matA and matB
 generate A+<1> and B+<1>. Two errors get equal labels iff they differ by a
 gauge element, which is what the decoder and the Monte Carlo both rely on.
+Every label is read from the code's two label tables (CosetMap.label), so
+labels exist only for codes of at most f2.FULL_ENUM_DIM_LIMIT qubits.
 
 The code JSON that `build` writes and `verify` reads is laid out in
 dccsim.cli alone; a witness converts itself (EvennessWitness.to_json and
@@ -19,10 +21,10 @@ from_json).
 
 Only the tables use numpy: build_cleanability_table (the 2^n scan) and
 CleanabilityTable.gamma_hat import it in their own bodies, and the label
-tables (CosetMap.x_labels and z_labels, one per distinct row set, which the
-scan reads too) and CleanabilityTable.at_beta are read-only arrays from
-f2.enumerate_span. Codes, witnesses and the evenness and transversality
-checks run on Python ints.
+tables (CosetMap.x_labels and z_labels, one per distinct row set, which
+CosetMap.label and the scan read) and CleanabilityTable.at_beta are
+read-only arrays from f2.enumerate_span. Codes, witnesses and the evenness
+and transversality checks run on Python ints.
 """
 
 from __future__ import annotations
@@ -128,9 +130,11 @@ class CosetMap:
     """Label map for Pauli errors modulo the gauge group.
 
     mat_b rows generate B+<1> and act on the X part a; mat_a rows generate
-    A+<1> and act on the Z part b. label(a, b) packs mat_b.a into the low
-    len(mat_b) bits and mat_a.b above them. x_labels and z_labels tabulate
-    label_x and label_z over all of F2^n.
+    A+<1> and act on the Z part b. x_labels and z_labels tabulate mat_b.a
+    and mat_a.b over all of F2^n, and label(a, b) reads them, packing mat_b.a
+    into the low alpha_bits bits and mat_a.b above them. The tables are the
+    one route to a label, so a code above f2.FULL_ENUM_DIM_LIMIT qubits has
+    none: label raises CapacityError there.
     """
 
     n: int
@@ -145,34 +149,26 @@ class CosetMap:
     def beta_bits(self) -> int:
         return len(self.mat_a)
 
-    def label_x(self, a: int) -> int:
-        return _parities(self.mat_b, a)
-
-    def label_z(self, b: int) -> int:
-        return _parities(self.mat_a, b)
-
     def label(self, a: int, b: int) -> int:
-        return self.label_x(a) | (self.label_z(b) << self.alpha_bits)
+        return self.x_labels.item(a) | self.z_labels.item(b) << self.alpha_bits
 
     @cached_property
     def x_labels(self) -> np.ndarray:
-        """label_x(a) for every a in F2^n, by value."""
+        """mat_b.a for every a in F2^n, by value."""
         return _label_table(self.mat_b, self.n)
 
     @cached_property
     def z_labels(self) -> np.ndarray:
-        """label_z(b) for every b in F2^n, by value."""
+        """mat_a.b for every b in F2^n, by value."""
         return _label_table(self.mat_a, self.n)
-
-
-def _parities(rows: tuple[int, ...], v: int) -> int:
-    """Bit i is the parity of rows[i] & v."""
-    return sum(((row & v).bit_count() & 1) << i for i, row in enumerate(rows))
 
 
 @lru_cache(maxsize=8)
 def _label_table(rows: tuple[int, ...], n: int) -> np.ndarray:
-    """_parities of every n-bit vector, by value: one table per row set."""
+    """The parities of rows against every n-bit vector, by value (bit i is
+    the parity of rows[i] & v): one table per row set."""
+    if n > f2.FULL_ENUM_DIM_LIMIT:
+        raise CapacityError(f"label table over 2^{n} vectors is not supported")
     return f2.enumerate_span(f2.columns(rows, n), len(rows))
 
 

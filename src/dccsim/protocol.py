@@ -40,7 +40,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -73,19 +73,27 @@ N_QUBITS = 15
 
 @dataclass(frozen=True)
 class StageContext:
-    """One code of the deformation cycle with its label bookkeeping. A
-    frame's label is two lookups, in the coset map's label tables."""
+    """One code of the deformation cycle. Its label layout and its logical
+    labels are read from the code's coset map, and a frame's label is the
+    coset map's label of the frame's X and Z parts."""
 
     name: str
     code: SubsystemCode
-    layout: LabelLayout
-    logical_x: int
-    logical_z: int
-    nontrivial_logical_labels: frozenset[int]
+
+    @cached_property
+    def layout(self) -> LabelLayout:
+        cm = self.code.coset_map
+        return LabelLayout(cm.alpha_bits, cm.beta_bits)
+
+    @cached_property
+    def nontrivial_logical_labels(self) -> frozenset[int]:
+        """The labels of X_L = X(1...1), Z_L = Z(1...1) and their product."""
+        cm, ones = self.code.coset_map, (1 << self.code.n) - 1
+        logical_x, logical_z = cm.label(ones, 0), cm.label(0, ones)
+        return frozenset({logical_x, logical_z, logical_x ^ logical_z})
 
     def frame_label(self, frame: PauliFrame) -> int:
-        cm = self.code.coset_map
-        return int(cm.x_labels[frame.a] | cm.z_labels[frame.b] << self.layout.alpha_bits)
+        return self.code.coset_map.label(frame.a, frame.b)
 
 
 def _express(rows: tuple[int, ...], target: int) -> int:
@@ -139,21 +147,9 @@ class Family15:
         base_code = make_code(t_space, c_space, mat_a=rows_t, mat_b=rows_c)
         c_code = make_code(c_space, c_space, mat_a=rows_c, mat_b=rows_c)
 
-        def stage(name: str, code: SubsystemCode) -> StageContext:
-            cm = code.coset_map
-            logical_x, logical_z = cm.label(ones, 0), cm.label(0, ones)
-            return StageContext(
-                name=name,
-                code=code,
-                layout=LabelLayout(cm.alpha_bits, cm.beta_bits),
-                logical_x=logical_x,
-                logical_z=logical_z,
-                nontrivial_logical_labels=frozenset({logical_x, logical_z, logical_x ^ logical_z}),
-            )
-
-        self.t_stage = stage("t", t_code)
-        self.base_stage = stage("base", base_code)
-        self.c_stage = stage("c", c_code)
+        self.t_stage = StageContext("t", t_code)
+        self.base_stage = StageContext("base", base_code)
+        self.c_stage = StageContext("c", c_code)
 
         lay_t, lay_b, lay_c = self.t_stage.layout, self.base_stage.layout, self.c_stage.layout
         # A base label nests in a wider one: its X bits are the lowest, and its
@@ -204,7 +200,7 @@ class Family15:
             self.deformations[prev.stage.name, "base"] = rnd.merge
             self.deformations["base", rnd.stage.name] = rnd.split
         for rnd in self.rounds:
-            for label in (rnd.stage.logical_x, rnd.stage.logical_z):
+            for label in rnd.stage.nontrivial_logical_labels:
                 if any((row & label).bit_count() & 1 for row in rnd.syndrome.rows):
                     raise AssertionError("a measured generator reads the logical qubit")
 
@@ -213,8 +209,8 @@ class Family15:
         self.t_update: TGateUpdate = build_t_gate_update(self.table)
 
         # Recovery vector of every X label, spanned by a linear section: the
-        # first vector r_k with label_x(r_k) = e_k (make_code checked mat_b to
-        # be a basis, so there is one). Any section serves: a trial reads the
+        # first vector r_k with X label e_k (make_code checked mat_b to be a
+        # basis, so there is one). Any section serves: a trial reads the
         # recovered X part only through its label, which the label map's
         # linearity makes the same for every section, and
         # propagate_through_t then replaces it by that label's representative.

@@ -3,12 +3,13 @@
 The first group is the plain loops the kernels in `dccsim` replaced: each
 walks every bit position or every pivot, which makes it slow but easy to
 check by eye. The rest are second routes to results the package computes
-once: subspace operations, distances, the evenness conditions by packed
-popcounts, cleanability by odd dual vectors, the T gate's radicals, P(f|e)
-and Gamma by direct sums, the protocol's frame side at the qubit level (ideal
-syndromes, the C,T pair test, the table-based Clifford draw and the noise
-draws bit by bit), and the gadget extension's stages and membership
-certificates.
+once: subspace operations, coset labels by one parity per label row (the
+route the label tables replaced), distances, the evenness conditions by
+packed popcounts, cleanability by odd dual vectors, the T gate's radicals,
+P(f|e) and Gamma by direct sums, the protocol's frame side at the qubit
+level (ideal syndromes, the C,T pair test, the table-based Clifford draw and
+the noise draws bit by bit), and the gadget extension's stages and
+membership certificates.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from dccsim import f2
 from dccsim.codefamily import StageCodes
-from dccsim.csscode import EvennessWitness, SubsystemCode
+from dccsim.csscode import CosetMap, EvennessWitness, SubsystemCode
 from dccsim.decoder import SparseLikelihood, TGateUpdate, _t_transform
 from dccsim.f2 import Subspace
 from dccsim.lattice import ColorLattice
@@ -202,6 +203,21 @@ def orthogonal_complement(s: Subspace) -> Subspace:
 def intersect(s: Subspace, t: Subspace) -> Subspace:
     """The common kernel of the parity checks of s and of t."""
     return Subspace(s.n, nullspace(nullspace(s.basis, s.n) + nullspace(t.basis, t.n), s.n))
+
+
+def label_x(coset_map: CosetMap, a: int) -> int:
+    """The X label of a, one parity per row: bit i is mat_b[i] . a."""
+    return sum(dot(row, a) << i for i, row in enumerate(coset_map.mat_b))
+
+
+def label_z(coset_map: CosetMap, b: int) -> int:
+    """The Z label of b, one parity per row: bit i is mat_a[i] . b."""
+    return sum(dot(row, b) << i for i, row in enumerate(coset_map.mat_a))
+
+
+def label(coset_map: CosetMap, a: int, b: int) -> int:
+    """The packed label of X(a)Z(b): the X label low, the Z label above it."""
+    return label_x(coset_map, a) | label_z(coset_map, b) << coset_map.alpha_bits
 
 
 def distance(code: SubsystemCode, max_weight: int) -> int | None:
