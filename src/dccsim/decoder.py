@@ -10,7 +10,9 @@ the Z-error part above (see csscode.CosetMap). Six update kinds drive it:
              explicit short list of shifts. Each engine builds its own input
              with memory_input(coset_map, p).
   syndrome   per-label reweighting by the bit-flip likelihood of the
-             observed syndrome against the label's ideal syndrome.
+             observed syndrome against the label's ideal syndrome: one
+             factor per mismatch count, one multiply per weight, the same
+             bytes in both engines.
   deform     merge (gauge group grows: labels project) or split (gauge group
              shrinks: labels expand uniformly over the new bits). Memory
              commutes with split, exactly: split spreads each label evenly
@@ -35,10 +37,10 @@ pattern's, and the syndrome factors of narrow label l's entries depend only
 on y = (syndrome of its base label) ^ observed. The sparse engine therefore
 selects on the narrow labels, then builds the grid for the survivors: per
 y, cached tables give the sum and the largest of the 2^k syndrome factors,
-so the grid's sum, and with it truncation's cut, and a bound on each
-label's largest entry cost one gather each over the n labels; only the
-labels whose bound reaches the cut are expanded, and of their entries those
-that clear a narrow band around the cut are kept. The band covers every
+so the grid's sum, and with it truncation's cut, and each label's largest
+entry, exactly, cost one gather each over the n labels; only the labels
+whose largest entry reaches the cut are expanded, and of their entries
+those that clear a narrow band around the cut are kept. The band covers every
 rounding by which this differs from the rule as written (derived in
 SparseLikelihood); where an entry falls inside it, or the cut is too small
 for the band to hold, measure runs the three steps as written. The dense
@@ -183,16 +185,14 @@ class SyndromeMap:
 
 
 @lru_cache(maxsize=16)
-def _mismatch_factors(width: int, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """q**m and (1 - q)**(width - m) for every mismatch count m.
-
-    Kept as two factors: the sparse engine multiplies by them in turn, the
-    dense engine by their product, and the two orders round differently.
-    """
+def _mismatch_factors(width: int, q: float) -> np.ndarray:
+    """The likelihood q**m * (1 - q)**(width - m) of every mismatch count m
+    between an observed and an ideal syndrome. Both engines multiply each
+    weight by it in one step, so their syndrome updates agree bit for bit."""
     m = np.arange(width + 1, dtype=np.uint8)
-    hit, miss = np.power(q, m), np.power(1.0 - q, width - m)
-    hit.flags.writeable = miss.flags.writeable = False
-    return hit, miss
+    factors = np.power(q, m) * np.power(1.0 - q, width - m)
+    factors.flags.writeable = False
+    return factors
 
 
 @dataclass(frozen=True)
@@ -268,17 +268,15 @@ class SplitSyndromeTables:
     Narrow label l splits into wide labels base[l] ^ patterns[j] (the
     split's tables). The syndrome map is linear, so their syndromes are
     s_base[l] ^ s_patterns[j], and with y = s_base[l] ^ observed the
-    mismatch counts are m = mismatch[j, y] = |y ^ s_patterns[j]|. The
-    entry gets the factors hit[m] and miss[m]; totals[y] and tops[y] are
-    the sum and the maximum over j of hit[m] * miss[m], for every y.
+    mismatch counts are m = |y ^ s_patterns[j]|. The entry's syndrome
+    factor is factors[j, y] = _mismatch_factors(width, q)[m]; totals[y]
+    and tops[y] are the sum and the maximum of factors[:, y], for every y.
     """
 
     base: np.ndarray
     patterns: np.ndarray
     s_base: np.ndarray       # uint32, 2^c of the narrow layout
-    mismatch: np.ndarray     # uint8, (2^k, 2^width)
-    hit: np.ndarray
-    miss: np.ndarray
+    factors: np.ndarray      # float64, (2^k, 2^width)
     totals: np.ndarray       # float64, 2^width
     tops: np.ndarray         # float64, 2^width
 
@@ -290,11 +288,10 @@ def _split_syndrome_tables(split: DeformationMap, smap: SyndromeMap, q: float) -
     base, patterns = split.split_tables
     syndromes = np.arange(1 << smap.width, dtype=np.uint32)
     mismatch = np.bitwise_count(smap.table.take(patterns)[:, None] ^ syndromes)
-    hit, miss = _mismatch_factors(smap.width, q)
-    factors = hit.take(mismatch) * miss.take(mismatch)
-    tables = SplitSyndromeTables(base, patterns, smap.table.take(base), mismatch, hit, miss,
+    factors = _mismatch_factors(smap.width, q).take(mismatch)
+    tables = SplitSyndromeTables(base, patterns, smap.table.take(base), factors,
                                  factors.sum(axis=0), factors.max(axis=0))
-    for array in (tables.s_base, tables.mismatch, tables.totals, tables.tops):
+    for array in (tables.s_base, tables.factors, tables.totals, tables.tops):
         array.flags.writeable = False
     return tables
 
@@ -419,9 +416,8 @@ class DenseLikelihood:
     def apply_syndrome(self, smap: SyndromeMap, observed: int, q: float) -> None:
         shape, syndromes = smap.read_table
         mismatch = np.bitwise_count(syndromes ^ np.uint32(observed))
-        hit, miss = _mismatch_factors(smap.width, q)
         weights = self.weights.reshape(shape)
-        weights *= (hit * miss).take(mismatch)
+        weights *= _mismatch_factors(smap.width, q).take(mismatch)
         self.weights = weights.reshape(-1)
         _scale_to_max(self.weights)
 
@@ -517,30 +513,32 @@ class SparseLikelihood:
     of two, exactly, and returns w: `_split_weights` skips it.
 
     measure's band. Write u = 2^-53, K = 2^k patterns, L narrow labels and
-    N = K L grid entries, and let e be the exact product w hit miss of an
-    entry's float factors and E the sum of the e. Each rounding of a
-    product, a quotient or a sum of nonnegative terms is relative and at
-    most u per operation, and K + L <= N + 1.
-      The rule. Entry g = (hit w) miss is e within 2u, so the grid's sum is
-      E within 2u. The rule keeps g where p = (g / max) / T >= eps, T summed
-      over the rescaled entries: one rounding per rescaled entry, N - 1 in
-      the sum, one in the quotient and the 2u of the grid's sum put p
-      within (N + 4)u of g / E.
+    N = K L grid entries, and let e be the exact product of an entry's
+    weight w and its float powers q^m and (1 - q)^(width - m), and E the
+    sum of the e. Each rounding of a product, a quotient or a sum of
+    nonnegative terms is relative and at most u per operation, and
+    K + L <= N + 1.
+      The rule. Entry g = w fac, fac the rounded product of the two powers,
+      is e within 2u, so the grid's sum is E within 2u. The rule keeps g
+      where p = (g / max) / T >= eps, T summed over the rescaled entries:
+      one rounding per rescaled entry, N - 1 in the sum, one in the
+      quotient and the 2u of the grid's sum put p within (N + 4)u of g / E.
       The cut. totals[y] adds K rounded products (Ku), w[l] * totals[y_l]
       rounds once more and the sum over the L labels L - 1 times, so
       S = sum_l w[l] totals[y_l] is E within (K + L)u, and cut = eps * S is
       eps E within (K + L + 1)u. So the rule keeps g where
       g >= cut (1 + r) and drops it where g < cut (1 - r), with
       r = (N + K + L + 5)u <= (2N + 6)u.
-      The candidates. bound = w[l] * tops[y_l] rounds twice and the entry
-      that attains it twice, so the label holds no entry above bound
-      (1 + 4u); the band's edges cut (1 -+ b) round once. With
-      b = (2N + 14)u, a label whose bound lies below the lower edge holds
-      only entries below cut (1 - r), every entry at or above the upper
-      edge lies above cut (1 + r), and 3u remain for the second-order terms
-      (N u <= 2^-37) and for underflow. The labels whose bound lies within
-      b of the largest bound hold every maximal entry: the first maximum,
-      which the rule keeps when no entry reaches the band.
+      The candidates. bound = w[l] * tops[y_l] multiplies the same two
+      operands as the label's largest entry, and rounding is monotone, so
+      the bound is that entry, exactly; the band's edges cut (1 -+ b) round
+      once. With b = (2N + 14)u, a label whose bound lies below the lower
+      edge holds only entries below cut (1 - r), every entry at or above the
+      upper edge lies above cut (1 + r), and 7u remain: 3u for the
+      second-order terms (N u <= 2^-37) and for underflow, and 4u of slack,
+      which an inexact bound would need. The labels whose bound equals the
+      largest hold every maximal entry: the first maximum, which the rule
+      keeps when no entry reaches the band.
       Underflow. A product or quotient below 2^-1022 errs by up to 2^-1075
       absolutely instead. Entries near the cut are normal where the cut is
       at least 8N 2^-1022, and the at most 5N such errors in the grid's
@@ -607,8 +605,7 @@ class SparseLikelihood:
 
     def apply_syndrome(self, smap: SyndromeMap, observed: int, q: float) -> None:
         mismatch = np.bitwise_count(smap.table.take(self.labels) ^ np.uint32(observed))
-        hit, miss = _mismatch_factors(smap.width, q)
-        self.weights = self.weights * hit.take(mismatch) * miss.take(mismatch)
+        self.weights = self.weights * _mismatch_factors(smap.width, q).take(mismatch)
         self._renormalize()
 
     def deform(self, dmap: DeformationMap) -> None:
@@ -664,11 +661,9 @@ class SparseLikelihood:
               rows) -> tuple[np.ndarray, np.ndarray]:
         """Wide labels and weights of the grid entries of the candidate
         narrow entries `rows`, pattern-major: base[l] ^ patterns[j] with weight
-        (hit[m] * w[l]) * miss[m], m = mismatch[j, syndromes[l]]."""
-        mismatch = tables.mismatch.take(syndromes[rows], axis=1)
-        weights = tables.hit.take(mismatch)
+        factors[j, syndromes[l]] * w[l], the product apply_syndrome forms."""
+        weights = tables.factors.take(syndromes[rows], axis=1)
         weights *= self.weights[rows]
-        weights *= tables.miss.take(mismatch)
         labels = tables.patterns[:, None] ^ tables.base.take(self.labels[rows])
         return labels.reshape(-1), weights.reshape(-1)
 
@@ -680,10 +675,9 @@ class SparseLikelihood:
         class docstring derives the band).
 
         The cut is eps * S, with S the grid's sum taken over the narrow
-        labels as w[l] * totals[y_l]. Narrow label l holds no entry above
-        w[l] * tops[y_l], up to rounding, so only the candidates are built:
-        the labels whose bound reaches the band's lower edge or lies within
-        the band of the largest bound.
+        labels as w[l] * totals[y_l]. Narrow label l's largest entry is
+        w[l] * tops[y_l], exactly, so only the candidates are built: the
+        labels whose bound reaches the band's lower edge or is the largest.
         """
         w = self.weights
         n = len(w) * len(tables.patterns)
@@ -693,7 +687,7 @@ class SparseLikelihood:
         band = (2 * n + 14) * 2.0 ** -53
         low, high = cut * (1.0 - band), cut * (1.0 + band)
         bounds = w * tables.tops.take(syndromes)
-        rows = (bounds >= min(low, bounds.max() * (1.0 - band))).nonzero()[0]
+        rows = (bounds >= min(low, bounds.max())).nonzero()[0]
         if len(rows) == len(w):  # every label, as often at high p: no gather
             rows = slice(None)
         labels, weights = self._grid(tables, syndromes, rows)

@@ -151,8 +151,8 @@ class TestSyndrome:
             start = spread(rng, smap.layout.size)
             rho = DenseLikelihood(smap.layout, start.copy())
             rho.apply_syndrome(smap, observed, q)
-            hit, miss = _mismatch_factors(smap.width, q)
-            expect = start * (hit * miss)[np.bitwise_count(smap.table ^ np.uint32(observed))]
+            factors = _mismatch_factors(smap.width, q)
+            expect = start * factors[np.bitwise_count(smap.table ^ np.uint32(observed))]
             assert np.array_equal(rho.weights, expect / expect.max())
 
     def test_read_bits_of_random_rows(self):
@@ -941,23 +941,23 @@ class TestSplitSyndromeTables:
     @pytest.mark.parametrize("q", [0.0, 1e-3, 0.5, 1.0])
     @pytest.mark.parametrize("split", ["base_to_c", "base_to_t"])
     def test_tables_equal_a_loop_over_patterns(self, fam, split, q):
-        """The mismatch counts, the sum and the maximum of hit * miss over
-        the patterns, per syndrome. The sum may add in another order: it
-        lies within 2^k units of 2^-53 of the loop's."""
+        """The syndrome factor of each pattern, and their sum and maximum,
+        per syndrome. The sum may add in another order: it lies within 2^k
+        units of 2^-53 of the loop's."""
         dmap = getattr(fam, split)
         smap = fam.m_c if split == "base_to_c" else fam.m_t
         tables = _split_syndrome_tables(dmap, smap, q)
         base, patterns = dmap.split_tables
-        hit, miss = _mismatch_factors(smap.width, q)
+        by_count = _mismatch_factors(smap.width, q)
         s_patterns = [int(smap.table[p]) for p in patterns]
         assert np.array_equal(tables.s_base, smap.table[base])
         for y in range(1 << smap.width):
             counts = [(y ^ s).bit_count() for s in s_patterns]
-            factors = [hit[m] * miss[m] for m in counts]
+            factors = [by_count[m] for m in counts]
             total = 0.0
             for f in factors:
                 total += f
-            assert tables.mismatch[:, y].tolist() == counts
+            assert tables.factors[:, y].tolist() == factors
             assert tables.tops[y] == max(factors)
             assert abs(tables.totals[y] - total) <= len(patterns) * 2.0 ** -53 * total
 
@@ -1032,6 +1032,38 @@ class TestMeasureEqualsThreeSteps:
         if engine == "sparse":
             assert fused.labels.tobytes() == steps.labels.tobytes()
         assert fused.weights.tobytes() == steps.weights.tobytes()
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    @pytest.mark.parametrize("split", ["base_to_c", "base_to_t"])
+    def test_engines_agree_bit_for_bit(self, fam, split, data):
+        """Both engines multiply each weight by the same syndrome factor, so
+        apply_syndrome leaves the same bytes on every support label, and at
+        eps = 0 the sparse measure keeps exactly the dense one's nonzero
+        labels, with the same bytes."""
+        dmap = getattr(fam, split)
+        smap = fam.m_c if split == "base_to_c" else fam.m_t
+        q = data.draw(st.sampled_from([0.001, 0.01, 0.02, 0.1]), label="q")
+        for step, layout in (("syndrome", dmap.new_layout), ("measure", dmap.old_layout)):
+            support = data.draw(
+                st.lists(st.integers(0, layout.size - 1), min_size=1, max_size=300, unique=True),
+                label=f"{step} support",
+            )
+            labels = np.array(sorted(support), dtype=np.uint32)
+            weights = np.array(
+                data.draw(st.lists(st.floats(1e-3, 1.0), min_size=len(labels), max_size=len(labels)),
+                          label=f"{step} weights")
+            )
+            weights /= weights.max()
+            observed = data.draw(st.integers(0, (1 << smap.width) - 1), label=f"{step} observed")
+            dense, sparse = (self.state(engine, layout, labels, weights) for engine in ("exact", "sparse"))
+            for rho in (dense, sparse):
+                if step == "syndrome":
+                    rho.apply_syndrome(smap, observed, q)
+                else:
+                    rho.measure(dmap, smap, observed, q, 0.0)
+            assert np.array_equal(sparse.labels, np.flatnonzero(dense.weights)), step
+            assert sparse.weights.tobytes() == dense.weights[sparse.labels].tobytes(), step
 
     @pytest.mark.parametrize("eps, falls_back", [
         pytest.param(0.125, True, id="at-the-cut"),

@@ -399,14 +399,14 @@ class TestDeterminism:
         assert self.results_digest("exact", 0.02, 2) == digest
 
     @pytest.mark.parametrize("decoder, p, max_gates, digest, trials", [
-        ("sparse", 0.005, 20, "1512d731c75012be7f0f2246f3032ba69ac63c3308bc741c4aca626f605b846b", 30),
-        ("sparse", 0.02, 2, "2942d2459d2f8bb33b8e6ae3acbc3314e800409c8a81ef408a8ee34895c91b9b", 30),
+        ("sparse", 0.005, 20, "e4149b5de286cf35e90ad388ab26d489a6e54fd0790f31dd9a3fd5927425ef3f", 30),
+        ("sparse", 0.02, 2, "67297e7c247f22cc4387536a8399be62b30e96e24c3d06333822d734216c3e80", 30),
         # Memory's shifts collide on most labels at this p.
-        ("sparse", 0.3, 20, "2c0780cf93898a71177a987a97eb62975d374da242b7b8b574efc79c337165c5", 3),
+        ("sparse", 0.3, 20, "7fd7f3661f002f11547b3537edb48bc371b0b918190acb86b4b50e2b0ac2864d", 3),
         # Many labels are candidates for truncation at this p.
-        ("sparse", 0.1, 5, "d2882f8e3eb9ec3c7a94e1dd2422e5899b09ad1b42ca72501f4038822b7a1ddb", 10),
+        ("sparse", 0.1, 5, "0271a0812dc1cbf96642e46c4d7117d928618cf0a1da3edf79d907e891ba3b73", 10),
         # Supports of a few labels.
-        ("sparse", 0.001, 50, "9a92ac8c9057e9b629f813a9926d4ece61c7ae37da292513037a5840717af295", 30),
+        ("sparse", 0.001, 50, "150fa18123d10fc683e052bd66abf51cb33435228a74d9264bdeb1e8c39cb6f3", 30),
         ("exact", 0.02, 2, "6fa80df8ffa0b0c5a3c46bcbcee19f9c6a46e03a1f58835a21adfbdd156e9d3e", 30),
     ])
     def test_decoder_states_pinned(self, decoder, p, max_gates, digest, trials):
@@ -501,11 +501,55 @@ class TestSingleFaults:
             assert calls["memory"] > f[0] and calls["flip"] > f[0]
         return results
 
+    @classmethod
+    def run_engines(cls, monkeypatch, fam, p):
+        """Both engines on the 452 single faults of rounds 0-7 at p: the
+        TrialResults by engine, and by engine and fault each round's kind,
+        final_coset() and, on the sparse engine, tie set."""
+        picks = {}
+
+        def record(engine, f, kind, stage, rho, frame):
+            tied = set(rho.labels[decoder._tied(rho.weights)].tolist()) if engine == "sparse" else None
+            picks.setdefault((engine, f), []).append((kind, rho.final_coset(), tied))
+
+        faults = list(single_faults(fam, range(8)))
+        results = {engine: cls.run_faults(monkeypatch, engine, faults, p,
+                                          observer=functools.partial(record, engine))
+                   for engine in ("exact", "sparse")}
+        return results, picks
+
+    @pytest.fixture(scope="class")
+    def runs_at_p_0_01(self, fam):
+        """run_engines at p = 0.01, shared by the tests that read it."""
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            return self.run_engines(monkeypatch, fam, 0.01)
+
+    @staticmethod
+    def differing_rounds(fam, results, picks):
+        """Assert that the engines give the same TrialResult on every fault
+        and that their argmax sequences differ in at most one round of a
+        run, a T round; return each differing round's exact pick and
+        sparse tie set."""
+        assert results["exact"] == results["sparse"]
+        differing = []
+        for f in single_faults(fam, range(8)):
+            exact, sparse = picks["exact", f], picks["sparse", f]
+            assert [kind for kind, _, _ in exact] == [kind for kind, _, _ in sparse]
+            rounds = [(kind, x, tied) for (kind, x, _), (_, s, tied) in zip(exact, sparse) if x != s]
+            assert len(rounds) <= 1, f
+            assert all(kind == "T" for kind, _, _ in rounds), f
+            differing += [(x, tied) for _, x, tied in rounds]
+        return differing
+
     @pytest.mark.parametrize("engine, rounds, count",
                              [("sparse", range(8), 452), ("exact", range(2, 4), 113)],
                              ids=["sparse", "exact"])
-    def test_no_single_fault_ends_a_trial(self, monkeypatch, fam, engine, rounds, count):
-        results = self.run_faults(monkeypatch, engine, list(single_faults(fam, rounds)))
+    def test_no_single_fault_ends_a_trial(self, monkeypatch, fam, runs_at_p_0_01, engine, rounds,
+                                          count):
+        if engine == "sparse":  # the same faults, seed, cap and p as run_engines at p = 0.01
+            results = runs_at_p_0_01[0]["sparse"]
+        else:
+            results = self.run_faults(monkeypatch, engine, list(single_faults(fam, rounds)))
         assert len(results) == count
         assert {f: r.termination for f, r in results.items()
                 if r.termination != "max_gates_reached"} == {}
@@ -516,27 +560,17 @@ class TestSingleFaults:
         round of a run: a T round in which the exact engine's pick is tied
         with the sparse maximum. The count of such runs is pinned, so a
         change to either engine's model or tie rule shows here."""
-        faults = list(single_faults(fam, range(8)))
-        picks = {}
+        differing = self.differing_rounds(fam, *self.run_engines(monkeypatch, fam, 0.001))
+        assert all(x in tied for x, tied in differing)
+        assert len(differing) == 77
 
-        def record(engine, f, kind, stage, rho, frame):
-            tied = set(rho.labels[decoder._tied(rho.weights)].tolist()) if engine == "sparse" else None
-            picks.setdefault((engine, f), []).append((kind, rho.final_coset(), tied))
-
-        results = {engine: self.run_faults(monkeypatch, engine, faults, p=0.001,
-                                           observer=functools.partial(record, engine))
-                   for engine in ("exact", "sparse")}
-        assert results["exact"] == results["sparse"]
-        differing = 0
-        for f in faults:
-            exact, sparse = picks["exact", f], picks["sparse", f]
-            assert [kind for kind, _, _ in exact] == [kind for kind, _, _ in sparse]
-            rounds = [(kind, x, tied) for (kind, x, _), (_, s, tied) in zip(exact, sparse) if x != s]
-            assert len(rounds) <= 1, f
-            for kind, x, tied in rounds:
-                assert kind == "T" and x in tied, f
-            differing += len(rounds)
-        assert differing == 77
+    def test_engines_decide_alike_at_p_0_01(self, fam, runs_at_p_0_01):
+        """At p = 0.01 the TrialResults are equal too and the runs differ in
+        at most one T round each, but the sparse model's second-order gap
+        shows: of the 45 differing runs only 25 are explained by a tie."""
+        differing = self.differing_rounds(fam, *runs_at_p_0_01)
+        assert len(differing) == 45
+        assert sum(x in tied for x, tied in differing) == 25
 
 
 class TestGateAccounting:
